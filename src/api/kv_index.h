@@ -2,6 +2,7 @@
 #define CHAMELEON_API_KV_INDEX_H_
 
 #include <cstddef>
+#include <memory>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -36,6 +37,14 @@ struct IndexStats {
 ///  * Keys are unique: `Insert` of a present key returns false and leaves
 ///    the index unchanged.
 ///  * `RangeScan` returns pairs with keys in [lo, hi], sorted ascending.
+///
+/// Stack walk: a deployment adapter that passes operations through to
+/// inner indexes (Sharded<N>, Durable) lists them in Children(); leaves
+/// list none. The capability defaults below (heat and contention maps,
+/// concurrent writes) and the free walks over a built stack
+/// (CollectTieredStats, SimulateCrashStack) recurse through Children()
+/// and need no per-adapter code. Disk is a terminal: its delta index is
+/// private state, not a pass-through child, so walks stop there.
 class KvIndex {
  public:
   virtual ~KvIndex() = default;
@@ -83,15 +92,23 @@ class KvIndex {
   /// Short display name ("ALEX", "Chameleon", ...).
   virtual std::string_view Name() const = 0;
 
+  /// The inner indexes this adapter passes operations through to, in
+  /// key order (ShardedIndex: its shards; DurableIndex: its one inner
+  /// index). Empty for leaves and for terminal adapters (Disk).
+  virtual std::span<const std::unique_ptr<KvIndex>> Children() const {
+    return {};
+  }
+
   /// Per-unit access heatmap (obs layer): one entry per h-level unit
   /// with its key interval and sampled read/write hit counts, in key
-  /// order. The default — baselines without unit-granular structure
-  /// have no heat to report — is empty. ChameleonIndex reports its
-  /// units; adapters delegate (ShardedIndex concatenates shards in
-  /// shard order, DurableIndex passes through). Implementations must
-  /// keep this safe to call concurrently with readers and the
-  /// retrainer (the metrics sampler polls it live).
-  virtual obs::Heatmap HeatmapSnapshot() const { return {}; }
+  /// order. The default concatenates the children's maps in child
+  /// order, which is key order; a leaf without unit-granular structure
+  /// reports an empty map. Implementations must keep this safe to call
+  /// concurrently with readers and the retrainer (the metrics sampler
+  /// polls it live).
+  virtual obs::Heatmap HeatmapSnapshot() const {
+    return ConcatChildren(&KvIndex::HeatmapSnapshot);
+  }
 
   /// Restores the index from its durable state instead of BulkLoad.
   /// Only meaningful for stacks with a durable layer (DurableIndex
@@ -103,24 +120,53 @@ class KvIndex {
   /// Capability query: can this stack accept Insert/Erase from multiple
   /// threads concurrently (after EnableConcurrentWrites())? Harnesses
   /// gate multi-writer replay modes on this instead of hardcoded index
-  /// lists. The default — baselines keep the single-writer contract —
-  /// is false. Adapters delegate: DurableIndex passes through,
-  /// ShardedIndex requires every shard to support it.
-  virtual bool SupportsConcurrentWrites() const { return false; }
+  /// lists. The default holds iff there is at least one child and every
+  /// child supports it (all-or-nothing: a mixed fleet would funnel some
+  /// keys through an unsafe path), so leaves that keep the
+  /// single-writer contract report false.
+  virtual bool SupportsConcurrentWrites() const {
+    const auto children = Children();
+    for (const std::unique_ptr<KvIndex>& child : children) {
+      if (!child->SupportsConcurrentWrites()) return false;
+    }
+    return !children.empty();
+  }
 
   /// Switches the index into multi-writer mode (per-interval writer
   /// locks on the core write path). Must be called before concurrent
   /// writers start, never mid-traffic. Returns false — and leaves the
   /// index in single-writer mode — when the stack does not support
-  /// concurrent writes. Idempotent.
-  virtual bool EnableConcurrentWrites() { return false; }
+  /// concurrent writes. Idempotent. The default enables every child
+  /// once SupportsConcurrentWrites() holds.
+  virtual bool EnableConcurrentWrites() {
+    if (!SupportsConcurrentWrites()) return false;
+    for (const std::unique_ptr<KvIndex>& child : Children()) {
+      if (!child->EnableConcurrentWrites()) return false;
+    }
+    return true;
+  }
 
   /// Per-unit write-contention map: same shape as HeatmapSnapshot() but
   /// `writes` counts contended writer-lock acquisitions (spins observed
-  /// by LockWrite) instead of write hits, and `reads` is zero. Empty for
-  /// indexes without per-interval writer locks. Safe to call live (the
-  /// metrics sampler polls it).
-  virtual obs::Heatmap WriteContentionSnapshot() const { return {}; }
+  /// by LockWrite) instead of write hits, and `reads` is zero. The
+  /// default concatenates the children's maps like HeatmapSnapshot, so
+  /// it is empty for stacks without per-interval writer locks. Safe to
+  /// call live (the metrics sampler polls it).
+  virtual obs::Heatmap WriteContentionSnapshot() const {
+    return ConcatChildren(&KvIndex::WriteContentionSnapshot);
+  }
+
+ private:
+  /// Calls `snapshot` (virtually) on every child; concatenates in order.
+  obs::Heatmap ConcatChildren(
+      obs::Heatmap (KvIndex::*snapshot)() const) const {
+    obs::Heatmap merged;
+    for (const std::unique_ptr<KvIndex>& child : Children()) {
+      obs::Heatmap part = (child.get()->*snapshot)();
+      merged.insert(merged.end(), part.begin(), part.end());
+    }
+    return merged;
+  }
 };
 
 }  // namespace chameleon

@@ -12,6 +12,7 @@
 #include <mutex>
 #include <thread>
 
+#include "src/api/index_spec.h"
 #include "src/obs/stats.h"
 #include "src/util/crc32c.h"
 
@@ -63,10 +64,23 @@ std::unique_ptr<KvIndex> BuildShardedFromSpec(const SpecNode& node,
         "(Sharded4)";
     return nullptr;
   }
-  auto index =
-      std::make_unique<ShardedIndex>(*node.inner, node.count, ctx, error);
-  if (!index->shard_valid()) return nullptr;
-  return index;
+  // The spec layer rejects a missing or zero count before building.
+  std::vector<std::unique_ptr<KvIndex>> shards;
+  for (size_t i = 0; i < node.count; ++i) {
+    SpecBuildContext shard_ctx = ctx;
+    if (node.count > 1) shard_ctx.dir_suffix += "/shard-" + std::to_string(i);
+    std::unique_ptr<KvIndex> shard =
+        BuildIndexSpec(*node.inner, shard_ctx, error);
+    if (shard == nullptr) return nullptr;
+    shards.push_back(std::move(shard));
+  }
+  std::string meta_path;
+  if (node.count > 1) {
+    const std::string root = DurableRootOf(*node.inner, ctx);
+    if (!root.empty()) meta_path = root + "/shards.meta";
+  }
+  return std::make_unique<ShardedIndex>(std::move(shards),
+                                        std::move(meta_path));
 }
 
 }  // namespace
@@ -81,56 +95,14 @@ void RegisterShardedDecorator() {
           "<dir>/shard-<i>)"});
 }
 
-ShardedIndex::ShardedIndex(std::string_view inner_name, size_t shards) {
-  SpecError error;
-  const std::unique_ptr<SpecNode> spec = ParseIndexSpec(inner_name, &error);
-  Init(spec.get(), shards, SpecBuildContext{}, &error, inner_name);
-}
-
-ShardedIndex::ShardedIndex(const SpecNode& inner_spec, size_t shards,
-                           const SpecBuildContext& ctx, SpecError* error) {
-  Init(&inner_spec, shards, ctx, error, inner_spec.Canonical());
-}
-
-void ShardedIndex::Init(const SpecNode* inner_spec, size_t shards,
-                        const SpecBuildContext& ctx, SpecError* error,
-                        std::string_view fallback_name) {
-  const size_t n_shards = std::max<size_t>(1, shards);
-  shards_.reserve(n_shards);
-  for (size_t i = 0; i < n_shards && inner_spec != nullptr; ++i) {
-    SpecBuildContext shard_ctx = ctx;
-    if (n_shards > 1) {
-      shard_ctx.dir_suffix += "/shard-" + std::to_string(i);
-    }
-    std::unique_ptr<KvIndex> shard =
-        BuildIndexSpec(*inner_spec, shard_ctx, error);
-    if (shard == nullptr) break;
-    shards_.push_back(std::move(shard));
-  }
-  if (shards_.size() != n_shards) {
-    // Hollow adapter: the inner spec was rejected (error already set).
-    shards_.clear();
-    shards_.emplace_back(nullptr);
-  }
-  name_ = shards_.front() != nullptr ? std::string(shards_.front()->Name())
-                                     : std::string(fallback_name);
+ShardedIndex::ShardedIndex(std::vector<std::unique_ptr<KvIndex>> shards,
+                           std::string meta_path)
+    : name_(shards.front()->Name()),
+      shards_(std::move(shards)),
+      meta_path_(std::move(meta_path)) {
   if (shards_.size() > 1) {
     name_ += "/shards=" + std::to_string(shards_.size());
-    if (inner_spec != nullptr && shards_.front() != nullptr) {
-      const std::string root = DurableRootOf(*inner_spec, ctx);
-      if (!root.empty()) meta_path_ = root + "/shards.meta";
-    }
   }
-}
-
-std::unique_ptr<KvIndex> MakeShardedIndex(std::string_view inner_name,
-                                          size_t shards) {
-  if (shards == 0) return nullptr;
-  auto index = std::make_unique<ShardedIndex>(inner_name, shards);
-  // An unknown inner name yields null shards; reject the hollow adapter
-  // here rather than crashing on first use.
-  return index->shard_valid() ? std::unique_ptr<KvIndex>(std::move(index))
-                              : nullptr;
 }
 
 size_t ShardedIndex::ShardFor(Key key) const {
@@ -263,7 +235,6 @@ void ShardedIndex::BulkLoad(std::span<const KeyValue> data) {
 }
 
 bool ShardedIndex::Recover() {
-  if (!shard_valid()) return false;
   if (shards_.size() == 1) return shards_[0]->Recover();
   if (meta_path_.empty() || !LoadShardMeta()) return false;
 
@@ -395,38 +366,5 @@ IndexStats ShardedIndex::Stats() const {
 }
 
 std::string_view ShardedIndex::Name() const { return name_; }
-
-obs::Heatmap ShardedIndex::HeatmapSnapshot() const {
-  obs::Heatmap merged;
-  for (const auto& shard : shards_) {
-    obs::Heatmap h = shard->HeatmapSnapshot();
-    merged.insert(merged.end(), h.begin(), h.end());
-  }
-  return merged;
-}
-
-bool ShardedIndex::SupportsConcurrentWrites() const {
-  for (const auto& shard : shards_) {
-    if (shard == nullptr || !shard->SupportsConcurrentWrites()) return false;
-  }
-  return true;
-}
-
-bool ShardedIndex::EnableConcurrentWrites() {
-  if (!SupportsConcurrentWrites()) return false;
-  for (const auto& shard : shards_) {
-    if (!shard->EnableConcurrentWrites()) return false;
-  }
-  return true;
-}
-
-obs::Heatmap ShardedIndex::WriteContentionSnapshot() const {
-  obs::Heatmap merged;
-  for (const auto& shard : shards_) {
-    obs::Heatmap h = shard->WriteContentionSnapshot();
-    merged.insert(merged.end(), h.begin(), h.end());
-  }
-  return merged;
-}
 
 }  // namespace chameleon

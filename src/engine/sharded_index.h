@@ -7,7 +7,6 @@
 #include <string_view>
 #include <vector>
 
-#include "src/api/index_spec.h"
 #include "src/api/kv_index.h"
 
 namespace chameleon {
@@ -44,26 +43,17 @@ namespace chameleon {
 /// concurrent *readers* are safe whenever the inner index's read path
 /// is (routing state is immutable after BulkLoad), and writes follow
 /// the inner index's write contract — single-writer by default, or
-/// fully concurrent when every shard supports it
-/// (SupportsConcurrentWrites() requires all shards;
-/// EnableConcurrentWrites() flips them all). Operations on different
-/// shards never share mutable adapter state, so even single-writer
-/// inners give a key-partitioning driver shard-level write parallelism
-/// for free.
+/// fully concurrent when every shard supports it (the shards are the
+/// adapter's Children(), so the KvIndex capability defaults apply).
+/// Operations on different shards never share mutable adapter state,
+/// so even single-writer inners give a key-partitioning driver
+/// shard-level write parallelism for free.
 class ShardedIndex final : public KvIndex {
  public:
-  /// Creates `shards` inner indexes from the spec `inner_name` names.
-  /// Prefer MakeShardedIndex (below), which returns nullptr on unknown
-  /// names instead of constructing a hollow adapter.
-  ShardedIndex(std::string_view inner_name, size_t shards);
-
-  /// Spec-template form used by the "Sharded<N>" decorator: each shard
-  /// builds its own copy of `inner_spec` under a per-shard build
-  /// context (ctx.dir_suffix + "/shard-<i>" when shards > 1). On an
-  /// inner build failure the adapter is hollow (shard_valid() false)
-  /// and `*error` explains why.
-  ShardedIndex(const SpecNode& inner_spec, size_t shards,
-               const SpecBuildContext& ctx, SpecError* error);
+  /// Takes the built shards (at least one). `meta_path` is where the
+  /// routing table is persisted, or "" for volatile shards.
+  ShardedIndex(std::vector<std::unique_ptr<KvIndex>> shards,
+               std::string meta_path);
 
   void BulkLoad(std::span<const KeyValue> data) override;
   bool Lookup(Key key, Value* value) const override;
@@ -83,18 +73,9 @@ class ShardedIndex final : public KvIndex {
   /// the same weighting each index applies across its own leaves.
   IndexStats Stats() const override;
   std::string_view Name() const override;
-  /// Per-shard heatmaps concatenated in shard order — shards partition
-  /// the key space in order, so the result is already in key order
-  /// (the same invariant cross-shard RangeScan stitching relies on).
-  obs::Heatmap HeatmapSnapshot() const override;
-  /// Multi-writer capability: supported iff every shard supports it
-  /// (the capability is all-or-nothing — a mixed fleet would silently
-  /// funnel some keys through an unsafe path).
-  bool SupportsConcurrentWrites() const override;
-  bool EnableConcurrentWrites() override;
-  /// Per-shard contention maps concatenated in shard order (key order),
-  /// like HeatmapSnapshot.
-  obs::Heatmap WriteContentionSnapshot() const override;
+  std::span<const std::unique_ptr<KvIndex>> Children() const override {
+    return shards_;
+  }
 
   /// Restores a durable sharded stack: loads the persisted quantile
   /// boundaries (shards.meta under the inner spec's Durable root), then
@@ -107,18 +88,12 @@ class ShardedIndex final : public KvIndex {
   size_t num_shards() const { return shards_.size(); }
   const KvIndex& shard(size_t i) const { return *shards_[i]; }
   KvIndex& shard(size_t i) { return *shards_[i]; }
-  /// False when the inner spec was rejected (the shards are null and
-  /// the adapter must not be used).
-  bool shard_valid() const { return shards_.front() != nullptr; }
 
   /// Index of the shard owning `key` (exposed for tests and for drivers
   /// that partition an operation stream by shard).
   size_t ShardFor(Key key) const;
 
  private:
-  void Init(const SpecNode* inner_spec, size_t shards,
-            const SpecBuildContext& ctx, SpecError* error,
-            std::string_view fallback_name);
   bool SaveShardMeta() const;
   bool LoadShardMeta();
 
@@ -134,14 +109,6 @@ class ShardedIndex final : public KvIndex {
   /// routing state to persist).
   std::string meta_path_;
 };
-
-/// Factory entry point for the engine layer: the spec `inner_name`
-/// sharded `shards` ways. Returns nullptr when the inner spec is
-/// invalid or shards == 0. MakeIndex also accepts the spelled-out spec
-/// "Sharded<N>:<inner>" (e.g. "Sharded4:Chameleon") so name-driven
-/// sweeps (benches, conformance suite) can route through the engine.
-std::unique_ptr<KvIndex> MakeShardedIndex(std::string_view inner_name,
-                                          size_t shards);
 
 /// Registers the "Sharded<N>" decorator in the index-spec registry.
 /// Called by EnsureBuiltinIndexDecorators(); not for direct use.

@@ -31,20 +31,23 @@ struct UnitHeat {
 /// in shard order, which preserves key order.
 using Heatmap = std::vector<UnitHeat>;
 
-/// Per-thread sampling gate for heat instrumentation: Tick() returns
-/// true on every 2^kShift-th call from the calling thread, and callers
-/// then add kWeight to the unit's counter — one thread-local increment
-/// and mask per operation, one relaxed fetch_add per sample. This keeps
-/// the heat overhead on the lookup hot path well under the 5% telemetry
+/// Sampling gate for heat instrumentation: Tick(counter) returns true
+/// on every 2^kShift-th call with the same counter, and callers then
+/// add kWeight to the unit's counter — one thread-local increment and
+/// mask per operation, one relaxed fetch_add per sample. This keeps the
+/// heat overhead on the lookup hot path well under the 5% telemetry
 /// budget (DESIGN.md §11) while totals stay unbiased in expectation.
+/// CHAMELEON_HEAT_HIT keeps one counter per thread *and call site*: a
+/// shared counter would alias when stacked layers each record one hit
+/// per operation (Disk probes its Chameleon delta, then a page), so
+/// with two hits per operation the same layer would take every sample.
 class HeatSampler {
  public:
   static constexpr uint32_t kShift = 3;
   static constexpr uint64_t kWeight = uint64_t{1} << kShift;
 
-  static bool Tick() noexcept {
-    thread_local uint32_t n = 0;
-    return (++n & (kWeight - 1)) == 0;
+  static bool Tick(uint32_t& counter) noexcept {
+    return (++counter & (kWeight - 1)) == 0;
   }
 };
 
@@ -74,7 +77,8 @@ std::string HeatmapJson(const Heatmap& map);
 #ifndef CHAMELEON_NO_STATS
 #define CHAMELEON_HEAT_HIT(cell)                                      \
   do {                                                                \
-    if (::chameleon::obs::HeatSampler::Tick()) {                      \
+    thread_local uint32_t chameleon_heat_ticks = 0;                   \
+    if (::chameleon::obs::HeatSampler::Tick(chameleon_heat_ticks)) {  \
       (cell).fetch_add(::chameleon::obs::HeatSampler::kWeight,        \
                        std::memory_order_relaxed);                    \
     }                                                                 \

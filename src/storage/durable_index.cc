@@ -6,9 +6,7 @@
 #include <cstring>
 #include <filesystem>
 
-#include "src/api/index_factory.h"
 #include "src/api/index_spec.h"
-#include "src/engine/sharded_index.h"
 #include "src/obs/phase_timer.h"
 #include "src/obs/stats.h"
 #include "src/obs/trace_journal.h"
@@ -237,16 +235,6 @@ void DurableIndex::SimulateCrash() {
   wal_.SimulateCrash();
 }
 
-std::unique_ptr<KvIndex> MakeDurableIndex(std::string_view inner_spec,
-                                          std::string dir,
-                                          DurableOptions options) {
-  if (dir.empty()) return nullptr;
-  std::unique_ptr<KvIndex> inner = MakeIndex(inner_spec);
-  if (inner == nullptr) return nullptr;
-  return std::make_unique<DurableIndex>(std::move(inner), std::move(dir),
-                                        options);
-}
-
 namespace {
 
 /// Spec builder for "Durable(<dir>[,fsync=always|everyN|none][,n=<N>])".
@@ -328,14 +316,11 @@ bool SimulateCrashStack(KvIndex* index) {
     durable->SimulateCrash();
     return true;
   }
-  if (auto* sharded = dynamic_cast<ShardedIndex*>(index)) {
-    bool crashed = false;
-    for (size_t i = 0; i < sharded->num_shards(); ++i) {
-      crashed = SimulateCrashStack(&sharded->shard(i)) || crashed;
-    }
-    return crashed;
+  bool crashed = false;
+  for (const std::unique_ptr<KvIndex>& child : index->Children()) {
+    crashed = SimulateCrashStack(child.get()) || crashed;
   }
-  return false;
+  return crashed;
 }
 
 }  // namespace chameleon

@@ -50,7 +50,8 @@ struct DurableOptions {
 /// Thread model: the adapter follows the inner index's write contract.
 /// By default that is single-writer — at most one thread in
 /// Insert/Erase. When the inner index supports concurrent writes
-/// (SupportsConcurrentWrites(), enabled via EnableConcurrentWrites()),
+/// (SupportsConcurrentWrites(), enabled via EnableConcurrentWrites();
+/// the inner index is the adapter's one child, so both pass through),
 /// multiple threads may Insert/Erase concurrently: each writer holds
 /// write_mu_ *shared* only — WAL appends interleave through the log's
 /// own append mutex (exercising group commit under real contention)
@@ -102,20 +103,8 @@ class DurableIndex final : public KvIndex {
   size_t SizeBytes() const override { return inner_->SizeBytes(); }
   IndexStats Stats() const override { return inner_->Stats(); }
   std::string_view Name() const override { return name_; }
-  obs::Heatmap HeatmapSnapshot() const override {
-    return inner_->HeatmapSnapshot();
-  }
-  /// Multi-writer capability passes through to the inner index; the
-  /// adapter itself only needs the inner's fine-grained locks (see the
-  /// thread model above).
-  bool SupportsConcurrentWrites() const override {
-    return inner_->SupportsConcurrentWrites();
-  }
-  bool EnableConcurrentWrites() override {
-    return inner_->EnableConcurrentWrites();
-  }
-  obs::Heatmap WriteContentionSnapshot() const override {
-    return inner_->WriteContentionSnapshot();
+  std::span<const std::unique_ptr<KvIndex>> Children() const override {
+    return {&inner_, 1};
   }
 
   // --- Durability operations ------------------------------------------------
@@ -178,27 +167,17 @@ class DurableIndex final : public KvIndex {
   bool checkpointer_stop_ = false;
 };
 
-/// Factory entry point: wraps the index the factory builds for
-/// `inner_spec` (any name MakeIndex accepts, including
-/// "Sharded<N>:<inner>") in a DurableIndex rooted at `dir`. Returns
-/// nullptr when the inner spec is unknown. MakeIndex also accepts the
-/// spelled-out spec
-/// "Durable(<dir>[,fsync=always|everyN|none][,n=<N>]):<inner_spec>".
-std::unique_ptr<KvIndex> MakeDurableIndex(std::string_view inner_spec,
-                                          std::string dir,
-                                          DurableOptions options = {});
-
 /// Registers the "Durable(...)" decorator in the index-spec registry.
 /// Called by EnsureBuiltinIndexDecorators(); not for direct use.
 void RegisterDurableDecorator();
 
 /// Simulates a crash on every durable layer in an index stack built
-/// from a spec: DurableIndex crashes directly, ShardedIndex recurses
-/// into each shard, other adapters/leaves are skipped. Returns true
-/// when at least one durable layer was crashed (false means the stack
-/// is volatile and there is nothing to recover). Like SimulateCrash,
-/// the stack must not be used afterwards — build a fresh stack from
-/// the same spec and Recover() it.
+/// from a spec: a DurableIndex crashes directly, any other layer
+/// recurses into its Children() (so leaves and Disk are skipped).
+/// Returns true when at least one durable layer was crashed (false
+/// means the stack is volatile and there is nothing to recover). Like
+/// SimulateCrash, the stack must not be used afterwards — build a fresh
+/// stack from the same spec and Recover() it.
 bool SimulateCrashStack(KvIndex* index);
 
 }  // namespace chameleon

@@ -11,12 +11,9 @@
 #include <filesystem>
 #include <utility>
 
-#include "src/api/index_factory.h"
 #include "src/api/index_spec.h"
-#include "src/engine/sharded_index.h"
 #include "src/obs/phase_timer.h"
 #include "src/obs/stats.h"
-#include "src/storage/durable_index.h"
 
 namespace chameleon {
 
@@ -463,48 +460,31 @@ bool TieredIndex::Recover() {
 
 bool CollectTieredStats(const KvIndex* index, TieredStatsBlock* out) {
   if (index == nullptr) return false;
-  if (const auto* tiered = dynamic_cast<const TieredIndex*>(index)) {
-    ++out->layers;
-    out->frames += tiered->frame_budget();
-    if (out->page_size == 0) out->page_size = tiered->page_size();
-    out->pages += tiered->disk_pages();
-    out->disk_entries += tiered->disk_entries();
-    out->delta_entries += tiered->delta_entries();
-    out->tombstones += tiered->tombstone_count();
-    out->merges += tiered->merges();
-    if (tiered->pool() != nullptr) {
-      const tiered::BufferPoolStats s = tiered->pool()->stats();
-      out->pool.hits += s.hits;
-      out->pool.misses += s.misses;
-      out->pool.evictions += s.evictions;
-      out->pool.page_reads += s.page_reads;
-      out->pool.page_writes += s.page_writes;
-    }
-    return true;
-  }
-  if (const auto* durable = dynamic_cast<const DurableIndex*>(index)) {
-    return CollectTieredStats(&durable->inner(), out);
-  }
-  if (const auto* sharded = dynamic_cast<const ShardedIndex*>(index)) {
+  const auto* tiered = dynamic_cast<const TieredIndex*>(index);
+  if (tiered == nullptr) {
     bool found = false;
-    for (size_t i = 0; i < sharded->num_shards(); ++i) {
-      found = CollectTieredStats(&sharded->shard(i), out) || found;
+    for (const std::unique_ptr<KvIndex>& child : index->Children()) {
+      found = CollectTieredStats(child.get(), out) || found;
     }
     return found;
   }
-  return false;
-}
-
-std::unique_ptr<KvIndex> MakeTieredIndex(std::string inner_spec,
-                                         std::string dir,
-                                         TieredOptions options) {
-  if (dir.empty()) return nullptr;
-  // Validate the inner spec once up front so a typo fails at
-  // construction, not at the first post-merge delta rebuild.
-  if (MakeIndex(inner_spec) == nullptr) return nullptr;
-  auto factory = [spec = std::move(inner_spec)]() { return MakeIndex(spec); };
-  return std::make_unique<TieredIndex>(std::move(dir), options,
-                                       std::move(factory));
+  ++out->layers;
+  out->frames += tiered->frame_budget();
+  if (out->page_size == 0) out->page_size = tiered->page_size();
+  out->pages += tiered->disk_pages();
+  out->disk_entries += tiered->disk_entries();
+  out->delta_entries += tiered->delta_entries();
+  out->tombstones += tiered->tombstone_count();
+  out->merges += tiered->merges();
+  if (tiered->pool() != nullptr) {
+    const tiered::BufferPoolStats s = tiered->pool()->stats();
+    out->pool.hits += s.hits;
+    out->pool.misses += s.misses;
+    out->pool.evictions += s.evictions;
+    out->pool.page_reads += s.page_reads;
+    out->pool.page_writes += s.page_writes;
+  }
+  return true;
 }
 
 namespace {

@@ -60,7 +60,10 @@ struct TieredOptions {
 /// Thread model: concurrent readers are safe (the pool serializes frame
 /// traffic; fences and the delta are read-only between writes), writers
 /// are externally serialized like every other single-writer index —
-/// SupportsConcurrentWrites() is false. HeatmapSnapshot() may be polled
+/// SupportsConcurrentWrites() is false. The delta is private state, not
+/// one of Children(), so stack walks stop here and the delta's own
+/// capabilities (a Chameleon delta's concurrent writes, its contention
+/// map) never surface through this layer. HeatmapSnapshot() may be polled
 /// live by the metrics sampler; it only touches state guarded against
 /// Merge's structural swap.
 ///
@@ -172,18 +175,10 @@ struct TieredStatsBlock {
   tiered::BufferPoolStats pool;
 };
 
-/// Walks an index stack (through Sharded/Durable adapters, mirroring
+/// Walks an index stack through every layer's Children() (mirroring
 /// SimulateCrashStack) and accumulates every tiered layer's stats into
 /// `*out`. Returns true when at least one TieredIndex was found.
 bool CollectTieredStats(const KvIndex* index, TieredStatsBlock* out);
-
-/// Factory entry point: a TieredIndex over `dir` whose delta (and
-/// conceptual inner structure) is built from `inner_spec` — any spec
-/// MakeIndex accepts. MakeIndex also accepts the spelled-out spec
-/// "Disk(<dir>[,pages=<bytes>][,frames=<N>][,merge=<N>][,direct=on|off]):<inner_spec>".
-std::unique_ptr<KvIndex> MakeTieredIndex(std::string inner_spec,
-                                         std::string dir,
-                                         TieredOptions options = {});
 
 /// Registers the "Disk(...)" decorator in the index-spec registry.
 /// Called by EnsureBuiltinIndexDecorators(); not for direct use.

@@ -55,7 +55,9 @@ bool WriteSosdFile(const std::string& path, const std::vector<Key>& keys) {
   }
   const uint64_t count = keys.size();
   bool ok = std::fwrite(&count, sizeof(count), 1, f) == 1;
-  ok = ok && std::fwrite(keys.data(), sizeof(Key), count, f) == count;
+  // An empty vector may hand out a null data(), which fwrite must not get.
+  ok = ok && (count == 0 ||
+              std::fwrite(keys.data(), sizeof(Key), count, f) == count);
   if (!ok) WarnIo("WriteSosdFile", path, "short write");
   if (std::fclose(f) != 0) {
     WarnIo("WriteSosdFile", path, "close failed");

@@ -79,10 +79,15 @@ std::shared_ptr<ThreadPool::ForLoop> ThreadPool::FirstRunnable() {
 
 void ThreadPool::WorkerMain() {
   std::unique_lock<std::mutex> lock(mu_);
+  std::shared_ptr<ForLoop> loop;
   while (true) {
-    cv_.wait(lock, [this] { return stop_ || FirstRunnable() != nullptr; });
+    // Keep the loop the predicate found: callers claim chunks without
+    // mu_, so a second FirstRunnable() could already find it drained.
+    // Running a drained loop is harmless (RunOneChunk returns false).
+    cv_.wait(lock, [this, &loop] {
+      return stop_ || (loop = FirstRunnable()) != nullptr;
+    });
     if (stop_) return;
-    std::shared_ptr<ForLoop> loop = FirstRunnable();
     lock.unlock();
     while (loop->RunOneChunk()) {
     }

@@ -130,7 +130,7 @@ TEST_F(DriverTest, MultiThreadReadOnlyReplayFindsEveryKey) {
 TEST_F(DriverTest, MultiThreadBatchedAgainstShardedEngine) {
   // The full serving stack: sharded engine underneath, batched lookups
   // fanned out over reader threads on top.
-  std::unique_ptr<KvIndex> sharded = MakeShardedIndex("Chameleon", 4);
+  std::unique_ptr<KvIndex> sharded = MakeIndex("Sharded4:Chameleon");
   ASSERT_NE(sharded, nullptr);
   sharded->BulkLoad(ToKeyValues(keys_));
   WorkloadGenerator gen(keys_, 17);

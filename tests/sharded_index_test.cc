@@ -25,10 +25,7 @@ std::vector<KeyValue> FaceData(size_t n, uint64_t seed = 7) {
 }
 
 TEST(ShardedIndexTest, FactoryRejectsBadSpecs) {
-  EXPECT_EQ(MakeShardedIndex("NoSuchIndex", 4), nullptr);
-  EXPECT_EQ(MakeShardedIndex("B+Tree", 0), nullptr);
-  EXPECT_NE(MakeShardedIndex("B+Tree", 1), nullptr);
-  // Spelled-out factory spec, as used by name-driven sweeps.
+  EXPECT_NE(MakeIndex("Sharded1:B+Tree"), nullptr);
   EXPECT_NE(MakeIndex("Sharded4:ALEX"), nullptr);
   EXPECT_EQ(MakeIndex("Sharded4:NoSuchIndex"), nullptr);
   EXPECT_EQ(MakeIndex("Sharded0:ALEX"), nullptr);
@@ -40,7 +37,8 @@ TEST(ShardedIndexTest, ShardsOneIsBitIdenticalPassThrough) {
   const std::vector<KeyValue> data = FaceData(20'000);
   for (const char* name : {"B+Tree", "ALEX", "Chameleon"}) {
     std::unique_ptr<KvIndex> plain = MakeIndex(name);
-    std::unique_ptr<KvIndex> sharded = MakeShardedIndex(name, 1);
+    std::unique_ptr<KvIndex> sharded =
+        MakeIndex(std::string("Sharded1:") + name);
     ASSERT_NE(plain, nullptr);
     ASSERT_NE(sharded, nullptr);
     plain->BulkLoad(data);
@@ -71,8 +69,8 @@ TEST(ShardedIndexTest, ShardsOneIsBitIdenticalPassThrough) {
 
 TEST(ShardedIndexTest, QuantileBoundariesBalanceSkewedLoad) {
   const std::vector<KeyValue> data = FaceData(16'000);
-  auto owned = std::make_unique<ShardedIndex>("B+Tree", 4);
-  ShardedIndex& index = *owned;
+  std::unique_ptr<KvIndex> owned = MakeIndex("Sharded4:B+Tree");
+  auto& index = dynamic_cast<ShardedIndex&>(*owned);
   index.BulkLoad(data);
   ASSERT_EQ(index.num_shards(), 4u);
   EXPECT_EQ(index.size(), data.size());
@@ -86,8 +84,8 @@ TEST(ShardedIndexTest, QuantileBoundariesBalanceSkewedLoad) {
 TEST(ShardedIndexTest, ShardForRoutesBoundariesAndOutOfRangeKeys) {
   std::vector<KeyValue> data;
   for (Key k = 100; k < 900; ++k) data.push_back({k, k});
-  auto owned = std::make_unique<ShardedIndex>("B+Tree", 4);
-  ShardedIndex& index = *owned;
+  std::unique_ptr<KvIndex> owned = MakeIndex("Sharded4:B+Tree");
+  auto& index = dynamic_cast<ShardedIndex&>(*owned);
   index.BulkLoad(data);
 
   // Cut ranks 0/200/400/600: shard boundaries at keys 300, 500, 700.
@@ -115,8 +113,8 @@ TEST(ShardedIndexTest, ShardForRoutesBoundariesAndOutOfRangeKeys) {
 
 TEST(ShardedIndexTest, FewerKeysThanShardsLeavesTrailingShardsEmpty) {
   std::vector<KeyValue> data = {{10, 1}, {20, 2}};
-  auto owned = std::make_unique<ShardedIndex>("B+Tree", 4);
-  ShardedIndex& index = *owned;
+  std::unique_ptr<KvIndex> owned = MakeIndex("Sharded4:B+Tree");
+  auto& index = dynamic_cast<ShardedIndex&>(*owned);
   index.BulkLoad(data);
   EXPECT_EQ(index.size(), 2u);
   Value v = 0;
@@ -166,7 +164,8 @@ TEST(ShardedIndexTest, MixedReplayMatchesUnshardedAcrossShardCounts) {
   }
 
   for (size_t shards : {2u, 4u}) {
-    std::unique_ptr<KvIndex> sharded = MakeShardedIndex("Chameleon", shards);
+    std::unique_ptr<KvIndex> sharded =
+        MakeIndex("Sharded" + std::to_string(shards) + ":Chameleon");
     ASSERT_NE(sharded, nullptr);
     sharded->BulkLoad(data);
     for (size_t i = 0; i < ops.size(); ++i) {
@@ -206,7 +205,7 @@ TEST(ShardedIndexTest, MixedReplayMatchesUnshardedAcrossShardCounts) {
 
 TEST(ShardedIndexTest, CrossShardRangeScanStitchesSorted) {
   const std::vector<KeyValue> data = FaceData(12'000, 5);
-  std::unique_ptr<KvIndex> sharded = MakeShardedIndex("ALEX", 4);
+  std::unique_ptr<KvIndex> sharded = MakeIndex("Sharded4:ALEX");
   std::unique_ptr<KvIndex> plain = MakeIndex("ALEX");
   sharded->BulkLoad(data);
   plain->BulkLoad(data);
@@ -230,7 +229,7 @@ TEST(ShardedIndexTest, CrossShardRangeScanStitchesSorted) {
 
 TEST(ShardedIndexTest, LookupBatchScatterGatherMatchesPerKey) {
   const std::vector<KeyValue> data = FaceData(10'000, 9);
-  std::unique_ptr<KvIndex> sharded = MakeShardedIndex("Chameleon", 4);
+  std::unique_ptr<KvIndex> sharded = MakeIndex("Sharded4:Chameleon");
   sharded->BulkLoad(data);
 
   Rng rng(51);
@@ -253,8 +252,8 @@ TEST(ShardedIndexTest, LookupBatchScatterGatherMatchesPerKey) {
 
 TEST(ShardedIndexTest, MergedStatsAndSizeBytesCoverAllShards) {
   const std::vector<KeyValue> data = FaceData(16'000, 3);
-  auto owned = std::make_unique<ShardedIndex>("Chameleon", 4);
-  ShardedIndex& index = *owned;
+  std::unique_ptr<KvIndex> owned = MakeIndex("Sharded4:Chameleon");
+  auto& index = dynamic_cast<ShardedIndex&>(*owned);
   index.BulkLoad(data);
 
   size_t nodes = 0, bytes = 0;
@@ -280,8 +279,8 @@ TEST(ShardedIndexTest, MergedStatsAndSizeBytesCoverAllShards) {
 }
 
 TEST(ShardedIndexTest, NameReflectsShardCount) {
-  std::unique_ptr<KvIndex> one = MakeShardedIndex("B+Tree", 1);
-  std::unique_ptr<KvIndex> four = MakeShardedIndex("B+Tree", 4);
+  std::unique_ptr<KvIndex> one = MakeIndex("Sharded1:B+Tree");
+  std::unique_ptr<KvIndex> four = MakeIndex("Sharded4:B+Tree");
   EXPECT_EQ(one->Name(), "B+Tree");
   EXPECT_EQ(four->Name(), "B+Tree/shards=4");
 }

@@ -1,8 +1,10 @@
 // End-to-end tests for composed index-spec stacks (api + engine +
-// storage): Sharded<N> over Durable builds one WAL+snapshot stack per
-// shard under <dir>/shard-<i> plus a shards.meta routing file, crashes
-// and recovers as a unit, and the pre-refactor Durable-over-Sharded
-// order keeps its single-WAL layout byte-for-byte.
+// storage + tiered): Sharded<N> over Durable builds one WAL+snapshot
+// stack per shard under <dir>/shard-<i> plus a shards.meta routing
+// file, crashes and recovers as a unit, and the pre-refactor
+// Durable-over-Sharded order keeps its single-WAL layout byte-for-byte.
+// A table pins what the stack walk answers for every composition:
+// capabilities, heat and contention maps, tiered layers, crashability.
 
 #include <filesystem>
 #include <map>
@@ -16,6 +18,7 @@
 #include "src/data/dataset.h"
 #include "src/engine/sharded_index.h"
 #include "src/storage/durable_index.h"
+#include "src/tiered/tiered_index.h"
 #include "src/util/random.h"
 
 namespace chameleon {
@@ -198,6 +201,83 @@ TEST_F(SpecStackTest, DurableOverShardedKeepsSingleWalLayout) {
   std::unique_ptr<KvIndex> recovered = Build(spec);
   ASSERT_TRUE(recovered->Recover());
   VerifyMatchesReference(*recovered);
+}
+
+TEST_F(SpecStackTest, StackWalkAnswersPerComposition) {
+  // What every generic stack walk answers, per composition. Adapters
+  // that pass operations through (Sharded, Durable) take their answers
+  // from the layers below; Disk is a terminal: its delta is private
+  // state, so the walk never reaches the Chameleon underneath it.
+  struct Case {
+    std::string spec;  // "@" and "#" are replaced by two fresh dirs
+    bool concurrent_writes;
+    bool heat;            // heat rows: Chameleon units or Disk pages
+    bool contention_map;  // one contention row per heat row
+    size_t tiered_layers;
+    bool crashable;
+  };
+  const std::vector<Case> cases = {
+      {"Chameleon", true, true, true, 0, false},
+      {"Sharded4:B+Tree", false, false, false, 0, false},
+      {"Sharded4:Chameleon", true, true, true, 0, false},
+      {"Durable(@):Sharded2:Chameleon", true, true, true, 0, true},
+      {"Sharded2:Durable(@):Chameleon", true, true, true, 0, true},
+      {"Disk(@):Chameleon", false, true, false, 1, false},
+      {"Sharded2:Disk(@):Chameleon", false, true, false, 2, false},
+      {"Durable(@):Disk(#):Chameleon", false, true, false, 1, true},
+  };
+  for (size_t i = 0; i < cases.size(); ++i) {
+    const Case& c = cases[i];
+    SCOPED_TRACE(c.spec);
+    std::string spec = c.spec;
+    const std::string case_dir = dir_ + "/" + std::to_string(i);
+    if (const size_t at = spec.find('@'); at != std::string::npos) {
+      spec.replace(at, 1, case_dir + "/a");
+    }
+    if (const size_t hash = spec.find('#'); hash != std::string::npos) {
+      spec.replace(hash, 1, case_dir + "/b");
+    }
+    std::unique_ptr<KvIndex> index = Build(spec);
+    ASSERT_NE(index, nullptr);
+    index->BulkLoad(data_);
+
+    EXPECT_EQ(index->SupportsConcurrentWrites(), c.concurrent_writes);
+    EXPECT_EQ(index->EnableConcurrentWrites(), c.concurrent_writes);
+    Churn(index.get(), 300, 41 + i);
+    EXPECT_EQ(index->size(), reference_.size());
+
+    // Every shard contributes its heat rows, in shard order: together
+    // they cover the loaded key range in key order.
+    const obs::Heatmap heat = index->HeatmapSnapshot();
+    EXPECT_EQ(heat.empty(), !c.heat);
+    if (!heat.empty()) {
+      EXPECT_LE(heat.front().lo, data_.front().key);
+      EXPECT_GT(heat.back().hi, data_.back().key);
+    }
+    for (size_t r = 1; r < heat.size(); ++r) {
+      EXPECT_LE(heat[r - 1].lo, heat[r].lo) << "row " << r;
+    }
+    const obs::Heatmap contention = index->WriteContentionSnapshot();
+    EXPECT_EQ(contention.size(), c.contention_map ? heat.size() : 0u);
+
+    TieredStatsBlock tiered;
+    EXPECT_EQ(CollectTieredStats(index.get(), &tiered), c.tiered_layers > 0);
+    EXPECT_EQ(tiered.layers, c.tiered_layers);
+    if (c.tiered_layers > 0) {
+      // Disk heat is one row per page, summed over every tiered layer.
+      EXPECT_EQ(heat.size(), tiered.pages);
+      EXPECT_EQ(tiered.disk_entries, data_.size());
+      EXPECT_EQ(tiered.delta_entries + tiered.disk_entries -
+                    tiered.tombstones,
+                reference_.size());
+    }
+
+    EXPECT_EQ(SimulateCrashStack(index.get()), c.crashable);
+    index.reset();
+    // Each case starts from the loaded data set again.
+    reference_.clear();
+    for (const KeyValue& kv : data_) reference_[kv.key] = kv.value;
+  }
 }
 
 }  // namespace

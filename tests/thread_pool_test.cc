@@ -124,6 +124,31 @@ TEST(ThreadPoolTest, ConcurrentParallelForCallsFromTwoThreads) {
   EXPECT_EQ(a, b);
 }
 
+TEST(ThreadPoolTest, ManyThreadsIssuingTinyLoopsAtOnce) {
+  // Callers claim chunks without the pool mutex, so a loop a waking
+  // worker saw as runnable can be drained before the worker picks it.
+  // Many short loops from several callers keep that window busy.
+  ThreadPool pool(4);
+  constexpr size_t kCallers = 4;
+  constexpr size_t kLoops = 2'000;
+  constexpr size_t kN = 8;
+  std::vector<std::thread> callers;
+  std::vector<size_t> bad_loops(kCallers, 0);
+  for (size_t t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&pool, &bad_loops, t] {
+      for (size_t l = 0; l < kLoops; ++l) {
+        std::atomic<size_t> sum{0};
+        pool.ParallelFor(0, kN, 1, [&sum](size_t b, size_t e) {
+          for (size_t i = b; i < e; ++i) sum.fetch_add(i + 1);
+        });
+        if (sum.load() != kN * (kN + 1) / 2) ++bad_loops[t];
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  for (size_t t = 0; t < kCallers; ++t) EXPECT_EQ(bad_loops[t], 0u) << t;
+}
+
 TEST(ThreadPoolTest, DefaultThreadCountHonorsEnv) {
   const char* saved = std::getenv("CHAMELEON_THREADS");
   const std::string saved_copy = saved ? saved : "";

@@ -8,6 +8,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -253,6 +254,35 @@ TEST_F(TieredIndexTest, HeatmapTracksDiskPages) {
 #endif
 }
 
+TEST_F(TieredIndexTest, PageHeatIsSampledWhateverTheThreadDidBefore) {
+#ifndef CHAMELEON_NO_STATS
+  // Every Disk lookup records a heat hit in its Chameleon delta before
+  // the page's. Page heat must not depend on how many hits the thread
+  // recorded earlier: each thread's 800 page reads add exactly 800.
+  std::unique_ptr<KvIndex> index = MakeTiered();
+  std::unique_ptr<KvIndex> other = MakeIndex("Chameleon");
+  const std::vector<KeyValue> data = Load(4'000);
+  index->BulkLoad(data);
+  other->BulkLoad(data);
+  auto page_reads = [&] {
+    uint64_t total = 0;
+    for (const obs::UnitHeat& u : index->HeatmapSnapshot()) total += u.reads;
+    return total;
+  };
+  for (int earlier_hits : {0, 1}) {
+    const uint64_t before = page_reads();
+    // A fresh thread starts with fresh sampling state.
+    std::thread([&] {
+      for (int i = 0; i < earlier_hits; ++i) {
+        other->Lookup(data[0].key, nullptr);
+      }
+      for (int i = 0; i < 800; ++i) index->Lookup(data[100].key, nullptr);
+    }).join();
+    EXPECT_EQ(page_reads() - before, 800u) << earlier_hits;
+  }
+#endif
+}
+
 TEST_F(TieredIndexTest, SpecOptionsAndErrors) {
   std::string error;
   // Unknown option, bad values, missing dir: position-accurate errors.
@@ -315,12 +345,12 @@ TEST_F(TieredIndexTest, ShardedDiskUsesPerShardDirectories) {
   EXPECT_TRUE(std::filesystem::exists(dir_ + "/shard-1/main.pages"));
 }
 
-TEST_F(TieredIndexTest, MakeTieredIndexFactoryHelper) {
-  std::unique_ptr<KvIndex> index = MakeTieredIndex("B+Tree", dir_);
+TEST_F(TieredIndexTest, DiskSpecWrapsAnyInnerAndRejectsBadOnes) {
+  std::unique_ptr<KvIndex> index = MakeIndex("Disk(" + dir_ + "):B+Tree");
   ASSERT_NE(index, nullptr);
   EXPECT_EQ(index->Name(), "Disk:B+Tree");
-  EXPECT_EQ(MakeTieredIndex("NoSuchIndex", dir_), nullptr);
-  EXPECT_EQ(MakeTieredIndex("B+Tree", ""), nullptr);
+  EXPECT_EQ(MakeIndex("Disk(" + dir_ + "):NoSuchIndex"), nullptr);
+  EXPECT_EQ(MakeIndex("Disk:B+Tree"), nullptr);
 }
 
 }  // namespace
