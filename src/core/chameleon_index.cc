@@ -464,51 +464,47 @@ bool ChameleonIndex::Erase(Key key) {
 size_t ChameleonIndex::RangeScan(Key lo, Key hi,
                                  std::vector<KeyValue>* out) const {
   CHAMELEON_STAT_INC(kRangeScans);
-  // Collect the unit range covering [lo, hi] by walking the frame.
-  size_t count = 0;
-  struct FrameWalker {
+  // One in-order walk: frame nodes down to the units covering [lo, hi],
+  // then each unit's subtree under its Query-Lock. Children are visited
+  // left to right and every leaf appends its hits sorted, so `out`
+  // comes out in key order and a scan allocates nothing of its own.
+  struct Scanner {
     Key lo, hi;
     const std::vector<std::unique_ptr<Unit>>* units;
-    std::vector<Unit*> hits;
-    void Walk(const FrameNode* node) {
-      const size_t first = node->ChildIndex(lo);
-      const size_t last = node->ChildIndex(hi);
-      if (node->children.empty()) {
-        for (size_t i = first; i <= last; ++i) {
-          hits.push_back((*units)[node->unit_begin + i].get());
-        }
-        return;
-      }
-      for (size_t i = first; i <= last; ++i) Walk(&node->children[i]);
-    }
-  } frame_walker{lo, hi, &units_, {}};
-  frame_walker.Walk(&frame_root_);
-
-  struct SubWalker {
-    Key lo, hi;
+    bool locked;
     std::vector<KeyValue>* out;
     size_t count = 0;
-    void Walk(const SubNode* node) {
+
+    void Frame(const FrameNode* node) {
+      const size_t first = node->ChildIndex(lo);
+      const size_t last = node->ChildIndex(hi);
+      for (size_t i = first; i <= last; ++i) {
+        if (node->children.empty()) {
+          ScanUnit((*units)[node->unit_begin + i].get());
+        } else {
+          Frame(&node->children[i]);
+        }
+      }
+    }
+    void ScanUnit(Unit* unit) {
+      CHAMELEON_HEAT_HIT(unit->heat_reads);
+      if (locked) unit->lock.LockShared();
+      Sub(&unit->root);
+      if (locked) unit->lock.UnlockShared();
+    }
+    void Sub(const SubNode* node) {
       if (node->is_leaf()) {
         count += node->leaf->RangeScan(lo, hi, out);
         return;
       }
       const size_t first = node->ChildIndex(lo);
       const size_t last = node->ChildIndex(hi);
-      for (size_t i = first; i <= last; ++i) Walk(&node->children[i]);
+      for (size_t i = first; i <= last; ++i) Sub(&node->children[i]);
     }
-  };
-
-  const bool locked = locks_enabled_.load(std::memory_order_acquire);
-  for (Unit* unit : frame_walker.hits) {
-    CHAMELEON_HEAT_HIT(unit->heat_reads);
-    if (locked) unit->lock.LockShared();
-    SubWalker walker{lo, hi, out};
-    walker.Walk(&unit->root);
-    count += walker.count;
-    if (locked) unit->lock.UnlockShared();
-  }
-  return count;
+  } scanner{lo, hi, &units_, locks_enabled_.load(std::memory_order_acquire),
+            out};
+  scanner.Frame(&frame_root_);
+  return scanner.count;
 }
 
 obs::Heatmap ChameleonIndex::HeatmapSnapshot() const {

@@ -237,13 +237,12 @@ void EbhLeaf::CollectUnsorted(std::vector<KeyValue>* out) const {
 }
 
 size_t EbhLeaf::RangeScan(Key lo, Key hi, std::vector<KeyValue>* out) const {
-  const size_t before = out->size();
-  // Collect-then-sort over the unordered slots (the paper's trade);
-  // the collect is the kernel's vectorized gather-compact.
-  kernels_->range_collect(keys_.data(), values_.data(), capacity(), lo, hi,
-                          kEbhEmptySlot, out);
-  std::sort(out->begin() + before, out->end());
-  return out->size() - before;
+  // The slots are unordered (the paper's trade), so the kernel gathers
+  // and orders the hits in one pass: compress-and-rank on the vector
+  // tiers, collect + std::sort on the scalar tier.
+  return kernels_->range_collect_sorted(keys_.data(), values_.data(),
+                                        capacity(), lo, hi, kEbhEmptySlot,
+                                        out);
 }
 
 size_t EbhLeaf::SizeBytes() const {

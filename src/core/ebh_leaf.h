@@ -36,7 +36,12 @@ size_t EbhCapacityFor(size_t n, double tau, size_t min_capacity = 8);
 /// than [P(k) - cd, P(k) + cd]: the hash is error-bounded.
 ///
 /// Slots are unordered by key (the paper: "the unordered EBH eliminates
-/// sorting operations during retraining"); range scans collect & sort.
+/// sorting operations during retraining"), so a range scan orders its
+/// hits itself: the dispatched range_collect_sorted kernel compresses
+/// them into stack scratch and places each by rank (vector tiers, up to
+/// simd::kSortedRankCutoff hits), or collects and std::sorts (scalar
+/// tier and larger hit sets). CollectUnsorted and the retrainer never
+/// pay for order.
 class EbhLeaf {
  public:
   /// Creates an empty leaf over [lk, uk) sized for `expected_keys` at

@@ -29,9 +29,21 @@ void TraceJournal::Append(TraceEventType type, uint64_t a,
   if (!enabled()) return;
   const uint64_t idx = head_.fetch_add(1, std::memory_order_relaxed);
   Slot& slot = slots_[idx & kMask];
-  // Invalidate first so a concurrent Snapshot never pairs the new
-  // payload with the old sequence number.
-  slot.seq.store(0, std::memory_order_release);
+  // Per-slot writer exclusion: claim the slot by moving its sequence
+  // from an older event's (or empty) to kWriting. An appender a full
+  // lap away that finds the slot busy (kWriting compares above every
+  // index) or already holding a newer event drops its event instead of
+  // interleaving payload halves with the other writer. The event still
+  // counts in total_appended(), as an overwritten one does.
+  uint64_t seen = slot.seq.load(std::memory_order_relaxed);
+  if (seen > idx || !slot.seq.compare_exchange_strong(
+                        seen, kWriting, std::memory_order_relaxed)) {
+    return;
+  }
+  // Orders the kWriting store before the payload stores, pairing with
+  // Snapshot's acquire fence: a reader that sees any new payload field
+  // then sees kWriting (or later) on its re-check.
+  std::atomic_thread_fence(std::memory_order_release);
   slot.ts_ns.store(NowNanos(), std::memory_order_relaxed);
   slot.type.store(static_cast<uint32_t>(type), std::memory_order_relaxed);
   slot.a.store(a, std::memory_order_relaxed);
@@ -50,6 +62,8 @@ std::vector<TraceEvent> TraceJournal::Snapshot() const {
   std::vector<TraceEvent> out;
   out.reserve(static_cast<size_t>(end - begin));
   for (uint64_t i = begin; i < end; ++i) {
+    // Seqlock read: the sequence before and after the payload must both
+    // name event i, or a writer may have torn it and the slot is skipped.
     const Slot& slot = slots_[i & kMask];
     if (slot.seq.load(std::memory_order_acquire) != i + 1) continue;
     TraceEvent ev;
@@ -58,6 +72,8 @@ std::vector<TraceEvent> TraceJournal::Snapshot() const {
         slot.type.load(std::memory_order_relaxed));
     ev.a = slot.a.load(std::memory_order_relaxed);
     ev.b = slot.b.load(std::memory_order_relaxed);
+    std::atomic_thread_fence(std::memory_order_acquire);
+    if (slot.seq.load(std::memory_order_relaxed) != i + 1) continue;
     out.push_back(ev);
   }
   return out;

@@ -49,13 +49,18 @@ struct TraceEvent {
 /// (when did retrains fire, which units churned, where did lock
 /// conflicts cluster) without attaching a profiler.
 ///
-/// Writers claim a slot with one fetch_add and publish it by storing
-/// the slot's sequence number last (release); Snapshot() skips slots
-/// whose sequence does not match, so torn entries are dropped rather
-/// than misread. All fields are relaxed atomics: no locks, no
-/// allocation on the write path, TSan-clean under concurrent append.
-/// The buffer keeps the most recent kCapacity events and silently
-/// overwrites older ones (total_appended() tells how many were dropped).
+/// Each slot is a seqlock. Writers claim an event index with one
+/// fetch_add, then take the slot by CAS-ing its sequence to kWriting,
+/// write the payload and publish it by storing the event's sequence
+/// number last (release). A writer that finds its slot busy (another
+/// appender a full lap away) or already holding a newer event drops its
+/// event rather than interleave with the other writer. Snapshot() reads
+/// the sequence before and after the payload and keeps the entry only
+/// if both name the event it expects, so a torn entry is skipped, never
+/// misread. All fields are relaxed atomics: no locks, no allocation on
+/// the write path, TSan-clean under concurrent append. The buffer keeps
+/// the most recent kCapacity events and silently overwrites older ones
+/// (total_appended() - size() counts the overwritten and dropped ones).
 ///
 /// Disabled by default; benches opt in with SetEnabled(true). Appends
 /// while disabled are discarded after one relaxed load.
@@ -77,7 +82,8 @@ class TraceJournal {
 
   void Append(TraceEventType type, uint64_t a = 0, uint64_t b = 0) noexcept;
 
-  /// Events currently retained (<= kCapacity).
+  /// Events appended, capped at kCapacity: what Snapshot() returns
+  /// when no slot is mid-write or lost to a writer a lap away.
   size_t size() const noexcept;
   /// Events ever appended (including overwritten ones).
   uint64_t total_appended() const noexcept {
@@ -97,13 +103,15 @@ class TraceJournal {
   TraceJournal() = default;
 
   struct Slot {
-    std::atomic<uint64_t> seq{0};  // 0 = empty/in-flight, else index + 1
+    std::atomic<uint64_t> seq{0};  // 0 = empty, kWriting, else index + 1
     std::atomic<int64_t> ts_ns{0};
     std::atomic<uint32_t> type{0};
     std::atomic<uint64_t> a{0};
     std::atomic<uint64_t> b{0};
   };
   static constexpr uint64_t kMask = kCapacity - 1;
+  /// Slot sequence while one writer owns the slot.
+  static constexpr uint64_t kWriting = ~uint64_t{0};
   static_assert((kCapacity & kMask) == 0, "capacity must be a power of two");
 
   Slot slots_[kCapacity];

@@ -13,6 +13,25 @@
 namespace chameleon::simd::detail {
 namespace {
 
+/// AVX2 has no lane compress: entry m is the vpermd index vector that
+/// moves the 64-bit lanes set in the 4-bit mask m to the bottom, in
+/// order (each 64-bit lane is the 32-bit pair 2j, 2j+1).
+struct CompressTable {
+  alignas(32) uint32_t idx[16][8];
+  constexpr CompressTable() : idx{} {
+    for (uint32_t m = 0; m < 16; ++m) {
+      uint32_t out = 0;
+      for (uint32_t lane = 0; lane < 4; ++lane) {
+        if ((m >> lane & 1u) == 0) continue;
+        idx[m][2 * out] = 2 * lane;
+        idx[m][2 * out + 1] = 2 * lane + 1;
+        ++out;
+      }
+    }
+  }
+};
+constexpr CompressTable kCompress;
+
 struct Avx2Traits {
   static constexpr size_t kLanes = 4;
   using Vec = __m256i;
@@ -51,6 +70,26 @@ struct Avx2Traits {
         _mm256_movemask_pd(_mm256_castsi256_pd(excluded)));
     return ~out_mask & 0xFu;
   }
+
+  static Vec Compress(Vec v, uint32_t m) {
+    return _mm256_permutevar8x32_epi32(
+        v, _mm256_load_si256(
+               reinterpret_cast<const __m256i*>(kCompress.idx[m])));
+  }
+  static void StoreU(uint64_t* p, Vec v) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
+  }
+  static Vec Zero() { return _mm256_setzero_si256(); }
+  static Vec Add(Vec a, Vec b) { return _mm256_add_epi64(a, b); }
+  static Vec CountLess(Vec acc, Vec needle, Vec v) {
+    // Unsigned needle < v as a signed compare of both sides biased by
+    // 2^63, as in RangeMask; true lanes are all-ones (-1), so
+    // subtracting the compare counts them.
+    const Vec bias = _mm256_set1_epi64x(static_cast<long long>(1ULL << 63));
+    const Vec lt = _mm256_cmpgt_epi64(_mm256_xor_si256(v, bias),
+                                      _mm256_xor_si256(needle, bias));
+    return _mm256_sub_epi64(acc, lt);
+  }
 };
 
 }  // namespace
@@ -62,6 +101,8 @@ const ProbeKernels* Avx2Kernels() {
       &Kernels<Avx2Traits>::FindInWindow,
       &Kernels<Avx2Traits>::FindNearest,
       &Kernels<Avx2Traits>::RangeCollect,
+      "avx2",
+      &Kernels<Avx2Traits>::RangeCollectSorted,
       "avx2",
   };
   return &kTable;

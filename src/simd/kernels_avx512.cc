@@ -3,7 +3,8 @@
 // Compiled with -mavx512f (per-file flag in src/CMakeLists.txt) and only
 // dispatched to after the runtime cpuid check, so the same binary runs
 // on non-AVX-512 hosts. AVX-512F has native unsigned 64-bit ordering
-// (_mm512_cmp_epu64_mask), so no bias trick is needed.
+// (_mm512_cmp_epu64_mask), so no bias trick is needed, and vpcompressq
+// packs a block's range hits for the sorted gather in one instruction.
 
 #include "src/simd/kernels_impl.h"
 
@@ -37,6 +38,17 @@ struct Avx512Traits {
     const __mmask8 ne = _mm512_cmpneq_epi64_mask(v, ctx.sent);
     return static_cast<uint32_t>(ge & le & ne);
   }
+
+  static Vec Compress(Vec v, uint32_t m) {
+    return _mm512_maskz_compress_epi64(static_cast<__mmask8>(m), v);
+  }
+  static void StoreU(uint64_t* p, Vec v) { _mm512_storeu_si512(p, v); }
+  static Vec Zero() { return _mm512_setzero_si512(); }
+  static Vec Add(Vec a, Vec b) { return _mm512_add_epi64(a, b); }
+  static Vec CountLess(Vec acc, Vec needle, Vec v) {
+    return _mm512_mask_add_epi64(acc, _mm512_cmplt_epu64_mask(needle, v),
+                                 acc, _mm512_set1_epi64(1));
+  }
 };
 
 }  // namespace
@@ -48,6 +60,8 @@ const ProbeKernels* Avx512Kernels() {
       &Kernels<Avx512Traits>::FindInWindow,
       &Kernels<Avx512Traits>::FindNearest,
       &Kernels<Avx512Traits>::RangeCollect,
+      "avx512",
+      &Kernels<Avx512Traits>::RangeCollectSorted,
       "avx512",
   };
   return &kTable;

@@ -8,7 +8,9 @@
 // with that ISA's flags (see src/CMakeLists.txt), so the template bodies
 // here compile to that ISA's instructions. Members instantiate lazily —
 // a tier without unsigned vector compares (SSE2) simply never references
-// Kernels<T>::RangeCollect and borrows the scalar gather instead.
+// Kernels<T>::RangeCollect and borrows the scalar gather instead, and a
+// tier without a lane compress (SSE2, NEON) borrows the scalar sorted
+// gather.
 
 #include <algorithm>
 #include <bit>
@@ -73,6 +75,18 @@ inline size_t ScalarRangeCollect(const Key* keys, const Value* values,
   return out->size() - before;
 }
 
+/// The scalar range_collect_sorted: collect, then sort the appended
+/// part. The oracle every tier's range_collect_sorted must reproduce.
+inline size_t ScalarRangeCollectSorted(const Key* keys, const Value* values,
+                                       size_t cap, Key lo, Key hi,
+                                       Key sentinel,
+                                       std::vector<KeyValue>* out) {
+  const size_t before = out->size();
+  ScalarRangeCollect(keys, values, cap, lo, hi, sentinel, out);
+  std::sort(out->begin() + before, out->end());
+  return out->size() - before;
+}
+
 // --- ISA-generic vector kernels ---------------------------------------------
 
 /// Traits contract:
@@ -85,6 +99,12 @@ inline size_t ScalarRangeCollect(const Key* keys, const Value* values,
 ///   struct RangeCtx; static RangeCtx MakeRangeCtx(Key lo, Key hi, Key sent);
 ///   static uint32_t RangeMask(Vec v, const RangeCtx&);
 ///     // bit i <=> lo <= lane i <= hi (unsigned) && lane i != sentinel
+///   static Vec Compress(Vec v, uint32_t m);  // lanes set in m, packed low
+///   static void StoreU(uint64_t* p, Vec v);  // unaligned store of kLanes
+///   static Vec Zero();
+///   static Vec Add(Vec a, Vec b);
+///   static Vec CountLess(Vec acc, Vec needle, Vec v);
+///     // acc + (needle < lane i of v ? 1 : 0) per lane (unsigned)
 template <typename T>
 struct Kernels {
   /// Branchless full-window scan, the vector analogue of the scalar
@@ -212,6 +232,93 @@ struct Kernels {
       }
     }
     return out->size() - before;
+  }
+
+  /// This tier's range_collect followed by std::sort: the path for
+  /// leaves with more than kSortedRankCutoff hits.
+  static size_t CollectThenSort(const Key* keys, const Value* values,
+                                size_t cap, Key lo, Key hi, Key sentinel,
+                                std::vector<KeyValue>* out) {
+    const size_t before = out->size();
+    RangeCollect(keys, values, cap, lo, hi, sentinel, out);
+    std::sort(out->begin() + before, out->end());
+    return out->size() - before;
+  }
+
+  /// Compress-and-rank sorted gather. Pass 1 range-masks each block and
+  /// compresses the hit keys and values into stack scratch (structure
+  /// of arrays; every store writes a whole vector at the fill position,
+  /// hence one block of slack), then pads the keys to a whole block with
+  /// kMaxKey so no lane read later is uninitialized. Pass 2 takes the
+  /// hits kLanes at a time and counts, per lane, the hits with a smaller
+  /// key: one broadcast, compare and masked increment per (hit, block),
+  /// in two accumulators to overlap the compare latency. Hit j goes to
+  /// out[before + rank_j]. The ranks are a permutation of [0, n) because
+  /// stored keys are unique; no branch depends on key order, which is
+  /// what beats std::sort's ~log2(n) mispredicting compares per hit on
+  /// the small, randomly ordered hit sets of EBH leaves.
+  static size_t RangeCollectSorted(const Key* keys, const Value* values,
+                                   size_t cap, Key lo, Key hi, Key sentinel,
+                                   std::vector<KeyValue>* out) {
+    if (cap < T::kLanes) {
+      return ScalarRangeCollectSorted(keys, values, cap, lo, hi, sentinel,
+                                      out);
+    }
+    // Left uninitialized on purpose: every lane read below is written
+    // first (compress stores, padding), and clearing ~4 KiB per leaf
+    // would cost more than the sort this replaces.
+    alignas(64) Key hit_keys[kSortedRankCutoff + T::kLanes];
+    alignas(64) Value hit_values[kSortedRankCutoff + T::kLanes];
+    const typename T::RangeCtx ctx = T::MakeRangeCtx(lo, hi, sentinel);
+    size_t n = 0;
+    // Appends the lanes of block `i` selected by `m`; false once the
+    // hits would overflow the scratch.
+    const auto gather = [&](size_t i, uint32_t m) {
+      const size_t hits = static_cast<size_t>(std::popcount(m));
+      if (n + hits > kSortedRankCutoff) return false;
+      T::StoreU(hit_keys + n, T::Compress(T::LoadU(keys + i), m));
+      T::StoreU(hit_values + n, T::Compress(T::LoadU(values + i), m));
+      n += hits;
+      return true;
+    };
+    size_t i = 0;
+    for (; i + T::kLanes <= cap; i += T::kLanes) {
+      if (!gather(i, T::RangeMask(T::LoadU(keys + i), ctx))) {
+        return CollectThenSort(keys, values, cap, lo, hi, sentinel, out);
+      }
+    }
+    if (i < cap) {
+      // Tail: one block ending exactly at cap, keeping only the lanes
+      // at or above i (the ones below were gathered already).
+      const size_t start = cap - T::kLanes;
+      const uint32_t fresh = ~((1u << (i - start)) - 1);
+      if (!gather(start, T::RangeMask(T::LoadU(keys + start), ctx) & fresh)) {
+        return CollectThenSort(keys, values, cap, lo, hi, sentinel, out);
+      }
+    }
+    const size_t padded = (n + T::kLanes - 1) / T::kLanes * T::kLanes;
+    for (size_t j = n; j < padded; ++j) hit_keys[j] = kMaxKey;
+    const size_t before = out->size();
+    out->resize(before + n);
+    KeyValue* dst = out->data() + before;
+    alignas(64) uint64_t ranks[T::kLanes];
+    for (size_t b = 0; b < n; b += T::kLanes) {
+      const typename T::Vec block = T::LoadU(hit_keys + b);
+      typename T::Vec r0 = T::Zero();
+      typename T::Vec r1 = T::Zero();
+      size_t j = 0;
+      for (; j + 2 <= n; j += 2) {
+        r0 = T::CountLess(r0, T::Broadcast(hit_keys[j]), block);
+        r1 = T::CountLess(r1, T::Broadcast(hit_keys[j + 1]), block);
+      }
+      if (j < n) r0 = T::CountLess(r0, T::Broadcast(hit_keys[j]), block);
+      T::StoreU(ranks, T::Add(r0, r1));
+      const size_t lanes = std::min(T::kLanes, n - b);
+      for (size_t l = 0; l < lanes; ++l) {
+        dst[ranks[l]] = {hit_keys[b + l], hit_values[b + l]};
+      }
+    }
+    return n;
   }
 };
 

@@ -2,7 +2,8 @@
 // no runtime feature check is needed — dispatch.cc treats NEON as
 // always-supported on aarch64). vceqq/vcgeq/vcleq_u64 give native
 // 64-bit equality and unsigned ordering; the 2-bit mask is assembled
-// from lane extracts.
+// from lane extracts. With two lanes there is no compress worth having,
+// so range_collect_sorted borrows the scalar kernel.
 
 #include "src/simd/kernels_impl.h"
 
@@ -52,6 +53,8 @@ const ProbeKernels* NeonKernels() {
       &Kernels<NeonTraits>::FindNearest,
       &Kernels<NeonTraits>::RangeCollect,
       "neon",
+      &ScalarRangeCollectSorted,
+      "scalar",
   };
   return &kTable;
 }

@@ -10,6 +10,8 @@ const ProbeKernels& ScalarKernels() {
       &detail::ScalarFindNearest,
       &detail::ScalarRangeCollect,
       "scalar",
+      &detail::ScalarRangeCollectSorted,
+      "scalar",
   };
   return kScalarTable;
 }

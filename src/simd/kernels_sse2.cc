@@ -46,6 +46,8 @@ const ProbeKernels* Sse2Kernels() {
       &Kernels<Sse2Traits>::FindNearest,
       &ScalarRangeCollect,
       "scalar",
+      &ScalarRangeCollectSorted,
+      "scalar",
   };
   return &kTable;
 }

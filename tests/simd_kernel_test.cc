@@ -6,6 +6,7 @@
 // with it means agreeing with the repo's entire historical behavior.
 
 #include <algorithm>
+#include <map>
 #include <random>
 #include <string>
 #include <vector>
@@ -20,6 +21,10 @@
 #include "src/workload/workload.h"
 
 namespace chameleon {
+namespace simd {
+// Names the tier in gtest's parameter output.
+void PrintTo(SimdLevel level, std::ostream* os) { *os << SimdLevelName(level); }
+}  // namespace simd
 namespace {
 
 using simd::kNotFound;
@@ -61,6 +66,24 @@ std::vector<Key> MakeSlots(size_t cap, double load, std::mt19937_64& rng) {
     if (coin(rng) < load) slots[i] = static_cast<Key>(i) * 3;
   }
   return slots;
+}
+
+/// MakeSlots with the slots shuffled, so hits arrive in random key
+/// order as they do in a real EBH leaf (MakeSlots' keys ascend with the
+/// slot index, which would leave the sort nothing to do).
+std::vector<Key> MakeShuffledSlots(size_t cap, double load,
+                                   std::mt19937_64& rng) {
+  std::vector<Key> slots = MakeSlots(cap, load, rng);
+  std::shuffle(slots.begin(), slots.end(), rng);
+  return slots;
+}
+
+std::vector<Value> ValuesFor(const std::vector<Key>& slots) {
+  std::vector<Value> values(slots.size(), 0);
+  for (size_t i = 0; i < slots.size(); ++i) {
+    if (slots[i] != kEbhEmptySlot) values[i] = slots[i] * 7 + 1;
+  }
+  return values;
 }
 
 TEST(SimdKernelTest, AvailableLevelsStartWithScalar) {
@@ -217,10 +240,7 @@ TEST(SimdKernelTest, RangeCollectMatchesScalar) {
     const ProbeKernels* k = simd::KernelsForLevel(level);
     for (const size_t cap : {3u, 64u, 1023u}) {
       const std::vector<Key> slots = MakeSlots(cap, 0.7, rng);
-      std::vector<Value> values(cap, 0);
-      for (size_t i = 0; i < cap; ++i) {
-        if (slots[i] != kEbhEmptySlot) values[i] = slots[i] * 7 + 1;
-      }
+      const std::vector<Value> values = ValuesFor(slots);
       for (int trial = 0; trial < 200; ++trial) {
         Key a = rng() % (cap * 3 + 1);
         Key b = rng() % (cap * 3 + 1);
@@ -281,6 +301,115 @@ TEST(SimdKernelTest, RangeCollectUnsignedBoundaries) {
       for (size_t i = 0; i < expect.size(); ++i) {
         EXPECT_EQ(got[i].key, expect[i].key) << LevelName(level);
       }
+    }
+  }
+}
+
+// --- range_collect_sorted ---------------------------------------------------
+
+/// Runs `k`'s range_collect_sorted and the scalar oracle on the same
+/// slots, each appending to a non-empty, unsorted `out`; both the
+/// returned counts and the whole vectors must agree.
+void ExpectSortedMatchesOracle(const ProbeKernels& k,
+                               const std::vector<Key>& slots,
+                               const std::vector<Value>& values, Key lo,
+                               Key hi) {
+  const std::vector<KeyValue> prefix = {{42, 43}, {7, 8}};
+  std::vector<KeyValue> expect = prefix;
+  const size_t expect_n = simd::detail::ScalarRangeCollectSorted(
+      slots.data(), values.data(), slots.size(), lo, hi, kEbhEmptySlot,
+      &expect);
+  std::vector<KeyValue> got = prefix;
+  const size_t n = k.range_collect_sorted(slots.data(), values.data(),
+                                          slots.size(), lo, hi, kEbhEmptySlot,
+                                          &got);
+  ASSERT_EQ(n, expect_n) << k.name << " cap=" << slots.size() << " [" << lo
+                         << "," << hi << "]";
+  ASSERT_EQ(got, expect) << k.name << " cap=" << slots.size() << " [" << lo
+                         << "," << hi << "]";
+}
+
+TEST(SimdKernelTest, RangeCollectSortedMatchesScalarOnRandomRanges) {
+  std::mt19937_64 rng(21);
+  for (SimdLevel level : VectorLevels()) {
+    const ProbeKernels* k = simd::KernelsForLevel(level);
+    for (const size_t cap : {3u, 64u, 1023u}) {
+      const std::vector<Key> slots = MakeShuffledSlots(cap, 0.7, rng);
+      const std::vector<Value> values = ValuesFor(slots);
+      for (int trial = 0; trial < 200; ++trial) {
+        Key a = rng() % (cap * 3 + 1);
+        Key b = rng() % (cap * 3 + 1);
+        if (a > b) std::swap(a, b);
+        if (trial % 5 == 0) b = kMaxKey;  // hi == the sentinel
+        if (trial % 7 == 0) a = 0;
+        if (trial % 11 == 0) std::swap(a, b);  // lo > hi: nothing
+        ExpectSortedMatchesOracle(*k, slots, values, a, b);
+      }
+    }
+  }
+}
+
+TEST(SimdKernelTest, RangeCollectSortedAroundTheRankCutoff) {
+  constexpr size_t kCut = simd::kSortedRankCutoff;
+  std::mt19937_64 rng(22);
+  for (SimdLevel level : VectorLevels()) {
+    const ProbeKernels* k = simd::KernelsForLevel(level);
+    for (const size_t cap : {3u, 64u, 1023u}) {
+      const std::vector<Key> slots = MakeShuffledSlots(cap, 0.7, rng);
+      const std::vector<Value> values = ValuesFor(slots);
+      std::vector<Key> live;
+      for (Key key : slots) {
+        if (key != kEbhEmptySlot) live.push_back(key);
+      }
+      std::sort(live.begin(), live.end());
+      ASSERT_FALSE(live.empty());
+      // cap 1023 at load 0.7 holds ~700 keys, enough to straddle the
+      // cutoff; the small caps cover what they hold.
+      for (const size_t hits :
+           {size_t{0}, size_t{1}, kCut - 1, kCut, kCut + 1, live.size()}) {
+        if (hits > live.size()) continue;
+        for (int trial = 0; trial < 8; ++trial) {
+          const size_t s =
+              rng() % (live.size() - std::max<size_t>(hits, 1) + 1);
+          // Keys are multiples of 3, so (live[s], live[s] + 2] is empty.
+          const Key lo = hits == 0 ? live[s] + 1 : live[s];
+          const Key hi = hits == 0 ? live[s] + 2 : live[s + hits - 1];
+          std::vector<KeyValue> check;
+          ASSERT_EQ(simd::detail::ScalarRangeCollect(
+                        slots.data(), values.data(), cap, lo, hi,
+                        kEbhEmptySlot, &check),
+                    hits);
+          ExpectSortedMatchesOracle(*k, slots, values, lo, hi);
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdKernelTest, RangeCollectSortedUnsignedBoundaries) {
+  // The RangeCollectUnsignedBoundaries slots, in descending slot order
+  // so the kernel must reorder across 2^63 (where a signed rank compare
+  // would put the top half first).
+  const std::vector<Key> slots = {5,
+                                  kMaxKey - 1,
+                                  (Key{1} << 63) + 1,
+                                  Key{1} << 63,
+                                  kEbhEmptySlot,
+                                  (Key{1} << 63) - 1,
+                                  1,
+                                  0,
+                                  (Key{1} << 62) + 3};
+  const std::vector<Value> values = {16, 15, 14, 13, 0, 12, 11, 10, 17};
+  for (SimdLevel level : simd::AvailableSimdLevels()) {
+    const ProbeKernels* k = simd::KernelsForLevel(level);
+    for (const auto& [lo, hi] : std::vector<std::pair<Key, Key>>{
+             {0, kMaxKey},
+             {Key{1} << 63, kMaxKey},
+             {0, (Key{1} << 63) - 1},
+             {(Key{1} << 63) - 1, (Key{1} << 63) + 1},
+             {kMaxKey, kMaxKey},
+             {kMaxKey - 1, 0}}) {
+      ExpectSortedMatchesOracle(*k, slots, values, lo, hi);
     }
   }
 }
@@ -402,6 +531,140 @@ TEST(SimdKernelTest, ChameleonIndexCrudSweepMatchesScalarOracle) {
     }
   }
 }
+
+// --- Sorted range scans past the rank cutoff ------------------------------
+
+/// Asserts `got` (after a non-empty prefix) holds exactly the oracle's
+/// pairs with keys in [lo, hi], in order.
+void ExpectScanEqualsMap(const std::map<Key, Value>& oracle, Key lo, Key hi,
+                         size_t prefix, size_t n,
+                         const std::vector<KeyValue>& got) {
+  std::vector<KeyValue> expect;
+  if (lo <= hi) {
+    for (auto it = oracle.lower_bound(lo);
+         it != oracle.end() && it->first <= hi; ++it) {
+      expect.push_back({it->first, it->second});
+    }
+  }
+  ASSERT_EQ(n, expect.size()) << "[" << lo << "," << hi << "]";
+  ASSERT_EQ(got.size(), prefix + n);
+  ASSERT_TRUE(std::equal(expect.begin(), expect.end(), got.begin() + prefix))
+      << "[" << lo << "," << hi << "]";
+}
+
+TEST(SimdKernelTest, EbhLeafRangeScanPastTheCutoffMatchesMap) {
+  for (SimdLevel level : simd::AvailableSimdLevels()) {
+    ScopedSimdLevel scoped(level);
+    std::mt19937_64 rng(31);
+    EbhLeaf leaf(0, 1'000'000, 64, 0.45);
+    std::map<Key, Value> oracle;
+    // 4x the cutoff through Insert, so the leaf expands repeatedly, then
+    // erase a quarter back out.
+    while (oracle.size() < 4 * simd::kSortedRankCutoff) {
+      const Key key = rng() % 1'000'000;
+      ASSERT_EQ(leaf.Insert(key, key + 1), oracle.emplace(key, key + 1).second);
+    }
+    for (int i = 0; i < static_cast<int>(simd::kSortedRankCutoff); ++i) {
+      const Key key = rng() % 1'000'000;
+      ASSERT_EQ(leaf.Erase(key), oracle.erase(key) == 1);
+    }
+    ASSERT_GT(leaf.num_keys(), simd::kSortedRankCutoff + 1);
+    for (int trial = 0; trial < 300; ++trial) {
+      Key lo = rng() % 1'000'000;
+      Key hi = lo + rng() % (trial % 3 == 0 ? 1'000'000 : 20'000);
+      if (trial == 0) {
+        lo = 0;
+        hi = kMaxKey;
+      }
+      std::vector<KeyValue> got = {{9, 9}};
+      const size_t n = leaf.RangeScan(lo, hi, &got);
+      ExpectScanEqualsMap(oracle, lo, hi, 1, n, got);
+    }
+  }
+}
+
+/// One test per tier available on this host: a ChameleonIndex whose
+/// leaves grew past the rank cutoff under insert/erase churn must scan
+/// exactly like a std::map.
+class SortedScanTierTest : public ::testing::TestWithParam<SimdLevel> {};
+
+TEST_P(SortedScanTierTest, ChurnedIndexScansLikeMap) {
+  ScopedSimdLevel scoped(GetParam());
+  const std::vector<Key> keys = GenerateDataset(DatasetKind::kFace, 20'000, 8);
+  ChameleonConfig config;
+  config.full_rebuild_threshold_pct = 0;  // keep the churned leaves
+  ChameleonIndex index(config);
+  const std::vector<KeyValue> data = ToKeyValues(keys);
+  index.BulkLoad(data);
+  std::map<Key, Value> oracle;
+  for (const KeyValue& kv : data) oracle.emplace(kv.key, kv.value);
+
+  // Crowd 2000 fresh keys into the narrowest gap between neighbours
+  // that fits them. Leaf boundaries come from linear models over the
+  // whole key range, so a gap this narrow meets at most one and one
+  // leaf receives at least 1000 keys: far past the cutoff.
+  constexpr Key kCrowd = 2000;
+  constexpr size_t kNone = static_cast<size_t>(-1);
+  size_t gap = kNone;
+  for (size_t i = 0; i + 1 < keys.size(); ++i) {
+    const Key width = keys[i + 1] - keys[i];
+    if (width > 4 * kCrowd &&
+        (gap == kNone || width < keys[gap + 1] - keys[gap])) {
+      gap = i;
+    }
+  }
+  ASSERT_NE(gap, kNone);
+  std::mt19937_64 rng(9);
+  const Key gap_lo = keys[gap] + 1;
+  const Key gap_width = keys[gap + 1] - keys[gap] - 1;
+  size_t crowded = 0;
+  while (crowded < kCrowd) {
+    const Key key = gap_lo + rng() % gap_width;
+    const bool fresh = oracle.emplace(key, key ^ 0xabc).second;
+    ASSERT_EQ(index.Insert(key, key ^ 0xabc), fresh);
+    crowded += fresh;
+  }
+  // Churn everywhere: erase a tenth of the bulk keys and a quarter of
+  // the crowd, insert fresh keys across the range.
+  for (int i = 0; i < 4000; ++i) {
+    const Key bulk = keys[rng() % keys.size()];
+    ASSERT_EQ(index.Erase(bulk), oracle.erase(bulk) == 1);
+    if (i % 2 == 0) {
+      const Key crowd = gap_lo + rng() % gap_width;
+      ASSERT_EQ(index.Erase(crowd), oracle.erase(crowd) == 1);
+    }
+    const Key fresh = keys.front() + rng() % (keys.back() - keys.front());
+    ASSERT_EQ(index.Insert(fresh, fresh + 5),
+              oracle.emplace(fresh, fresh + 5).second);
+  }
+
+  std::vector<Key> live;
+  for (const auto& [key, value] : oracle) live.push_back(key);
+  const auto scan = [&](Key lo, Key hi) {
+    std::vector<KeyValue> got = {{1, 2}};
+    const size_t n = index.RangeScan(lo, hi, &got);
+    ExpectScanEqualsMap(oracle, lo, hi, 1, n, got);
+  };
+  scan(0, kMaxKey);
+  scan(keys[gap], keys[gap + 1]);
+  scan(keys[gap + 1], keys[gap]);  // lo > hi
+  for (int trial = 0; trial < 400; ++trial) {
+    const size_t a = rng() % live.size();
+    const size_t width = 1 + rng() % (trial % 4 == 0 ? 5000 : 300);
+    const size_t b = std::min(live.size() - 1, a + width);
+    // Endpoints on live keys, just past them, and inside the crowd.
+    const Key lo = trial % 2 == 0 ? live[a] : live[a] + 1;
+    const Key hi = trial % 3 == 0 ? gap_lo + gap_width : live[b];
+    scan(std::min(lo, hi), std::max(lo, hi));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AvailableTiers, SortedScanTierTest,
+    ::testing::ValuesIn(simd::AvailableSimdLevels()),
+    [](const ::testing::TestParamInfo<SimdLevel>& info) {
+      return LevelName(info.param);
+    });
 
 }  // namespace
 }  // namespace chameleon

@@ -146,9 +146,9 @@ void PrintUnitJson(FILE* out, const obs::UnitHeat& u, size_t index) {
 // host actually run?". Dumps the cpuid feature set, the tiers present
 // in this build AND supported by this CPU, the dispatched tier (after
 // any CHAMELEON_SIMD_LEVEL override), and the kernel each EbhLeaf
-// operation resolves to — range_collect can differ from the tier name
-// (SSE2 has no unsigned 64-bit compare, so its table borrows the
-// scalar range kernel).
+// operation resolves to — range_collect and range_collect_sorted can
+// differ from the tier name (SSE2 has no unsigned 64-bit compare and
+// NEON no lane compress, so their tables borrow scalar range kernels).
 void PrintKernels() {
   const simd::ProbeKernels& k = simd::ActiveKernels();
   std::printf("{\n  \"cpu_features\": \"%s\",\n",
@@ -163,8 +163,9 @@ void PrintKernels() {
   std::printf("  \"active_level\": \"%s\",\n", k.name);
   std::printf(
       "  \"kernels\": {\"find_in_window\": \"%s\", \"find_nearest\": "
-      "\"%s\", \"range_collect\": \"%s\"},\n",
-      k.name, k.name, k.range_name);
+      "\"%s\", \"range_collect\": \"%s\", \"range_collect_sorted\": "
+      "\"%s\"},\n",
+      k.name, k.name, k.range_name, k.sorted_name);
   std::printf("  \"simd_build\": %s\n}\n",
 #ifdef CHAMELEON_SIMD_ENABLED
               "true"
