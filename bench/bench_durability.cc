@@ -24,7 +24,6 @@
 //                    (its wal().Sync() hook needs the concrete wrapper).
 
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -45,19 +44,6 @@ struct DurabilityFlags {
   size_t crash_after = 0;  // 0 = run the measurement sections
   std::string dir = "durability-scratch";
 };
-
-DurabilityFlags ParseDurabilityFlags(int argc, char** argv) {
-  DurabilityFlags flags;
-  for (int i = 1; i < argc; ++i) {
-    unsigned long long v = 0;
-    if (std::sscanf(argv[i], "--crash-after=%llu", &v) == 1) {
-      flags.crash_after = v;
-    } else if (std::strncmp(argv[i], "--dir=", 6) == 0) {
-      flags.dir = argv[i] + 6;
-    }
-  }
-  return flags;
-}
 
 std::unique_ptr<DurableIndex> MakeDurable(const std::string& dir,
                                           FsyncPolicy fsync) {
@@ -187,8 +173,11 @@ int RunCrashRecover(const Options& opt, const DurabilityFlags& flags) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opt = Options::Parse(argc, argv);
-  const DurabilityFlags flags = ParseDurabilityFlags(argc, argv);
+  DurabilityFlags flags;
+  const Options opt = Options::Parse(
+      argc, argv,
+      {NumFlag("--crash-after=", &flags.crash_after),
+       StrFlag("--dir=", &flags.dir)});
   if (flags.crash_after > 0) return RunCrashRecover(opt, flags);
 
   JsonReport report("durability", opt);

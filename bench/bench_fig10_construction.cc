@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -20,26 +19,14 @@ using namespace chameleon;
 using namespace chameleon::bench;
 
 int main(int argc, char** argv) {
-  const Options opt = Options::Parse(argc, argv);
-  // Local flag: --index=NAME restricts the sweep to one index (used by
-  // the --threads speedup runs, where building all 11 indexes at large
-  // scale would dwarf the measurement of interest). NAME may be a full
-  // composed spec, e.g. --index='Sharded4:Durable(/tmp/d):Chameleon'.
+  // --index=NAME restricts the sweep to one leaf (used by the
+  // --threads speedup runs, where building all 11 indexes at large scale
+  // would dwarf the measurement of interest).
   std::string only_index;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--index=", 8) == 0) only_index = argv[i] + 8;
-  }
-  // Bad --index specs fail loudly: a silent empty table looks like a
-  // successful run to sweep scripts diffing the JSON blobs.
-  if (!only_index.empty()) {
-    std::string error;
-    if (MakeIndex(only_index, &error) == nullptr) {
-      std::fprintf(stderr, "ERROR: bad --index=%s\n  %s\n%s",
-                   only_index.c_str(), error.c_str(),
-                   IndexSpecGrammarHelp().c_str());
-      return 2;
-    }
-  }
+  const Options opt =
+      Options::Parse(argc, argv, {StrFlag("--index=", &only_index)});
+  const std::vector<std::string> names =
+      SweptIndexes(only_index, AllIndexNames(), opt);
   JsonReport report("fig10_construction", opt);
   std::printf("=== Fig. 10: index construction time ===\n");
   std::printf("%zu keys per dataset, %zu build threads\n\n", opt.scale,
@@ -48,8 +35,6 @@ int main(int argc, char** argv) {
   std::printf("%-10s %14s %14s %14s\n", "index", "OSMC(ms)", "FACE(ms)",
               "LOGN(ms)");
   PrintRule(60);
-  std::vector<std::string> names = AllIndexNames();
-  if (!only_index.empty()) names = {only_index};
   for (const std::string& name : names) {
     std::printf("%-10s", name.c_str());
     for (DatasetKind kind :

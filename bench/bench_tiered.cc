@@ -26,7 +26,6 @@
 // regardless; only the ns columns shift on real disks.
 
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -46,24 +45,13 @@ struct TieredFlags {
   size_t merge = 1024;
 };
 
-TieredFlags ParseTieredFlags(int argc, char** argv) {
-  TieredFlags flags;
-  for (int i = 1; i < argc; ++i) {
-    unsigned long long v = 0;
-    if (std::strncmp(argv[i], "--dir=", 6) == 0) {
-      flags.dir = argv[i] + 6;
-    } else if (std::sscanf(argv[i], "--merge=%llu", &v) == 1 && v > 0) {
-      flags.merge = v;
-    }
-  }
-  return flags;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opt = Options::Parse(argc, argv);
-  const TieredFlags flags = ParseTieredFlags(argc, argv);
+  TieredFlags flags;
+  const Options opt = Options::Parse(
+      argc, argv,
+      {StrFlag("--dir=", &flags.dir), NumFlag("--merge=", &flags.merge, 1)});
   JsonReport report("tiered", opt);
 
   const std::vector<Key> keys =

@@ -2,18 +2,24 @@
 #define CHAMELEON_BENCH_BENCH_UTIL_H_
 
 #include <algorithm>
+#include <cctype>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
+#include <iterator>
 #include <memory>
 #include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "src/api/index_factory.h"
+#include "src/api/index_spec.h"
 #include "src/api/kv_index.h"
 #include "src/data/dataset.h"
 #include "src/engine/sharded_index.h"
@@ -52,7 +58,74 @@ inline std::string CompilerString() {
 #endif
 }
 
-/// Common options for the figure/table harnesses. Every binary accepts:
+/// Parses a workload-grammar spec, or prints the error plus the
+/// grammar and exits 2.
+inline WorkloadDesc ParseWorkloadOrDie(std::string_view spec) {
+  WorkloadDesc desc;
+  WorkloadSpecError error;
+  if (!ParseWorkloadSpec(spec, &desc, &error)) {
+    std::fprintf(stderr, "ERROR: bad workload spec \"%.*s\": %s\n%s",
+                 static_cast<int>(spec.size()), spec.data(),
+                 error.Render().c_str(), WorkloadGrammarHelp().c_str());
+    std::exit(2);
+  }
+  return desc;
+}
+
+/// Strict number parsers behind every numeric flag: the whole text must
+/// be the number (no sign, no trailing junk, no overflow).
+inline bool ParseU64(const char* s, unsigned long long* out) {
+  if (!std::isdigit(static_cast<unsigned char>(*s))) return false;
+  char* end = nullptr;
+  errno = 0;
+  *out = std::strtoull(s, &end, 10);
+  return *end == '\0' && errno == 0;
+}
+inline bool ParseDouble(const char* s, double* out) {
+  char* end = nullptr;
+  errno = 0;
+  *out = std::strtod(s, &end);
+  return end != s && *end == '\0' && errno == 0 && std::isfinite(*out);
+}
+
+/// One command-line flag. A name ending in '=' takes the text after it
+/// as its value ("--scale=N"); any other name is a bare switch
+/// ("--prom"). `set` stores the value and returns false when it is
+/// malformed or out of range.
+struct Flag {
+  std::string_view name;
+  std::function<bool(const char* value)> set;
+};
+
+/// A numeric flag writing *field; values outside [lo, hi] are rejected.
+template <typename T>
+Flag NumFlag(std::string_view name, T* field, double lo = 0.0,
+             double hi = HUGE_VAL) {
+  return {name, [=](const char* v) {
+            T value{};
+            if constexpr (std::is_floating_point_v<T>) {
+              if (!ParseDouble(v, &value)) return false;
+            } else {
+              unsigned long long n = 0;
+              if (!ParseU64(v, &n)) return false;
+              value = static_cast<T>(n);
+            }
+            if (value < lo || value > hi) return false;
+            *field = value;
+            return true;
+          }};
+}
+inline Flag StrFlag(std::string_view name, std::string* field) {
+  return {name, [=](const char* v) {
+            *field = v;
+            return true;
+          }};
+}
+inline Flag SwitchFlag(std::string_view name, bool* field) {
+  return {name, [=](const char*) { return *field = true; }};
+}
+
+/// Flags of every harness. Shared (Options::Parse, every binary):
 ///   --scale=N      base dataset cardinality (default 200'000; the paper
 ///                  uses 200M — results scale in shape, not absolutes)
 ///   --ops=N        operations per measurement (default 100'000)
@@ -73,8 +146,9 @@ inline std::string CompilerString() {
 ///                  Parsed and canonicalized up front; a bad stack
 ///                  prints the spec grammar and exits.
 ///   --shards=N     sugar for prepending "Sharded<N>" to --spec (1 =
-///                  the plain stack, bit-identical to the historical
-///                  single-index path)
+///                  the plain stack). The blob's "shards" is read back
+///                  from the canonical stack: the product of its
+///                  Sharded<N> layers, 1 when it has none.
 ///   --rthreads=R   foreground replay threads (driver layer). Read-only
 ///                  replays fan out over contiguous chunks; write-bearing
 ///                  replays use R too (effective write threads =
@@ -104,15 +178,31 @@ inline std::string CompilerString() {
 ///                  --workload='mixed(w=0.2,dist=hotspot(width=5%,period=1M))'.
 ///                  Parsed and canonicalized up front (bad specs print
 ///                  the workload grammar and exit 2); the canonical spec
-///                  is echoed in the JSON blob. Benches whose sweep
-///                  variable IS the workload (fig09's theta, fig11's
-///                  write ratio, fig12's update ratio) replace their
-///                  whole sweep with the single requested workload.
+///                  is echoed in the JSON blob. Sweeps whose points ARE
+///                  workloads (fig11's write ratios, fig12's update
+///                  ratios, bench_ycsb's mixes) replace the whole sweep
+///                  with the single requested workload.
 ///
-/// Flag plumbing is table-driven (kFlagTable): adding one entry lands
-/// the flag in every harness at once — IsHarnessFlag, Parse, ParseStrip
-/// and --help all walk the same table, so a flag can never be parsed in
-/// some binaries and silently ignored in others.
+/// Per-binary (each passes its own entries to Options::Parse):
+///   bench_ycsb                --mixes=a,b,..  YCSB mixes to sweep
+///                             (default a-f; ignored under --workload),
+///                             --index=NAME, --rate=R open-loop arrival
+///                             rate in ops/s (0 = closed-loop replay)
+///   bench_fig10_construction  --index=NAME
+///   bench_durability          --crash-after=N, --dir=PATH
+///   bench_tiered              --dir=PATH, --merge=N (N >= 1)
+///   chameleon_inspect         --index=NAME, --dataset=, --sigma=,
+///                             --zipf=, --mix=, --top=, --out=, --prom,
+///                             --kernels, --tiered (see its header)
+/// --index=NAME means the same everywhere: the one leaf to build,
+/// composed under --spec like every swept name (ComposeSpec).
+///
+/// One parser serves all of them: an argument outside the shared table
+/// and the binary's own entries — a typo, a bare word, another binary's
+/// flag — exits 2 with the flag list, and a malformed or out-of-range
+/// value exits 2 naming the argument. ParseStrip instead forwards
+/// unknown arguments (bench_tab03_complexity hands them to Google
+/// Benchmark).
 struct Options {
   size_t scale = 200'000;
   size_t ops = 100'000;
@@ -133,101 +223,79 @@ struct Options {
   std::string trace_path;
   std::string series_path;
 
+  /// Parses the shared flags plus the binary's `own` entries; exits 2
+  /// on anything else.
+  static Options Parse(int argc, char** argv, std::vector<Flag> own = {}) {
+    return ParseArgs(&argc, argv, std::move(own), /*forward_unknown=*/false);
+  }
+
+  /// Parse() that removes the flags it recognizes from argv and keeps
+  /// the rest, for binaries that forward them to another flag parser.
+  static Options ParseStrip(int* argc, char** argv) {
+    return ParseArgs(argc, argv, {}, /*forward_unknown=*/true);
+  }
+
  private:
-  static bool ParseU64(const char* s, unsigned long long* out) {
-    char* end = nullptr;
-    errno = 0;
-    *out = std::strtoull(s, &end, 10);
-    return end != s && *end == '\0' && errno == 0;
-  }
-  template <bool kMinOne>
-  static bool ApplySize(const char* v, size_t* field) {
-    unsigned long long n = 0;
-    if (!ParseU64(v, &n)) return false;
-    *field = kMinOne && n == 0 ? 1 : static_cast<size_t>(n);
-    return true;
-  }
-
-  struct FlagDef {
-    const char* prefix;  // "--scale=" — value text follows the '='
-    bool (*apply)(Options&, const char* value);
-  };
-  /// The one flag table every harness shares.
-  static std::span<const FlagDef> FlagTable() {
-    static constexpr FlagDef kFlagTable[] = {
-        {"--scale=",
-         [](Options& o, const char* v) { return ApplySize<false>(v, &o.scale); }},
-        {"--ops=",
-         [](Options& o, const char* v) { return ApplySize<false>(v, &o.ops); }},
-        {"--seed=",
-         [](Options& o, const char* v) {
-           unsigned long long n = 0;
-           if (!ParseU64(v, &n)) return false;
-           o.seed = n;
-           return true;
-         }},
-        {"--threads=",
-         [](Options& o, const char* v) { return ApplySize<false>(v, &o.threads); }},
-        {"--batch=",
-         [](Options& o, const char* v) { return ApplySize<true>(v, &o.batch); }},
-        {"--shards=",
-         [](Options& o, const char* v) { return ApplySize<true>(v, &o.shards); }},
-        {"--rthreads=",
-         [](Options& o, const char* v) { return ApplySize<true>(v, &o.rthreads); }},
-        {"--wthreads=",
-         [](Options& o, const char* v) { return ApplySize<true>(v, &o.wthreads); }},
-        {"--warmup=",
-         [](Options& o, const char* v) { return ApplySize<false>(v, &o.warmup); }},
-        {"--sample-ms=",
-         [](Options& o, const char* v) { return ApplySize<true>(v, &o.sample_ms); }},
-        {"--json=",
-         [](Options& o, const char* v) { o.json_path = v; return true; }},
-        {"--trace=",
-         [](Options& o, const char* v) { o.trace_path = v; return true; }},
-        {"--series=",
-         [](Options& o, const char* v) { o.series_path = v; return true; }},
-        {"--spec=",
-         [](Options& o, const char* v) { o.spec = v; return true; }},
-        {"--workload=",
-         [](Options& o, const char* v) { o.workload = v; return true; }},
-    };
-    return kFlagTable;
-  }
-
- public:
-  static bool IsHarnessFlag(const char* arg) {
-    for (const FlagDef& flag : FlagTable()) {
-      if (std::strncmp(arg, flag.prefix, std::strlen(flag.prefix)) == 0) {
-        return true;
-      }
-    }
-    return std::strcmp(arg, "--help") == 0;
-  }
-
-  static Options Parse(int argc, char** argv) {
+  static Options ParseArgs(int* argc, char** argv, std::vector<Flag> own,
+                           bool forward_unknown) {
     Options opt;
-    for (int i = 1; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--help") == 0) {
-        std::string flags = "options:";
-        for (const FlagDef& flag : FlagTable()) {
-          flags += " ";
-          flags += flag.prefix;
-          flags += "...";
-        }
-        std::printf("%s\n\n%s\n%s", flags.c_str(),
+    std::vector<Flag> flags = {
+        NumFlag("--scale=", &opt.scale),
+        NumFlag("--ops=", &opt.ops),
+        NumFlag("--seed=", &opt.seed),
+        NumFlag("--threads=", &opt.threads),
+        NumFlag("--batch=", &opt.batch),
+        NumFlag("--shards=", &opt.shards),
+        NumFlag("--rthreads=", &opt.rthreads),
+        NumFlag("--wthreads=", &opt.wthreads),
+        NumFlag("--warmup=", &opt.warmup),
+        NumFlag("--sample-ms=", &opt.sample_ms),
+        StrFlag("--json=", &opt.json_path),
+        StrFlag("--trace=", &opt.trace_path),
+        StrFlag("--series=", &opt.series_path),
+        StrFlag("--spec=", &opt.spec),
+        StrFlag("--workload=", &opt.workload),
+    };
+    std::move(own.begin(), own.end(), std::back_inserter(flags));
+    std::string list = "options:";
+    for (const Flag& flag : flags) {
+      list += ' ';
+      list += flag.name;
+      if (flag.name.back() == '=') list += "...";
+    }
+    int kept = 1;
+    for (int i = 1; i < *argc; ++i) {
+      const char* arg = argv[i];
+      if (std::strcmp(arg, "--help") == 0) {
+        std::printf("%s\n\n%s\n%s", list.c_str(),
                     IndexSpecGrammarHelp().c_str(),
                     WorkloadGrammarHelp().c_str());
         std::exit(0);
       }
-      for (const FlagDef& flag : FlagTable()) {
-        const size_t len = std::strlen(flag.prefix);
-        if (std::strncmp(argv[i], flag.prefix, len) != 0) continue;
-        if (!flag.apply(opt, argv[i] + len)) {
-          std::fprintf(stderr, "ERROR: bad value in \"%s\"\n", argv[i]);
-          std::exit(2);
+      const auto flag = std::find_if(
+          flags.begin(), flags.end(), [arg](const Flag& f) {
+            return f.name.back() == '=' ? std::string_view(arg).starts_with(f.name)
+                                        : f.name == arg;
+          });
+      if (flag == flags.end()) {
+        if (forward_unknown) {
+          argv[kept++] = argv[i];
+          continue;
         }
-        break;
+        std::fprintf(stderr, "ERROR: unknown flag \"%s\"\n%s\n", arg,
+                     list.c_str());
+        std::exit(2);
       }
+      if (!flag->set(arg + flag->name.size())) {
+        std::fprintf(stderr, "ERROR: bad value in \"%s\"\n", arg);
+        std::exit(2);
+      }
+    }
+    if (forward_unknown) *argc = kept;
+    // Counts where 0 means the smallest useful value.
+    for (size_t* n : {&opt.batch, &opt.shards, &opt.rthreads, &opt.wthreads,
+                      &opt.sample_ms}) {
+      *n = std::max<size_t>(*n, 1);
     }
     // --shards=N is sugar for an outermost Sharded<N> adapter; it folds
     // into the unified spec so there is exactly one composition path.
@@ -235,6 +303,7 @@ struct Options {
       opt.spec = "Sharded" + std::to_string(opt.shards) +
                  (opt.spec.empty() ? "" : ":" + opt.spec);
     }
+    opt.shards = 1;
     if (!opt.spec.empty()) {
       std::string error;
       const std::string canonical = CanonicalAdapterStack(opt.spec, &error);
@@ -245,33 +314,19 @@ struct Options {
         std::exit(2);
       }
       opt.spec = canonical;
+      SpecError spec_error;
+      const std::unique_ptr<SpecNode> stack =
+          ParseIndexSpec(opt.spec, &spec_error);
+      for (const SpecNode* node = stack.get(); node != nullptr;
+           node = node->inner.get()) {
+        if (node->name == "Sharded") opt.shards *= node->count;
+      }
     }
     if (!opt.workload.empty()) {
-      WorkloadDesc desc;
-      WorkloadSpecError error;
-      if (!ParseWorkloadSpec(opt.workload, &desc, &error)) {
-        std::fprintf(stderr, "ERROR: bad --workload \"%s\": %s\n%s",
-                     opt.workload.c_str(), error.Render().c_str(),
-                     WorkloadGrammarHelp().c_str());
-        std::exit(2);
-      }
-      opt.workload = desc.Canonical();
+      opt.workload = ParseWorkloadOrDie(opt.workload).Canonical();
     }
     // Resize the global pool up front, before any index construction.
     if (opt.threads > 0) SetGlobalThreads(opt.threads);
-    return opt;
-  }
-
-  /// Parse() plus removal of recognized flags from argv, for binaries
-  /// that forward the remaining arguments to another flag parser
-  /// (bench_tab03_complexity hands them to Google Benchmark).
-  static Options ParseStrip(int* argc, char** argv) {
-    const Options opt = Parse(*argc, argv);
-    int kept = 1;
-    for (int i = 1; i < *argc; ++i) {
-      if (!IsHarnessFlag(argv[i])) argv[kept++] = argv[i];
-    }
-    *argc = kept;
     return opt;
   }
 };
@@ -297,17 +352,8 @@ inline std::string SpecPattern(const Options& opt) {
 /// spec always reflects what actually ran).
 inline WorkloadDesc ResolveWorkload(const Options& opt,
                                     std::string_view default_spec) {
-  const std::string_view spec =
-      opt.workload.empty() ? default_spec : std::string_view(opt.workload);
-  WorkloadDesc desc;
-  WorkloadSpecError error;
-  if (!ParseWorkloadSpec(spec, &desc, &error)) {
-    std::fprintf(stderr, "ERROR: bad workload spec \"%.*s\": %s\n%s",
-                 static_cast<int>(spec.size()), spec.data(),
-                 error.Render().c_str(), WorkloadGrammarHelp().c_str());
-    std::exit(2);
-  }
-  return desc;
+  return ParseWorkloadOrDie(opt.workload.empty() ? default_spec
+                                                 : opt.workload);
 }
 
 /// MakeIndex that cannot fail silently: on a bad spec, prints the
@@ -332,6 +378,16 @@ inline std::unique_ptr<KvIndex> MakeIndexOrDie(std::string_view spec) {
 inline std::unique_ptr<KvIndex> MakeBenchIndex(std::string_view name,
                                                const Options& opt) {
   return MakeIndexOrDie(ComposeSpec(name, opt));
+}
+
+/// The leaves a sweep builds: `all`, or only `index` (a binary's
+/// --index=NAME) when set. A bad NAME dies here, before any work.
+inline std::vector<std::string> SweptIndexes(const std::string& index,
+                                             std::vector<std::string> all,
+                                             const Options& opt) {
+  if (index.empty()) return all;
+  MakeBenchIndex(index, opt);
+  return {index};
 }
 
 /// Replay options for this bench's read-only replays: R = --rthreads
@@ -364,8 +420,8 @@ inline ReplayOptions WriteReplayOptions(const Options& opt) {
 }
 
 /// True when a multi-threaded write-bearing replay was requested but
-/// `index` cannot take concurrent writers. Sweep benches (fig11, fig13)
-/// use this per swept index: unsupported stacks are skipped with a
+/// `index` cannot take concurrent writers. The sweep runner asks it once
+/// per write-bearing table row: unsupported stacks are skipped with a
 /// printed notice so the supported rows still run under the requested
 /// threading — and the run fails loudly only if *nothing* supported it.
 inline bool LacksConcurrentWrites(const KvIndex& index, const Options& opt) {
@@ -408,28 +464,6 @@ inline void RequireConcurrentWritesOrDie(const KvIndex& index,
 inline double ReplayMeanNs(KvIndex* index, const std::vector<Operation>& ops,
                            obs::LatencyHistogram* hist = nullptr) {
   return Replay(index, ops, ReplayOptions{}, hist).MeanNs();
-}
-
-/// Mops/s for the same replay.
-inline double ReplayThroughputMops(KvIndex* index,
-                                   const std::vector<Operation>& ops,
-                                   obs::LatencyHistogram* hist = nullptr) {
-  const double ns_per_op = ReplayMeanNs(index, ops, hist);
-  return ns_per_op > 0.0 ? 1e3 / ns_per_op : 0.0;
-}
-
-/// ReplayMeanNs variant that feeds maximal runs of consecutive kLookup
-/// operations through KvIndex::LookupBatch in groups of `batch` (inserts
-/// and erases still execute one at a time, in order). Thin wrapper over
-/// the driver's batched single-threaded mode; see driver.h for the
-/// timing symmetry between the two modes.
-inline double ReplayMeanNsBatched(KvIndex* index,
-                                  const std::vector<Operation>& ops,
-                                  size_t batch,
-                                  obs::LatencyHistogram* hist = nullptr) {
-  ReplayOptions ro;
-  ro.batch = batch;
-  return Replay(index, ops, ro, hist).MeanNs();
 }
 
 inline double ToMiB(size_t bytes) {

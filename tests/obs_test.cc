@@ -500,5 +500,63 @@ TEST(OptionsTest, ParseStripRemovesHarnessFlagsOnly) {
   EXPECT_STREQ(argv[1], "--benchmark_filter=x");
 }
 
+/// Options::Parse over `args` (argv[0] prepended) plus a binary's `own`
+/// flag entries.
+bench::Options ParseFlags(std::vector<const char*> args,
+                          std::vector<bench::Flag> own = {}) {
+  args.insert(args.begin(), "bench");
+  std::vector<char*> argv;
+  for (const char* a : args) argv.push_back(const_cast<char*>(a));
+  return bench::Options::Parse(static_cast<int>(argv.size()), argv.data(),
+                               std::move(own));
+}
+
+TEST(OptionsTest, UnknownFlagsAndBadValuesExitTwo) {
+  // Re-exec rather than fork: earlier tests in the process may have
+  // started the global thread pool, whose exit-time teardown a forked
+  // child cannot run.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // Per-binary entries as bench_ycsb, bench_tiered and bench_durability
+  // declare them.
+  double rate = 0.0;
+  size_t merge = 1024;
+  size_t crash_after = 0;
+  const std::vector<bench::Flag> own = {
+      bench::NumFlag("--rate=", &rate), bench::NumFlag("--merge=", &merge, 1),
+      bench::NumFlag("--crash-after=", &crash_after)};
+  const struct {
+    const char* arg;
+    const char* error;
+  } kCases[] = {
+      {"--scael=2000", "unknown flag \"--scael=2000\""},
+      {"--scale", "unknown flag"},
+      {"stray", "unknown flag"},
+      {"--mixes=a", "unknown flag"},  // another binary's flag
+      {"--scale=2k", "bad value in \"--scale=2k\""},
+      {"--seed=-1", "bad value"},
+      {"--rate=fast", "bad value"},
+      {"--rate=-5", "bad value"},
+      {"--merge=0", "bad value"},
+      {"--crash-after=x", "bad value"},
+  };
+  for (const auto& c : kCases) {
+    EXPECT_EXIT(ParseFlags({c.arg}, own), ::testing::ExitedWithCode(2),
+                c.error)
+        << c.arg;
+  }
+  ParseFlags({"--rate=2.5e4", "--merge=1", "--crash-after=7"}, own);
+  EXPECT_EQ(rate, 25000.0);
+  EXPECT_EQ(merge, 1u);
+  EXPECT_EQ(crash_after, 7u);
+}
+
+TEST(OptionsTest, ShardsComeFromTheCanonicalSpec) {
+  EXPECT_EQ(ParseFlags({}).shards, 1u);
+  EXPECT_EQ(ParseFlags({"--shards=4"}).shards, 4u);
+  const bench::Options opt = ParseFlags({"--spec=Sharded2"});
+  EXPECT_EQ(opt.spec, "Sharded2");
+  EXPECT_EQ(opt.shards, 2u);
+}
+
 }  // namespace
 }  // namespace chameleon::obs

@@ -44,7 +44,7 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -69,52 +69,6 @@ struct InspectFlags {
   bool kernels = false;
   bool tiered = false;
 };
-
-bool ParseDouble(const char* s, double* out) {
-  char* end = nullptr;
-  errno = 0;
-  *out = std::strtod(s, &end);
-  return end != s && *end == '\0' && errno == 0;
-}
-
-InspectFlags ParseInspectFlags(int argc, char** argv) {
-  InspectFlags f;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    bool ok = true;
-    if (std::strncmp(arg, "--index=", 8) == 0) {
-      f.index = arg + 8;
-    } else if (std::strncmp(arg, "--dataset=", 10) == 0) {
-      f.dataset = arg + 10;
-    } else if (std::strncmp(arg, "--sigma=", 8) == 0) {
-      ok = ParseDouble(arg + 8, &f.sigma) && f.sigma > 0.0;
-    } else if (std::strncmp(arg, "--zipf=", 7) == 0) {
-      ok = ParseDouble(arg + 7, &f.zipf) && f.zipf >= 0.0;
-    } else if (std::strncmp(arg, "--mix=", 6) == 0) {
-      ok = ParseDouble(arg + 6, &f.mix) && f.mix >= 0.0 && f.mix <= 1.0;
-    } else if (std::strncmp(arg, "--top=", 6) == 0) {
-      char* end = nullptr;
-      f.top = std::strtoull(arg + 6, &end, 10);
-      ok = end != arg + 6 && *end == '\0';
-    } else if (std::strncmp(arg, "--out=", 6) == 0) {
-      f.out = arg + 6;
-    } else if (std::strcmp(arg, "--prom") == 0) {
-      f.prom = true;
-    } else if (std::strcmp(arg, "--kernels") == 0) {
-      f.kernels = true;
-    } else if (std::strcmp(arg, "--tiered") == 0) {
-      f.tiered = true;
-    } else if (!Options::IsHarnessFlag(arg)) {
-      std::fprintf(stderr, "ERROR: unknown flag \"%s\"\n", arg);
-      std::exit(2);
-    }
-    if (!ok) {
-      std::fprintf(stderr, "ERROR: bad value in \"%s\"\n", arg);
-      std::exit(2);
-    }
-  }
-  return f;
-}
 
 std::vector<Key> MakeKeys(const InspectFlags& f, const Options& opt) {
   if (f.sigma > 0.0) {
@@ -178,8 +132,18 @@ void PrintKernels() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opt = Options::Parse(argc, argv);
-  const InspectFlags flags = ParseInspectFlags(argc, argv);
+  InspectFlags flags;
+  const Options opt = Options::Parse(
+      argc, argv,
+      {StrFlag("--index=", &flags.index),
+       StrFlag("--dataset=", &flags.dataset),
+       NumFlag("--sigma=", &flags.sigma, std::numeric_limits<double>::min()),
+       NumFlag("--zipf=", &flags.zipf),
+       NumFlag("--mix=", &flags.mix, 0.0, 1.0),
+       NumFlag("--top=", &flags.top), StrFlag("--out=", &flags.out),
+       SwitchFlag("--prom", &flags.prom),
+       SwitchFlag("--kernels", &flags.kernels),
+       SwitchFlag("--tiered", &flags.tiered)});
   if (flags.kernels) {
     PrintKernels();
     return 0;
