@@ -38,8 +38,10 @@ int main(int argc, char** argv) {
       config.adaptive_alpha = (adaptive == 1);
       ChameleonIndex index(config);
       index.BulkLoad(data);
-      WorkloadGenerator gen(keys, opt.seed + 1);
-      ns[adaptive] = ReplayMeanNs(&index, gen.ReadOnly(opt.ops), report.lat());
+      const std::vector<Operation> ops = MaterializeWorkload(
+          ParseWorkloadOrDie("read"), keys, opt.seed + 1, opt.ops);
+      ns[adaptive] =
+          Replay(&index, ops, ReadReplayOptions(opt), report.lat()).MeanNs();
       err[adaptive] = index.Stats().max_error;
     }
     std::printf("%-26s %12.1f %12.0f %12.1f %12.0f\n", label, ns[0], err[0],

@@ -25,9 +25,10 @@ void Report(const char* label, ChameleonIndex* index,
   Timer timer;
   index->BulkLoad(data);
   const double build_ms = timer.ElapsedMillis();
-  WorkloadGenerator gen(keys, opt.seed + 1);
+  const std::vector<Operation> ops = MaterializeWorkload(
+      ParseWorkloadOrDie("read"), keys, opt.seed + 1, opt.ops);
   const double lookup_ns =
-      ReplayMeanNs(index, gen.ReadOnly(opt.ops), report->lat());
+      Replay(index, ops, ReadReplayOptions(opt), report->lat()).MeanNs();
   const IndexStats stats = index->Stats();
   std::printf("%-24s %10.1f %10.1f %8.2f %7d %9.0f %10zu\n", label, build_ms,
               lookup_ns, ToMiB(index->SizeBytes()), stats.max_height,

@@ -34,11 +34,18 @@ int main(int argc, char** argv) {
     ChameleonIndex index(config);
     index.BulkLoad(data);
 
+    // The inserts continue from the reads' generator state.
     WorkloadGenerator gen(keys, opt.seed + 1);
+    const std::vector<Operation> reads =
+        Drain(*MakeOpSource(ParseWorkloadOrDie("read"), gen, keys), opt.ops);
     const double lookup_ns =
-        ReplayMeanNs(&index, gen.ReadOnly(opt.ops), report.lat());
+        Replay(&index, reads, ReadReplayOptions(opt), report.lat()).MeanNs();
+    const std::vector<Operation> inserts = Drain(
+        *MakeOpSource(ParseWorkloadOrDie("insdel(u=1)"), gen, keys),
+        opt.ops / 4);
     const double insert_ns =
-        ReplayMeanNs(&index, gen.InsertDelete(opt.ops / 4, 1.0), report.lat());
+        Replay(&index, inserts, WriteReplayOptions(opt), report.lat())
+            .MeanNs();
     const IndexStats stats = index.Stats();
     std::printf("%6.2f %12.1f %12.1f %10.2f %10.0f %10.2f\n", tau, lookup_ns,
                 insert_ns, ToMiB(index.SizeBytes()), stats.max_error,

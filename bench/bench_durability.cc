@@ -118,10 +118,12 @@ int RunCrashRecover(const Options& opt, const DurabilityFlags& flags) {
   {
     std::unique_ptr<KvIndex> index = MakeIndexOrDie(spec);
     index->BulkLoad(ToKeyValues(keys));
+    // One source across the retries: each pass continues the stream.
     WorkloadGenerator gen(keys, opt.seed + 1);
+    const std::unique_ptr<OpSource> source =
+        MakeOpSource(ParseWorkloadOrDie("insdel(u=0.6)"), gen, keys);
     while (acked < flags.crash_after) {
-      for (const Operation& op :
-           gen.InsertDelete(flags.crash_after - acked, 0.6)) {
+      for (const Operation& op : Drain(*source, flags.crash_after - acked)) {
         if (op.type == OpType::kInsert) {
           if (index->Insert(op.key, op.value)) {
             reference[op.key] = op.value;
@@ -185,6 +187,7 @@ int main(int argc, char** argv) {
   const std::vector<Key> keys =
       GenerateDataset(DatasetKind::kFace, init, opt.seed);
   const std::vector<KeyValue> data = ToKeyValues(keys);
+  const WorkloadDesc mixed = ParseWorkloadOrDie("mixed(w=0.5)");
 
   // --- Section 1: write-path overhead on the Fig. 11 mixed workload ---------
   // Replays honor --wthreads/--rthreads (WriteReplayOptions): with W > 1
@@ -204,16 +207,16 @@ int main(int argc, char** argv) {
   {
     std::unique_ptr<KvIndex> warm = MakeIndex("Chameleon");
     warm->BulkLoad(data);
-    WorkloadGenerator gen(keys, opt.seed + 1);
-    ReplayMeanNs(warm.get(), gen.MixedReadWrite(opt.ops, 0.5));
+    Replay(warm.get(), MaterializeWorkload(mixed, keys, opt.seed + 1, opt.ops),
+           WriteReplayOptions(opt));
   }
 
   double baseline_mops = 0.0;
   {
     std::unique_ptr<KvIndex> index = MakeIndex("Chameleon");
     index->BulkLoad(data);
-    WorkloadGenerator gen(keys, opt.seed + 1);
-    const std::vector<Operation> ops = gen.MixedReadWrite(opt.ops, 0.5);
+    const std::vector<Operation> ops =
+        MaterializeWorkload(mixed, keys, opt.seed + 1, opt.ops);
     baseline_mops =
         SectionMops(Replay(index.get(), ops, WriteReplayOptions(opt),
                            report.lat()),
@@ -251,8 +254,8 @@ int main(int argc, char** argv) {
     obs::ResetPhaseHistograms();
     std::unique_ptr<KvIndex> index = MakeIndexOrDie(spec);
     index->BulkLoad(data);
-    WorkloadGenerator gen(keys, opt.seed + 1);
-    const std::vector<Operation> ops = gen.MixedReadWrite(opt.ops, 0.5);
+    const std::vector<Operation> ops =
+        MaterializeWorkload(mixed, keys, opt.seed + 1, opt.ops);
     const double mops =
         SectionMops(Replay(index.get(), ops, WriteReplayOptions(opt),
                            report.lat()),
@@ -365,8 +368,9 @@ int main(int argc, char** argv) {
       // count is deterministic.
       auto index = MakeDurable(dir, FsyncPolicy::kNone);
       index->BulkLoad(data);
-      WorkloadGenerator gen(keys, opt.seed + 2);
-      for (const Operation& op : gen.InsertDelete(wal_records, 0.7)) {
+      for (const Operation& op :
+           MaterializeWorkload(ParseWorkloadOrDie("insdel(u=0.7)"), keys,
+                               opt.seed + 2, wal_records)) {
         if (op.type == OpType::kInsert) {
           index->Insert(op.key, op.value);
         } else {

@@ -50,8 +50,8 @@ int main(int argc, char** argv) {
       const std::vector<Key> keys = GenerateDataset(kind, bulk, opt.seed);
       std::unique_ptr<KvIndex> index = MakeBenchIndex(name, opt);
       index->BulkLoad(ToKeyValues(keys));
-      WorkloadGenerator gen(keys, opt.seed + 9);
-      const std::vector<Operation> ops = gen.InsertDelete(inserts, 1.0);
+      const std::vector<Operation> ops = MaterializeWorkload(
+          ParseWorkloadOrDie("insdel(u=1)"), keys, opt.seed + 9, inserts);
 
       std::vector<double> lat;
       lat.reserve(ops.size());
@@ -90,8 +90,8 @@ int main(int argc, char** argv) {
         GenerateDataset(DatasetKind::kFace, bulk, opt.seed);
     ChameleonIndex index;
     index.BulkLoad(ToKeyValues(keys));
-    WorkloadGenerator gen(keys, opt.seed + 17);
-    for (const Operation& op : gen.InsertDelete(inserts, 1.0)) {
+    for (const Operation& op : MaterializeWorkload(
+             ParseWorkloadOrDie("insdel(u=1)"), keys, opt.seed + 17, inserts)) {
       index.Insert(op.key, op.value);
     }
     const size_t rebuilt = index.RetrainOnce();

@@ -30,7 +30,11 @@ void RunTrace(ChameleonIndex* index, const std::vector<Key>& keys,
               size_t segments, size_t inserts_per_seg, size_t reads_per_seg,
               uint64_t seed, const char* label, const Options& opt,
               JsonReport* report) {
+  // One generator across the segments: each continues the live set the
+  // previous one left, so the reads hit the keys inserted so far.
   WorkloadGenerator gen(keys, seed);
+  const WorkloadDesc insert_desc = ParseWorkloadOrDie("insdel(u=1)");
+  const WorkloadDesc read_desc = ParseWorkloadOrDie("read");
   obs::LatencyHistogram* hist = report->lat();
   std::vector<double> read_ns, write_ns;
   for (size_t s = 0; s < segments; ++s) {
@@ -39,11 +43,12 @@ void RunTrace(ChameleonIndex* index, const std::vector<Key>& keys,
     // while the retrainer keeps rebuilding drifted units — the fig15
     // scenario with R concurrent foreground readers.
     const std::vector<Operation> inserts =
-        gen.InsertDelete(inserts_per_seg, 1.0);
+        Drain(*MakeOpSource(insert_desc, gen, keys), inserts_per_seg);
     write_ns.push_back(
         Replay(index, inserts, WriteReplayOptions(opt), hist).MeanNs());
 
-    const std::vector<Operation> reads = gen.ReadOnly(reads_per_seg);
+    const std::vector<Operation> reads =
+        Drain(*MakeOpSource(read_desc, gen, keys), reads_per_seg);
     read_ns.push_back(
         Replay(index, reads, ReadReplayOptions(opt), hist).MeanNs());
     report->AddRow()

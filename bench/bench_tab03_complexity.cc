@@ -14,7 +14,7 @@
 #include "src/api/index_factory.h"
 #include "src/data/dataset.h"
 #include "src/util/random.h"
-#include "src/workload/workload.h"
+#include "src/workload/workload_spec.h"
 
 namespace chameleon {
 namespace {
@@ -55,8 +55,8 @@ void BM_Lookup(benchmark::State& state, const std::string& name) {
 
 void BM_Insert(benchmark::State& state, const std::string& name) {
   Fixture fixture(name);
-  WorkloadGenerator gen(fixture.keys, 11);
-  std::vector<Operation> ops = gen.InsertDelete(1 << 20, 1.0);
+  const std::vector<Operation> ops = MaterializeWorkload(
+      ParseWorkloadOrDie("insdel(u=1)"), fixture.keys, 11, 1 << 20);
   size_t i = 0;
   for (auto _ : state) {
     const Operation& op = ops[i++ % ops.size()];
@@ -109,11 +109,19 @@ int main(int argc, char** argv) {
     for (const std::string& name : UpdatableIndexNames()) {
       std::unique_ptr<KvIndex> index = MakeBenchIndex(name, opt);
       index->BulkLoad(ToKeyValues(keys));
+      // The inserts continue from the reads' generator state.
       WorkloadGenerator gen(keys, opt.seed + 1);
+      const std::vector<Operation> reads = Drain(
+          *MakeOpSource(ParseWorkloadOrDie("read"), gen, keys), opt.ops);
       const double lookup_ns =
-          ReplayMeanNs(index.get(), gen.ReadOnly(opt.ops), report.lat());
-      const double insert_ns = ReplayMeanNs(
-          index.get(), gen.InsertDelete(opt.ops / 4, 1.0), report.lat());
+          Replay(index.get(), reads, ReadReplayOptions(opt), report.lat())
+              .MeanNs();
+      const std::vector<Operation> inserts = Drain(
+          *MakeOpSource(ParseWorkloadOrDie("insdel(u=1)"), gen, keys),
+          opt.ops / 4);
+      const double insert_ns =
+          Replay(index.get(), inserts, WriteReplayOptions(opt), report.lat())
+              .MeanNs();
       report.AddRow()
           .Str("index", name)
           .Num("lookup_ns", lookup_ns)

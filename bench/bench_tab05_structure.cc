@@ -37,8 +37,10 @@ int main(int argc, char** argv) {
       // This table is structure-only; with --json a lookup replay runs
       // so the blob carries a real latency distribution too.
       if (report.enabled()) {
-        WorkloadGenerator gen(keys, opt.seed + 1);
-        ReplayMeanNs(index.get(), gen.ReadOnly(opt.ops), report.lat());
+        Replay(index.get(),
+               MaterializeWorkload(ParseWorkloadOrDie("read"), keys,
+                                   opt.seed + 1, opt.ops),
+               ReadReplayOptions(opt), report.lat());
       }
       report.AddRow()
           .Str("dataset", DatasetName(kind))

@@ -77,8 +77,8 @@ int main(int argc, char** argv) {
         "Disk(" + dir + ",frames=" + std::to_string(frames) + "):Chameleon";
     std::unique_ptr<KvIndex> index = MakeIndexOrDie(spec);
     index->BulkLoad(data);
-    WorkloadGenerator gen(keys, opt.seed + 1);
-    const std::vector<Operation> ops = gen.ReadOnly(opt.ops, 0.9);
+    const std::vector<Operation> ops = MaterializeWorkload(
+        ParseWorkloadOrDie("read(zipf=0.9)"), keys, opt.seed + 1, opt.ops);
     // One untimed pass warms the pool to steady state, so the measured
     // pass reports the budget's sustained hit rate, not the cold faults
     // (which are identical across configs and would flatten the sweep).
@@ -136,8 +136,8 @@ int main(int argc, char** argv) {
   {
     std::unique_ptr<KvIndex> index = MakeIndexOrDie(wspec);
     index->BulkLoad(data);
-    WorkloadGenerator gen(keys, opt.seed + 2);
-    const std::vector<Operation> ops = gen.MixedReadWrite(opt.ops, 0.5);
+    const std::vector<Operation> ops = MaterializeWorkload(
+        ParseWorkloadOrDie("mixed(w=0.5)"), keys, opt.seed + 2, opt.ops);
     const ReplayResult result =
         Replay(index.get(), ops, ReplayOptions{}, report.lat());
     TieredStatsBlock stats;

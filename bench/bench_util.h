@@ -58,20 +58,6 @@ inline std::string CompilerString() {
 #endif
 }
 
-/// Parses a workload-grammar spec, or prints the error plus the
-/// grammar and exits 2.
-inline WorkloadDesc ParseWorkloadOrDie(std::string_view spec) {
-  WorkloadDesc desc;
-  WorkloadSpecError error;
-  if (!ParseWorkloadSpec(spec, &desc, &error)) {
-    std::fprintf(stderr, "ERROR: bad workload spec \"%.*s\": %s\n%s",
-                 static_cast<int>(spec.size()), spec.data(),
-                 error.Render().c_str(), WorkloadGrammarHelp().c_str());
-    std::exit(2);
-  }
-  return desc;
-}
-
 /// Strict number parsers behind every numeric flag: the whole text must
 /// be the number (no sign, no trailing junk, no overflow).
 inline bool ParseU64(const char* s, unsigned long long* out) {
@@ -172,7 +158,7 @@ inline Flag SwitchFlag(std::string_view name, bool* field) {
 ///                  PATH at exit
 ///   --sample-ms=N  sampler tick period in milliseconds (default 100)
 ///   --workload=SPEC
-///                  override the bench's built-in operation mix with a
+///                  replace the binary's built-in operation stream with a
 ///                  workload-grammar spec (src/workload/workload_spec.h):
 ///                  e.g. --workload='ycsb-a(zipf=0.99)' or
 ///                  --workload='mixed(w=0.2,dist=hotspot(width=5%,period=1M))'.
@@ -181,7 +167,9 @@ inline Flag SwitchFlag(std::string_view name, bool* field) {
 ///                  is echoed in the JSON blob. Sweeps whose points ARE
 ///                  workloads (fig11's write ratios, fig12's update
 ///                  ratios, bench_ycsb's mixes) replace the whole sweep
-///                  with the single requested workload.
+///                  with the single requested workload. Only the sweeps
+///                  (bar ext_range) and chameleon_inspect take it; other
+///                  binaries replay streams their figure fixes and exit 2.
 ///
 /// Per-binary (each passes its own entries to Options::Parse):
 ///   bench_ycsb                --mixes=a,b,..  YCSB mixes to sweep
@@ -192,8 +180,8 @@ inline Flag SwitchFlag(std::string_view name, bool* field) {
 ///   bench_durability          --crash-after=N, --dir=PATH
 ///   bench_tiered              --dir=PATH, --merge=N (N >= 1)
 ///   chameleon_inspect         --index=NAME, --dataset=, --sigma=,
-///                             --zipf=, --mix=, --top=, --out=, --prom,
-///                             --kernels, --tiered (see its header)
+///                             --top=, --out=, --prom, --kernels,
+///                             --tiered (see its header)
 /// --index=NAME means the same everywhere: the one leaf to build,
 /// composed under --spec like every swept name (ComposeSpec).
 ///
@@ -224,20 +212,23 @@ struct Options {
   std::string series_path;
 
   /// Parses the shared flags plus the binary's `own` entries; exits 2
-  /// on anything else.
-  static Options Parse(int argc, char** argv, std::vector<Flag> own = {}) {
-    return ParseArgs(&argc, argv, std::move(own), /*forward_unknown=*/false);
+  /// on anything else, and on --workload unless `takes_workload`.
+  static Options Parse(int argc, char** argv, std::vector<Flag> own = {},
+                       bool takes_workload = false) {
+    return ParseArgs(&argc, argv, std::move(own), takes_workload,
+                     /*forward_unknown=*/false);
   }
 
   /// Parse() that removes the flags it recognizes from argv and keeps
   /// the rest, for binaries that forward them to another flag parser.
   static Options ParseStrip(int* argc, char** argv) {
-    return ParseArgs(argc, argv, {}, /*forward_unknown=*/true);
+    return ParseArgs(argc, argv, {}, /*takes_workload=*/false,
+                     /*forward_unknown=*/true);
   }
 
  private:
   static Options ParseArgs(int* argc, char** argv, std::vector<Flag> own,
-                           bool forward_unknown) {
+                           bool takes_workload, bool forward_unknown) {
     Options opt;
     std::vector<Flag> flags = {
         NumFlag("--scale=", &opt.scale),
@@ -323,6 +314,11 @@ struct Options {
       }
     }
     if (!opt.workload.empty()) {
+      if (!takes_workload) {
+        std::fprintf(stderr, "ERROR: %s replays the streams its figure "
+                     "fixes; it takes no --workload\n", argv[0]);
+        std::exit(2);
+      }
       opt.workload = ParseWorkloadOrDie(opt.workload).Canonical();
     }
     // Resize the global pool up front, before any index construction.
@@ -343,17 +339,6 @@ inline std::string ComposeSpec(std::string_view name, const Options& opt) {
 /// "<index>" placeholder leaf (benches sweep many leaves per run).
 inline std::string SpecPattern(const Options& opt) {
   return opt.spec.empty() ? std::string("<index>") : opt.spec + ":<index>";
-}
-
-/// The workload descriptor a bench should drive: the canonical
-/// --workload override when given, otherwise the bench's built-in
-/// default spec. Both paths go through the parser, so a bench's default
-/// is guaranteed expressible in the grammar (and the echoed canonical
-/// spec always reflects what actually ran).
-inline WorkloadDesc ResolveWorkload(const Options& opt,
-                                    std::string_view default_spec) {
-  return ParseWorkloadOrDie(opt.workload.empty() ? default_spec
-                                                 : opt.workload);
 }
 
 /// MakeIndex that cannot fail silently: on a bad spec, prints the
@@ -452,20 +437,6 @@ inline void RequireConcurrentWritesOrDie(const KvIndex& index,
   std::exit(2);
 }
 
-/// Replays `ops` against `index` and returns mean ns/op. Lookups verify
-/// hits (a miss warns — the workload generator guarantees validity).
-/// With `hist` non-null every operation is timed individually into the
-/// histogram (the mean then includes ~2 clock reads per op of overhead);
-/// with hist == nullptr the whole batch is timed with two clock reads.
-///
-/// Thin wrapper over the driver layer (src/workload/driver.h) in its
-/// single-threaded mode — the replay loop itself is unchanged, so
-/// numbers stay comparable with pre-driver BENCH blobs.
-inline double ReplayMeanNs(KvIndex* index, const std::vector<Operation>& ops,
-                           obs::LatencyHistogram* hist = nullptr) {
-  return Replay(index, ops, ReplayOptions{}, hist).MeanNs();
-}
-
 inline double ToMiB(size_t bytes) {
   return static_cast<double>(bytes) / (1024.0 * 1024.0);
 }
@@ -558,7 +529,7 @@ class JsonReport {
   bool enabled() const { return !opt_.json_path.empty(); }
 
   /// Histogram to feed measured per-op latencies into; null when --json
-  /// was not requested (callers pass it straight to ReplayMeanNs).
+  /// was not requested (callers pass it straight to Replay).
   obs::LatencyHistogram* lat() { return enabled() ? &lat_ : nullptr; }
   obs::LatencyHistogram& histogram() { return lat_; }
 
@@ -705,15 +676,9 @@ class JsonReport {
     }
   }
 
-  /// The live sampler (null without --series); exposed so benches can
-  /// embed series-derived rows if they want to.
-  obs::MetricsSampler* sampler() { return sampler_.get(); }
-
   /// Records the canonical workload spec this run actually drove (the
-  /// blob echoes it as "workload"). Benches call this with
-  /// ResolveWorkload(...).Canonical(); sweep benches that run many
-  /// workloads per blob set the sweep's template instead and put the
-  /// per-row canonical spec in each row.
+  /// blob echoes it as "workload"). A sweep that runs several workloads
+  /// per blob leaves it unset and puts the canonical spec in each row.
   void SetWorkload(std::string canonical) { workload_ = std::move(canonical); }
 
  private:

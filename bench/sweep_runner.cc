@@ -510,11 +510,6 @@ int Run(const Sweep& sweep, const Options& opt, const ScenarioFlags& flags) {
       if (m != ',' && m != ' ') specs.push_back(std::string("ycsb-") + m);
     }
   }
-  if (sweep.axis == Axis::kScanWidths && !specs.empty()) {
-    std::fprintf(stderr, "ERROR: %s replays fixed-width range scans; it "
-                 "takes no --workload\n", bench.c_str());
-    return 2;
-  }
   std::vector<WorkloadDesc> descs;
   for (const std::string& spec : specs) {
     descs.push_back(ParseWorkloadOrDie(spec));
@@ -603,6 +598,8 @@ int main(int argc, char** argv) {
            StrFlag("--index=", &flags.index),
            NumFlag("--rate=", &flags.rate)};
   }
-  const Options opt = Options::Parse(argc, argv, std::move(own));
+  // ext_range replays fixed-width range scans, not a workload stream.
+  const Options opt = Options::Parse(argc, argv, std::move(own),
+                                     sweep->axis != Axis::kScanWidths);
   return Run(*sweep, opt, flags);
 }

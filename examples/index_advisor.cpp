@@ -18,7 +18,7 @@
 #include "src/data/skew.h"
 #include "src/util/io.h"
 #include "src/util/timer.h"
-#include "src/workload/workload.h"
+#include "src/workload/workload_spec.h"
 
 using namespace chameleon;
 
@@ -35,8 +35,8 @@ void Advise(const std::string& label, const std::vector<Key>& keys) {
   for (const std::string& name : AllIndexNames()) {
     std::unique_ptr<KvIndex> index = MakeIndex(name);
     index->BulkLoad(ToKeyValues(keys));
-    WorkloadGenerator gen(keys, 5);
-    const std::vector<Operation> ops = gen.ReadOnly(50'000);
+    const std::vector<Operation> ops =
+        MaterializeWorkload(ParseWorkloadOrDie("read"), keys, 5, 50'000);
     Timer timer;
     for (const Operation& op : ops) {
       Value v;

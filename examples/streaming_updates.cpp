@@ -17,7 +17,7 @@
 #include "src/data/dataset.h"
 #include "src/data/skew.h"
 #include "src/util/timer.h"
-#include "src/workload/workload.h"
+#include "src/workload/workload_spec.h"
 
 using namespace chameleon;
 
@@ -36,14 +36,20 @@ int main() {
   // scale; we scale the period down with the data).
   index.StartRetrainer(std::chrono::milliseconds(20));
 
+  // One generator for the whole run: every burst and query batch
+  // continues from the live keys the previous one left behind.
   WorkloadGenerator gen(keys, /*seed=*/7);
+  const WorkloadDesc inserts = ParseWorkloadOrDie("insdel(u=1)");
+  const WorkloadDesc queries = ParseWorkloadOrDie("read");
   for (int round = 1; round <= 6; ++round) {
     // Burst of inserts (IDs clustering near existing hot regions).
-    for (const Operation& op : gen.InsertDelete(40'000, 1.0)) {
+    for (const Operation& op :
+         Drain(*MakeOpSource(inserts, gen, keys), 40'000)) {
       index.Insert(op.key, op.value);
     }
     // Serve queries while the retrainer works in the background.
-    const std::vector<Operation> reads = gen.ReadOnly(20'000);
+    const std::vector<Operation> reads =
+        Drain(*MakeOpSource(queries, gen, keys), 20'000);
     Timer timer;
     size_t hits = 0;
     for (const Operation& op : reads) {

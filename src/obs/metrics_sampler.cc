@@ -1,6 +1,7 @@
 #include "src/obs/metrics_sampler.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 
 #include "src/util/timer.h"
@@ -37,14 +38,21 @@ std::mutex g_source_mu;
 std::function<Heatmap()> g_source;
 std::function<Heatmap()> g_contention_source;
 
-}  // namespace
+// Started samplers; ticked under g_running_mu, which Stop() takes to
+// leave the list, so a listed sampler outlives its close-time tick.
+std::mutex g_running_mu;
+std::vector<MetricsSampler*> g_running;
+std::atomic<size_t> g_num_running{0};
 
-void SetActiveHeatmapSource(std::function<Heatmap()> source) {
-  std::lock_guard<std::mutex> lock(g_source_mu);
-  g_source = std::move(source);
+/// One tick on every running sampler, taken while the closing scope's
+/// source is still registered.
+void SampleRunningSamplers() {
+  if (g_num_running.load(std::memory_order_acquire) == 0) return;
+  std::lock_guard<std::mutex> lock(g_running_mu);
+  for (MetricsSampler* sampler : g_running) sampler->SampleNow();
 }
 
-void ClearActiveHeatmapSource() { SetActiveHeatmapSource(nullptr); }
+}  // namespace
 
 Heatmap ReadActiveHeatmap() {
   // Invoked under the mutex: a ScopedHeatmapSource destructor cannot
@@ -60,16 +68,10 @@ ScopedHeatmapSource::ScopedHeatmapSource(std::function<Heatmap()> source) {
 }
 
 ScopedHeatmapSource::~ScopedHeatmapSource() {
+  SampleRunningSamplers();
   std::lock_guard<std::mutex> lock(g_source_mu);
   g_source = std::move(previous_);
 }
-
-void SetActiveContentionSource(std::function<Heatmap()> source) {
-  std::lock_guard<std::mutex> lock(g_source_mu);
-  g_contention_source = std::move(source);
-}
-
-void ClearActiveContentionSource() { SetActiveContentionSource(nullptr); }
 
 Heatmap ReadActiveContention() {
   // Same holding-the-mutex discipline as ReadActiveHeatmap: a
@@ -104,6 +106,9 @@ void MetricsSampler::Start() {
   stop_ = false;
   running_ = true;
   thread_ = std::thread(&MetricsSampler::Loop, this);
+  std::lock_guard<std::mutex> running_lock(g_running_mu);
+  g_running.push_back(this);
+  g_num_running.fetch_add(1, std::memory_order_release);
 }
 
 void MetricsSampler::Stop() {
@@ -111,6 +116,11 @@ void MetricsSampler::Stop() {
     std::lock_guard<std::mutex> lock(thread_mu_);
     if (!running_) return;
     stop_ = true;
+  }
+  {
+    std::lock_guard<std::mutex> running_lock(g_running_mu);
+    std::erase(g_running, this);
+    g_num_running.fetch_sub(1, std::memory_order_release);
   }
   cv_.notify_all();
   thread_.join();

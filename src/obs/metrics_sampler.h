@@ -50,9 +50,10 @@ class HistogramRegistry {
 // every bench harness gets per-tick heatmaps without its own wiring.
 // The callback is invoked under the source mutex: once a scope's
 // destructor returns, no further invocations can touch its index.
+// Closing a scope first ticks every running MetricsSampler, so a replay
+// shorter than the interval still leaves its heat in the series; with
+// no sampler running that costs one atomic load.
 
-void SetActiveHeatmapSource(std::function<Heatmap()> source);
-void ClearActiveHeatmapSource();
 /// The current source's snapshot; empty when no source is registered.
 Heatmap ReadActiveHeatmap();
 
@@ -76,8 +77,6 @@ class ScopedHeatmapSource {
 // "contention" JSONL field. The driver registers it alongside the
 // heatmap source whenever the replayed stack reports contention.
 
-void SetActiveContentionSource(std::function<Heatmap()> source);
-void ClearActiveContentionSource();
 /// The current contention source's snapshot; empty when none registered.
 Heatmap ReadActiveContention();
 

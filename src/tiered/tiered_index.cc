@@ -109,9 +109,10 @@ size_t TieredIndex::CandidatePage(Key key) const {
   return static_cast<size_t>(it - fences_.begin()) - 1;
 }
 
+// Probes take no lock: only writers (BulkLoad/Merge/Recover) swap the
+// fences and heat arrays, and writers never run alongside readers.
 void TieredIndex::RecordPageRead(size_t page) const {
 #ifndef CHAMELEON_NO_STATS
-  std::shared_lock<std::shared_mutex> lock(heat_mu_);
   if (heat_reads_ != nullptr && page < fences_.size()) {
     CHAMELEON_HEAT_HIT(heat_reads_[page]);
   }
@@ -122,7 +123,6 @@ void TieredIndex::RecordPageRead(size_t page) const {
 
 void TieredIndex::RecordPageWrite(size_t page) const {
 #ifndef CHAMELEON_NO_STATS
-  std::shared_lock<std::shared_mutex> lock(heat_mu_);
   if (heat_writes_ != nullptr && page < fences_.size()) {
     CHAMELEON_HEAT_HIT(heat_writes_[page]);
   }

@@ -151,10 +151,9 @@ class TieredIndex final : public KvIndex {
   std::unique_ptr<KvIndex> delta_;
   std::unordered_set<Key> tombstones_;
 
-  /// Guards the per-page heat arrays and fence snapshotting against
-  /// Merge's structural swap: probes hold it shared to bump a counter,
-  /// HeatmapSnapshot holds it shared to read, Merge holds it exclusive
-  /// to reallocate.
+  /// Guards the heat arrays and fences between the swaps in BulkLoad,
+  /// Merge and Recover (exclusive) and HeatmapSnapshot (shared), which
+  /// the sampler polls from its own thread. Probes never take it.
   mutable std::shared_mutex heat_mu_;
   mutable std::unique_ptr<std::atomic<uint64_t>[]> heat_reads_;
   mutable std::unique_ptr<std::atomic<uint64_t>[]> heat_writes_;

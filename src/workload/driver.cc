@@ -48,10 +48,9 @@ bool ExecuteOp(KvIndex* index, const Operation& op,
   return true;
 }
 
-/// The per-key replay kernel — the loop bench_util's ReplayMeanNs ran
-/// for every harness before the driver existed; kept op-for-op
-/// identical for the legacy op types so R = 1 numbers stay comparable
-/// across PRs.
+/// The per-key replay kernel — the loop every harness ran before the
+/// driver existed; kept op-for-op identical for the legacy op types so
+/// R = 1 numbers stay comparable across PRs.
 ChunkResult ReplayChunk(KvIndex* index, std::span<const Operation> ops,
                         obs::LatencyHistogram* hist) {
   ChunkResult result;
@@ -70,7 +69,7 @@ ChunkResult ReplayChunk(KvIndex* index, std::span<const Operation> ops,
   return result;
 }
 
-/// The batched replay kernel (bench_util's ReplayMeanNsBatched loop):
+/// The batched replay kernel (the harnesses' original batched loop):
 /// maximal runs of consecutive lookups go through LookupBatch in groups
 /// of `batch`; writes execute one at a time, in order. Per-batch timing
 /// keeps batch = 1 symmetric with the per-op kernel (one clock pair per
@@ -137,11 +136,12 @@ ReplayResult Replay(KvIndex* index, std::span<const Operation> ops,
   // per-tick unit heatmaps (and writer-lock-wait maps) in its --series
   // output with no harness wiring. Safe with concurrent replay threads
   // (the snapshots' contracts) and scoped so the sampler can never
-  // touch the index after Replay returns.
-  obs::ScopedHeatmapSource heat_scope(
-      [index] { return index->HeatmapSnapshot(); });
+  // touch the index after Replay returns. The heat scope is inner, so
+  // the tick a running sampler takes as it closes still sees both.
   obs::ScopedContentionSource contention_scope(
       [index] { return index->WriteContentionSnapshot(); });
+  obs::ScopedHeatmapSource heat_scope(
+      [index] { return index->HeatmapSnapshot(); });
   const size_t batch = std::max<size_t>(1, options.batch);
   const size_t warmup = std::min(options.warmup, ops.size());
   if (warmup > 0) {
@@ -177,7 +177,7 @@ ReplayResult Replay(KvIndex* index, std::span<const Operation> ops,
   if (threads == 1) {
     // Single-threaded fast path: record straight into the caller's
     // histogram; busy and wall time coincide in hist == nullptr mode
-    // (exactly the historical ReplayMeanNs behavior).
+    // (exactly the historical single-threaded replay).
     Timer wall;
     const ChunkResult chunk = ReplayDispatch(index, measured, batch, hist);
     result.wall_ns = wall.ElapsedNanos();
@@ -257,10 +257,10 @@ void WaitUntilNanos(int64_t deadline_ns) {
 
 OpenLoopResult RunOpenLoop(KvIndex* index, OpSource& source, size_t max_ops,
                            const OpenLoopOptions& options) {
-  obs::ScopedHeatmapSource heat_scope(
-      [index] { return index->HeatmapSnapshot(); });
   obs::ScopedContentionSource contention_scope(
       [index] { return index->WriteContentionSnapshot(); });
+  obs::ScopedHeatmapSource heat_scope(
+      [index] { return index->HeatmapSnapshot(); });
 
   OpenLoopResult result;
   result.target_rate = std::max(options.rate_ops_per_sec, 1.0);

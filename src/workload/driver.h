@@ -7,7 +7,8 @@
 
 #include "src/api/kv_index.h"
 #include "src/obs/latency_histogram.h"
-#include "src/workload/workload.h"
+#include "src/workload/op.h"
+#include "src/workload/op_source.h"
 
 namespace chameleon {
 
@@ -80,9 +81,8 @@ struct ReplayResult {
 /// histogram (per-batch for batched lookups, attributing the mean to
 /// each member); with hist == nullptr each thread's whole chunk is
 /// timed with two clock reads. In the R = 1 / warmup = 0 configuration
-/// both modes reproduce bench_util's historical ReplayMeanNs /
-/// ReplayMeanNsBatched numbers exactly — those helpers are now thin
-/// wrappers over this function.
+/// both modes reproduce the bench harnesses' historical single-threaded
+/// replay loops exactly.
 ReplayResult Replay(KvIndex* index, std::span<const Operation> ops,
                     const ReplayOptions& options,
                     obs::LatencyHistogram* hist = nullptr);

@@ -21,9 +21,8 @@ namespace chameleon {
 /// come from the caller's `rng` so choosers compose into one
 /// deterministic stream; distribution-shaped choosers (zipf, latest)
 /// precompute their CDF over the initial cardinality with a seed drawn
-/// once at construction — exactly how WorkloadGenerator::ReadOnly
-/// always seeded its ZipfSampler — and fold out-of-range ranks back
-/// into [0, n).
+/// once at construction — the draw order the golden-stream hashes pin
+/// for `read(zipf=T)` — and fold out-of-range ranks back into [0, n).
 class KeyChooser {
  public:
   virtual ~KeyChooser() = default;

@@ -12,9 +12,9 @@
 namespace chameleon {
 
 /// The set of keys currently present in the index a workload stream is
-/// being generated against. Extracted from the original
-/// WorkloadGenerator so every OpSource shares one definition of "which
-/// keys are live" (and one fresh-key scheme) — the invariant that makes
+/// being generated against, held by a WorkloadGenerator so every
+/// OpSource shares one definition of "which keys are live" (and one
+/// fresh-key scheme) — the invariant that makes
 /// generated streams valid: lookups/erases target present keys, inserts
 /// use fresh ones.
 ///

@@ -48,9 +48,8 @@ class SpanSource final : public OpSource {
   size_t i_ = 0;
 };
 
-/// Point lookups of present keys, target ranks drawn from `chooser`.
-/// With a UniformChooser this is bit-identical to the original
-/// WorkloadGenerator::ReadOnly stream.
+/// Point lookups of present keys, target ranks drawn from `chooser`
+/// (the `read` family).
 class ReadSource final : public OpSource {
  public:
   ReadSource(LiveKeySet* live, Rng* rng, std::unique_ptr<KeyChooser> chooser)
@@ -65,10 +64,9 @@ class ReadSource final : public OpSource {
 
 /// The paper's mixed read/write interleaving (Sec. VI-A2): each cycle
 /// of 10 operations performs round(10*(1-w)) reads followed by
-/// alternating insertions and deletions. Reads draw ranks from
-/// `chooser` (uniform reproduces WorkloadGenerator::MixedReadWrite
-/// bit-for-bit; a hotspot chooser turns this into the drifting-skew
-/// mixed workload).
+/// alternating insertions and deletions (the `mixed` family). Reads
+/// draw ranks from `chooser` (uniform is the paper's Fig. 11 stream; a
+/// hotspot chooser turns this into the drifting-skew mixed workload).
 class PaperMixedSource final : public OpSource {
  public:
   PaperMixedSource(LiveKeySet* live, Rng* rng, double write_ratio,
@@ -84,8 +82,8 @@ class PaperMixedSource final : public OpSource {
   int slot_ = 0;
 };
 
-/// Insert/delete stream with update ratio u = P(insert) (Fig. 12).
-/// Bit-identical to WorkloadGenerator::InsertDelete.
+/// Insert/delete stream with update ratio u = P(insert) (Fig. 12, the
+/// `insdel` family).
 class InsertDeleteSource final : public OpSource {
  public:
   InsertDeleteSource(LiveKeySet* live, Rng* rng, double update_ratio);

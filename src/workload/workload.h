@@ -3,66 +3,28 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
-#include <vector>
 
 #include "src/util/common.h"
 #include "src/util/random.h"
 #include "src/workload/live_key_set.h"
-#include "src/workload/op.h"
-#include "src/workload/op_source.h"
 
 namespace chameleon {
 
-/// Generates the paper's workload mixes (Sec. VI-A2). All generators are
-/// deterministic for a fixed seed and only emit *valid* operations when
-/// replayed in order against an index bulk-loaded with `loaded`:
-/// lookups/erases target keys present at that point in the stream, and
-/// inserts use fresh keys absent from the index.
-///
-/// The generator is stateful: successive calls continue from the key set
-/// left by the previous call, so a bench can chain e.g. MixedReadWrite
-/// segments without re-seeding.
-///
-/// Since the streaming refactor this class is a thin adapter: each
-/// method builds the corresponding pull-based OpSource (op_source.h)
-/// over the generator's shared LiveKeySet + Rng and drains it. The
-/// streams are bit-identical to the original hand-rolled loops for a
-/// fixed seed (golden-stream tests in workload_test.cc pin the hashes),
-/// so every historical BENCH_*.json stays comparable.
+/// The state a workload stream draws from: the live key set of the index
+/// being driven plus the RNG. Streams are named in the workload grammar
+/// and built over it by MakeOpSource (workload_spec.h). Sources built in
+/// turn over one generator chain: each continues from the live set the
+/// previous one left, so a caller keeps one generator when e.g. reads
+/// must hit the keys earlier inserts added. Streams are deterministic
+/// for a fixed seed and valid when replayed in order against an index
+/// bulk-loaded with `loaded`.
 class WorkloadGenerator {
  public:
   /// `loaded` is the sorted key set the index is bulk-loaded with.
-  WorkloadGenerator(std::span<const Key> loaded, uint64_t seed);
+  WorkloadGenerator(std::span<const Key> loaded, uint64_t seed)
+      : live_(loaded), rng_(seed) {}
 
-  /// Read-only workload: `num_ops` point lookups of present keys,
-  /// uniformly random (zipf_theta = 0) or Zipf-skewed over key ranks.
-  std::vector<Operation> ReadOnly(size_t num_ops, double zipf_theta = 0.0);
-
-  /// Mixed read/write workload with the paper's interleaving: for a write
-  /// ratio w = #writes/(#reads+#writes), each cycle of 10 operations
-  /// performs round(10*(1-w)) reads followed by alternating insertions
-  /// and deletions (e.g., w = 0.2 -> 8 reads, 1 insert, 1 delete).
-  std::vector<Operation> MixedReadWrite(size_t num_ops, double write_ratio);
-
-  /// Insert/delete workload with update ratio
-  /// u = #insertions/(#insertions+#deletions) (Fig. 12). u = 1 is
-  /// insert-only; u = 0 is delete-only (bounded by available keys).
-  std::vector<Operation> InsertDelete(size_t num_ops, double update_ratio);
-
-  /// Fig. 13 batched workload: inserts `pool_size` fresh keys in 4 equal
-  /// batches, running `queries_per_phase` lookups after each; then deletes
-  /// them again in 4 batches with lookups after each. Returns 16 phases
-  /// (insert/query x4, delete/query x4).
-  std::vector<WorkloadPhase> Batched(size_t pool_size,
-                                     size_t queries_per_phase);
-
-  /// Number of keys currently live (loaded plus net inserts/erases).
-  size_t live_keys() const { return live_.size(); }
-
-  /// The shared live set / RNG, for callers composing their own
-  /// OpSources against this generator's state (the spec layer's
-  /// factory does).
+  /// The keys currently present, and the RNG the sources draw from.
   LiveKeySet& live() { return live_; }
   Rng& rng() { return rng_; }
 

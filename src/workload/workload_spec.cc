@@ -416,7 +416,7 @@ std::unique_ptr<KeyChooser> MakeChooser(const DistDesc& dist, size_t n,
     case DistDesc::Kind::kUniform:
       return std::make_unique<UniformChooser>();
     case DistDesc::Kind::kZipf:
-      // Seed word drawn before any sampling — the ReadOnly draw order.
+      // Seed word drawn before any sampling (the golden draw order).
       return std::make_unique<ZipfChooser>(n, dist.theta, rng.Next());
     case DistDesc::Kind::kLatest:
       return std::make_unique<LatestChooser>(n, dist.theta, rng.Next());
@@ -532,6 +532,18 @@ std::string WorkloadGrammarHelp() {
       "mixed(w=0.2,dist=hotspot(width=5%,period=1M))\n";
 }
 
+WorkloadDesc ParseWorkloadOrDie(std::string_view spec) {
+  WorkloadDesc desc;
+  WorkloadSpecError error;
+  if (!ParseWorkloadSpec(spec, &desc, &error)) {
+    std::fprintf(stderr, "ERROR: bad workload spec \"%.*s\": %s\n%s",
+                 static_cast<int>(spec.size()), spec.data(),
+                 error.Render().c_str(), WorkloadGrammarHelp().c_str());
+    std::exit(2);
+  }
+  return desc;
+}
+
 std::unique_ptr<OpSource> MakeOpSource(const WorkloadDesc& desc,
                                        WorkloadGenerator& gen,
                                        std::span<const Key> loaded) {
@@ -561,7 +573,6 @@ std::unique_ptr<OpSource> MakeOpSource(const WorkloadDesc& desc,
 std::vector<Operation> MaterializeWorkload(const WorkloadDesc& desc,
                                            std::span<const Key> loaded,
                                            uint64_t seed, size_t num_ops) {
-  WorkloadGenerator gen(loaded, seed);
   if (desc.family == WorkloadDesc::Family::kBatched) {
     // Flattened phase stream (callers that want per-phase timing use
     // MaterializeWorkloadPhases instead).
@@ -572,6 +583,7 @@ std::vector<Operation> MaterializeWorkload(const WorkloadDesc& desc,
     }
     return ops;
   }
+  WorkloadGenerator gen(loaded, seed);
   if (desc.family == WorkloadDesc::Family::kRead && gen.live().empty()) {
     return {};
   }
@@ -582,12 +594,52 @@ std::vector<Operation> MaterializeWorkload(const WorkloadDesc& desc,
 std::vector<WorkloadPhase> MaterializeWorkloadPhases(
     const WorkloadDesc& desc, std::span<const Key> loaded, uint64_t seed,
     size_t default_pool, size_t default_queries) {
-  WorkloadGenerator gen(loaded, seed);
+  LiveKeySet live(loaded);
+  Rng rng(seed);
   const size_t pool =
       desc.batched_pool > 0 ? desc.batched_pool : default_pool;
   const size_t queries =
       desc.batched_queries > 0 ? desc.batched_queries : default_queries;
-  return gen.Batched(pool, queries);
+  const auto query_phase = [&](const std::string& name) {
+    WorkloadPhase q;
+    q.name = name;
+    for (size_t i = 0; i < queries; ++i) {
+      const size_t rank = rng.NextBounded(live.size());
+      q.ops.push_back({OpType::kLookup, live.KeyAt(rank), 0});
+    }
+    return q;
+  };
+
+  std::vector<WorkloadPhase> phases;
+  std::vector<Key> inserted;
+  inserted.reserve(pool);
+  for (int batch = 1; batch <= 4; ++batch) {
+    WorkloadPhase ins;
+    ins.name = "insert_q" + std::to_string(batch);
+    for (size_t i = 0; i < pool / 4; ++i) {
+      const Key k = live.InsertFresh(rng);
+      inserted.push_back(k);
+      ins.ops.push_back({OpType::kInsert, k, PayloadFor(k)});
+    }
+    phases.push_back(std::move(ins));
+    phases.push_back(
+        query_phase("query_after_insert_q" + std::to_string(batch)));
+  }
+  for (int batch = 1; batch <= 4; ++batch) {
+    WorkloadPhase del;
+    del.name = "delete_q" + std::to_string(batch);
+    for (size_t i = 0; i < pool / 4 && !inserted.empty(); ++i) {
+      const size_t idx = rng.NextBounded(inserted.size());
+      const Key k = inserted[idx];
+      inserted[idx] = inserted.back();
+      inserted.pop_back();
+      if (live.RemoveKey(k)) del.ops.push_back({OpType::kErase, k, 0});
+    }
+    phases.push_back(std::move(del));
+    phases.push_back(
+        query_phase("query_after_delete_q" + std::to_string(batch)));
+  }
+  return phases;
 }
 
 }  // namespace chameleon

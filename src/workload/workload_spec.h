@@ -14,8 +14,8 @@
 
 namespace chameleon {
 
-// Composable workload specs — the scenario vocabulary every harness
-// shares (--workload=SPEC), mirroring the index-spec grammar
+// Composable workload specs — the one way every caller and --workload
+// names an operation stream, mirroring the index-spec grammar
 // (src/api/index_spec.h) in idiom: a tiny recursive-descent parser with
 // position-accurate errors, a canonical re-serialization every JSON
 // blob echoes, and a registry-free compile step into a semantic
@@ -120,24 +120,29 @@ bool ParseWorkloadSpec(std::string_view spec, WorkloadDesc* desc,
 /// The grammar/usage text harnesses print next to a bad --workload.
 std::string WorkloadGrammarHelp();
 
+/// ParseWorkloadSpec for specs that must be valid: on failure prints
+/// the error plus the grammar to stderr and exits 2.
+WorkloadDesc ParseWorkloadOrDie(std::string_view spec);
+
 /// Builds the streaming source for `desc` over a generator's live set
 /// and RNG. Draw order is fixed (distribution seeds are taken from
-/// `gen.rng()` before any sampling), so materializing through this
-/// factory is bit-identical to the legacy WorkloadGenerator methods for
-/// the families that had them. kBatched has no single-stream source —
-/// use MaterializeWorkloadPhases.
+/// `gen.rng()` before any sampling), which the golden-stream hashes in
+/// workload_test.cc pin. Sources built in turn over one generator
+/// chain: each continues from the live set the previous one left.
+/// kBatched has no single-stream source — use MaterializeWorkloadPhases.
 std::unique_ptr<OpSource> MakeOpSource(const WorkloadDesc& desc,
                                        WorkloadGenerator& gen,
                                        std::span<const Key> loaded);
 
-/// Convenience: generator seeded with `seed` over `loaded`, source
-/// built, `num_ops` drained. The one call the bench harnesses share.
+/// A one-shot stream: generator seeded with `seed` over `loaded`,
+/// source built, `num_ops` drained.
 std::vector<Operation> MaterializeWorkload(const WorkloadDesc& desc,
                                            std::span<const Key> loaded,
                                            uint64_t seed, size_t num_ops);
 
-/// The kBatched counterpart (Fig. 13's phase list). `pool` / `queries`
-/// fall back to the desc's values when those are non-zero.
+/// The kBatched counterpart, Fig. 13's 16 phases: `pool` fresh keys
+/// inserted, then deleted, a quarter at a time, `queries` lookups after
+/// each quarter. `pool` / `queries` are the desc's when non-zero.
 std::vector<WorkloadPhase> MaterializeWorkloadPhases(
     const WorkloadDesc& desc, std::span<const Key> loaded, uint64_t seed,
     size_t default_pool, size_t default_queries);

@@ -11,7 +11,7 @@
 #include "src/core/chameleon_index.h"
 #include "src/data/dataset.h"
 #include "src/util/random.h"
-#include "src/workload/workload.h"
+#include "src/workload/workload_spec.h"
 
 namespace chameleon {
 namespace {
@@ -115,8 +115,10 @@ TEST(ChameleonIndexTest, RetrainOncePicksUpHotUnits) {
   EXPECT_EQ(index.RetrainOnce(), 0u);
 
   // Hammer inserts so some units cross the threshold.
-  WorkloadGenerator gen(GenerateDataset(DatasetKind::kOsmc, 30'000, 23), 5);
-  for (const Operation& op : gen.InsertDelete(20'000, 1.0)) {
+  for (const Operation& op :
+       MaterializeWorkload(ParseWorkloadOrDie("insdel(u=1)"),
+                           GenerateDataset(DatasetKind::kOsmc, 30'000, 23), 5,
+                           20'000)) {
     ASSERT_TRUE(index.Insert(op.key, op.value));
   }
   const size_t before = index.size();
@@ -139,7 +141,8 @@ TEST(ChameleonIndexTest, RetrainerThreadRunsConcurrentlyWithWorkload) {
 
   index.StartRetrainer(std::chrono::milliseconds(5));
   WorkloadGenerator gen(keys, 11);
-  const std::vector<Operation> ops = gen.MixedReadWrite(60'000, 0.5);
+  const std::vector<Operation> ops = Drain(
+      *MakeOpSource(ParseWorkloadOrDie("mixed(w=0.5)"), gen, keys), 60'000);
   size_t lookups_ok = 0;
   for (const Operation& op : ops) {
     switch (op.type) {
@@ -170,15 +173,15 @@ TEST(ChameleonIndexTest, RetrainerThreadRunsConcurrentlyWithWorkload) {
   EXPECT_GT(lookups_ok, 0u);
   EXPECT_GT(index.total_retrains(), 0u);
   // Full integrity check after the storm.
-  EXPECT_EQ(index.size(), gen.live_keys());
+  EXPECT_EQ(index.size(), gen.live().size());
 }
 
 TEST(ChameleonIndexTest, TotalShiftsAccumulate) {
   ChameleonIndex index(FastConfig(ChameleonMode::kFull));
   const std::vector<Key> keys = GenerateDataset(DatasetKind::kLogn, 20'000, 9);
   index.BulkLoad(ToKeyValues(keys));
-  WorkloadGenerator gen(keys, 2);
-  for (const Operation& op : gen.InsertDelete(10'000, 1.0)) {
+  for (const Operation& op : MaterializeWorkload(
+           ParseWorkloadOrDie("insdel(u=1)"), keys, 2, 10'000)) {
     index.Insert(op.key, op.value);
   }
   // Some inserts must have displaced keys (dense FACE-like regions).
@@ -214,8 +217,8 @@ TEST(ChameleonIndexTest, FullReconstructionTriggersOnUpdateVolume) {
   index.BulkLoad(ToKeyValues(keys));
   EXPECT_EQ(index.total_full_rebuilds(), 0u);
 
-  WorkloadGenerator gen(keys, 5);
-  for (const Operation& op : gen.InsertDelete(15'000, 1.0)) {
+  for (const Operation& op : MaterializeWorkload(
+           ParseWorkloadOrDie("insdel(u=1)"), keys, 5, 15'000)) {
     ASSERT_TRUE(index.Insert(op.key, op.value));
   }
   EXPECT_GE(index.total_full_rebuilds(), 1u);
@@ -234,8 +237,8 @@ TEST(ChameleonIndexTest, FullReconstructionDisabledWithRetrainer) {
       GenerateDataset(DatasetKind::kUden, 5'000, 37);
   index.BulkLoad(ToKeyValues(keys));
   index.StartRetrainer(std::chrono::milliseconds(5));
-  WorkloadGenerator gen(keys, 7);
-  for (const Operation& op : gen.InsertDelete(10'000, 1.0)) {
+  for (const Operation& op : MaterializeWorkload(
+           ParseWorkloadOrDie("insdel(u=1)"), keys, 7, 10'000)) {
     ASSERT_TRUE(index.Insert(op.key, op.value));
   }
   index.StopRetrainer();

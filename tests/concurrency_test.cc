@@ -13,7 +13,7 @@
 #include "src/core/chameleon_index.h"
 #include "src/data/dataset.h"
 #include "src/util/random.h"
-#include "src/workload/workload.h"
+#include "src/workload/workload_spec.h"
 
 namespace chameleon {
 namespace {
@@ -60,9 +60,9 @@ TEST(ConcurrencyTest, ParallelReadersWhileRetrainerRebuilds) {
   const std::vector<Key> keys =
       GenerateDataset(DatasetKind::kOsmc, 40'000, 7);
   index.BulkLoad(ToKeyValues(keys));
-  WorkloadGenerator gen(keys, 9);
   std::vector<Key> inserted;
-  for (const Operation& op : gen.InsertDelete(60'000, 1.0)) {
+  for (const Operation& op : MaterializeWorkload(
+           ParseWorkloadOrDie("insdel(u=1)"), keys, 9, 60'000)) {
     ASSERT_TRUE(index.Insert(op.key, op.value));
     inserted.push_back(op.key);
   }
@@ -101,7 +101,8 @@ TEST(ConcurrencyTest, PendingLogReplayLosesNothing) {
   index.StartRetrainer(std::chrono::milliseconds(1));
 
   WorkloadGenerator gen(keys, 13);
-  const std::vector<Operation> ops = gen.MixedReadWrite(120'000, 0.8);
+  const std::vector<Operation> ops = Drain(
+      *MakeOpSource(ParseWorkloadOrDie("mixed(w=0.8)"), gen, keys), 120'000);
   for (const Operation& op : ops) {
     switch (op.type) {
       case OpType::kLookup:
@@ -122,10 +123,10 @@ TEST(ConcurrencyTest, PendingLogReplayLosesNothing) {
   EXPECT_GT(index.total_retrains(), 0u);
 
   // Full integrity sweep: exactly the live set, in order, no phantoms.
-  EXPECT_EQ(index.size(), gen.live_keys());
+  EXPECT_EQ(index.size(), gen.live().size());
   std::vector<KeyValue> all;
   index.RangeScan(0, kMaxKey - 1, &all);
-  EXPECT_EQ(all.size(), gen.live_keys());
+  EXPECT_EQ(all.size(), gen.live().size());
   EXPECT_TRUE(std::is_sorted(all.begin(), all.end()));
   for (const KeyValue& kv : all) {
     ASSERT_TRUE(index.Lookup(kv.key, nullptr)) << kv.key;

@@ -22,7 +22,7 @@
 #include "src/data/dataset.h"
 #include "src/util/random.h"
 #include "src/workload/driver.h"
-#include "src/workload/workload.h"
+#include "src/workload/workload_spec.h"
 
 namespace chameleon {
 namespace {
@@ -123,12 +123,14 @@ TEST(ConcurrentReadTest, DriverFanOutDuringRetrainHasZeroMisses) {
 
   WorkloadGenerator gen(keys, /*seed=*/41);
   for (size_t segment = 0; segment < 6; ++segment) {
-    const std::vector<Operation> inserts = gen.InsertDelete(2'000, 1.0);
+    const std::vector<Operation> inserts = Drain(
+        *MakeOpSource(ParseWorkloadOrDie("insdel(u=1)"), gen, keys), 2'000);
     ReplayOptions write_options;  // single writer
     const ReplayResult w = Replay(&index, inserts, write_options);
     ASSERT_EQ(w.misses, 0u) << "segment " << segment;
 
-    const std::vector<Operation> reads = gen.ReadOnly(8'000);
+    const std::vector<Operation> reads = Drain(
+        *MakeOpSource(ParseWorkloadOrDie("read"), gen, keys), 8'000);
     ReplayOptions read_options;
     read_options.threads = 4;
     read_options.batch = segment % 2 == 0 ? 1 : 16;  // both probe kernels

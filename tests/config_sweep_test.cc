@@ -15,7 +15,7 @@
 #include "src/baselines/radixspline/radix_spline.h"
 #include "src/core/chameleon_index.h"
 #include "src/data/dataset.h"
-#include "src/workload/workload.h"
+#include "src/workload/workload_spec.h"
 
 namespace chameleon {
 namespace {
@@ -24,10 +24,10 @@ namespace {
 void RunCrudHarness(KvIndex* index, size_t n = 10'000, size_t ops = 15'000) {
   const std::vector<Key> keys = GenerateDataset(DatasetKind::kLogn, n, 41);
   index->BulkLoad(ToKeyValues(keys));
-  WorkloadGenerator gen(keys, 43);
   std::map<Key, Value> ref;
   for (const KeyValue& kv : ToKeyValues(keys)) ref[kv.key] = kv.value;
-  for (const Operation& op : gen.MixedReadWrite(ops, 0.5)) {
+  for (const Operation& op : MaterializeWorkload(
+           ParseWorkloadOrDie("mixed(w=0.5)"), keys, 43, ops)) {
     switch (op.type) {
       case OpType::kLookup: {
         Value v = 0;

@@ -13,7 +13,7 @@
 #include "src/engine/sharded_index.h"
 #include "src/obs/latency_histogram.h"
 #include "src/workload/driver.h"
-#include "src/workload/workload.h"
+#include "src/workload/workload_spec.h"
 
 namespace chameleon {
 namespace {
@@ -31,8 +31,8 @@ class DriverTest : public ::testing::Test {
 };
 
 TEST_F(DriverTest, SingleThreadReadOnlyCountsEveryOp) {
-  WorkloadGenerator gen(keys_, 3);
-  const std::vector<Operation> ops = gen.ReadOnly(5'000);
+  const std::vector<Operation> ops = MaterializeWorkload(
+      ParseWorkloadOrDie("read"), keys_, 3, 5'000);
   obs::LatencyHistogram hist;
   const ReplayResult r = Replay(index_.get(), ops, ReplayOptions{}, &hist);
   EXPECT_EQ(r.ops, ops.size());
@@ -78,8 +78,8 @@ TEST_F(DriverTest, WarmupAppliesOpsButExcludesThemFromMeasurement) {
 }
 
 TEST_F(DriverTest, WarmupLargerThanStreamIsClamped) {
-  WorkloadGenerator gen(keys_, 5);
-  const std::vector<Operation> ops = gen.ReadOnly(50);
+  const std::vector<Operation> ops = MaterializeWorkload(
+      ParseWorkloadOrDie("read"), keys_, 5, 50);
   ReplayOptions options;
   options.warmup = 1'000;
   const ReplayResult r = Replay(index_.get(), ops, options);
@@ -89,8 +89,8 @@ TEST_F(DriverTest, WarmupLargerThanStreamIsClamped) {
 }
 
 TEST_F(DriverTest, BatchedModeMatchesPerKeyResults) {
-  WorkloadGenerator gen(keys_, 9);
-  std::vector<Operation> ops = gen.MixedReadWrite(4'000, 0.3);
+  std::vector<Operation> ops = MaterializeWorkload(
+      ParseWorkloadOrDie("mixed(w=0.3)"), keys_, 9, 4'000);
   for (size_t batch : {2u, 8u, 64u}) {
     // Fresh index per run: the stream contains writes.
     std::unique_ptr<KvIndex> index = MakeIndex("Chameleon");
@@ -108,8 +108,8 @@ TEST_F(DriverTest, BatchedModeMatchesPerKeyResults) {
 }
 
 TEST_F(DriverTest, MultiThreadReadOnlyReplayFindsEveryKey) {
-  WorkloadGenerator gen(keys_, 13);
-  const std::vector<Operation> ops = gen.ReadOnly(8'000);
+  const std::vector<Operation> ops = MaterializeWorkload(
+      ParseWorkloadOrDie("read"), keys_, 13, 8'000);
   for (size_t threads : {2u, 4u}) {
     obs::LatencyHistogram hist;
     ReplayOptions options;
@@ -133,8 +133,8 @@ TEST_F(DriverTest, MultiThreadBatchedAgainstShardedEngine) {
   std::unique_ptr<KvIndex> sharded = MakeIndex("Sharded4:Chameleon");
   ASSERT_NE(sharded, nullptr);
   sharded->BulkLoad(ToKeyValues(keys_));
-  WorkloadGenerator gen(keys_, 17);
-  const std::vector<Operation> ops = gen.ReadOnly(8'000);
+  const std::vector<Operation> ops = MaterializeWorkload(
+      ParseWorkloadOrDie("read"), keys_, 17, 8'000);
   obs::LatencyHistogram hist;
   ReplayOptions options;
   options.threads = 4;
@@ -146,8 +146,8 @@ TEST_F(DriverTest, MultiThreadBatchedAgainstShardedEngine) {
 }
 
 TEST_F(DriverTest, MoreThreadsThanOpsIsClamped) {
-  WorkloadGenerator gen(keys_, 19);
-  const std::vector<Operation> ops = gen.ReadOnly(3);
+  const std::vector<Operation> ops = MaterializeWorkload(
+      ParseWorkloadOrDie("read"), keys_, 19, 3);
   ReplayOptions options;
   options.threads = 64;
   const ReplayResult r = Replay(index_.get(), ops, options);
@@ -160,8 +160,8 @@ TEST_F(DriverTest, MixedMultiThreadReplayMatchesSerialOracle) {
   // multi-threaded final state must be bit-identical to a serial
   // replay of the same stream — checked key by key against an index
   // replayed on one thread.
-  WorkloadGenerator gen(keys_, 23);
-  const std::vector<Operation> ops = gen.MixedReadWrite(12'000, 0.5);
+  const std::vector<Operation> ops = MaterializeWorkload(
+      ParseWorkloadOrDie("mixed(w=0.5)"), keys_, 23, 12'000);
 
   std::unique_ptr<KvIndex> serial = MakeIndex("Chameleon");
   serial->BulkLoad(ToKeyValues(keys_));
@@ -201,8 +201,8 @@ TEST_F(DriverTest, WriteBearingReplayFallsBackWhenUnsupported) {
   ASSERT_NE(btree, nullptr);
   ASSERT_FALSE(btree->SupportsConcurrentWrites());
   btree->BulkLoad(ToKeyValues(keys_));
-  WorkloadGenerator gen(keys_, 29);
-  const std::vector<Operation> ops = gen.MixedReadWrite(4'000, 0.5);
+  const std::vector<Operation> ops = MaterializeWorkload(
+      ParseWorkloadOrDie("mixed(w=0.5)"), keys_, 29, 4'000);
   obs::LatencyHistogram hist;
   ReplayOptions options;
   options.threads = 4;

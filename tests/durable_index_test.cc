@@ -19,7 +19,7 @@
 #include "src/data/dataset.h"
 #include "src/storage/durable_index.h"
 #include "src/util/random.h"
-#include "src/workload/workload.h"
+#include "src/workload/workload_spec.h"
 
 namespace chameleon {
 namespace {
@@ -74,8 +74,8 @@ TEST_F(DurableIndexTest, CrashLosesNoAcknowledgedWriteUnderFsyncAlways) {
     auto index = std::make_unique<DurableIndex>(MakeIndex("Chameleon"), dir_,
                                                 options);
     index->BulkLoad(data);
-    WorkloadGenerator gen(keys, 13);
-    for (const Operation& op : gen.MixedReadWrite(4'000, 0.5)) {
+    for (const Operation& op : MaterializeWorkload(
+             ParseWorkloadOrDie("mixed(w=0.5)"), keys, 13, 4'000)) {
       switch (op.type) {
         case OpType::kLookup:
           ASSERT_TRUE(index->Lookup(op.key, nullptr));
@@ -149,7 +149,9 @@ TEST_F(DurableIndexTest, CheckpointTruncatesWalAndBoundsReplay) {
                                                 options);
     index->BulkLoad(ToKeyValues(keys));
     WorkloadGenerator gen(keys, 21);
-    for (const Operation& op : gen.InsertDelete(1'000, 0.7)) {
+    for (const Operation& op :
+         Drain(*MakeOpSource(ParseWorkloadOrDie("insdel(u=0.7)"), gen, keys),
+               1'000)) {
       if (op.type == OpType::kInsert) {
         index->Insert(op.key, op.value);
       } else {
@@ -160,7 +162,9 @@ TEST_F(DurableIndexTest, CheckpointTruncatesWalAndBoundsReplay) {
     // Segments before the checkpoint boundary are gone.
     EXPECT_EQ(index->wal().ListSegments().size(), 1u);
 
-    for (const Operation& op : gen.InsertDelete(200, 1.0)) {
+    for (const Operation& op :
+         Drain(*MakeOpSource(ParseWorkloadOrDie("insdel(u=1)"), gen, keys),
+               200)) {
       if (index->Insert(op.key, op.value)) ++ops_after_checkpoint;
     }
     index->SimulateCrash();
@@ -215,8 +219,8 @@ TEST_F(DurableIndexTest, GenericSnapshotPathRecoversBTree) {
     auto index = std::make_unique<DurableIndex>(MakeIndex("B+Tree"), dir_,
                                                 options);
     index->BulkLoad(ToKeyValues(keys));
-    WorkloadGenerator gen(keys, 31);
-    for (const Operation& op : gen.InsertDelete(500, 0.5)) {
+    for (const Operation& op : MaterializeWorkload(
+             ParseWorkloadOrDie("insdel(u=0.5)"), keys, 31, 500)) {
       if (op.type == OpType::kInsert) {
         index->Insert(op.key, op.value);
       } else {
@@ -253,7 +257,9 @@ TEST_F(DurableIndexTest, CheckpointerRetrainerWriterReadersCoexist) {
   ASSERT_NE(inner, nullptr);
   // Seed some WAL traffic so phase-1 checkpoints have work to do.
   WorkloadGenerator gen(keys, 41);
-  for (const Operation& op : gen.InsertDelete(500, 0.5)) {
+  for (const Operation& op :
+       Drain(*MakeOpSource(ParseWorkloadOrDie("insdel(u=0.5)"), gen, keys),
+             500)) {
     if (op.type == OpType::kInsert) {
       ASSERT_TRUE(index->Insert(op.key, op.value));
     } else {
@@ -281,7 +287,9 @@ TEST_F(DurableIndexTest, CheckpointerRetrainerWriterReadersCoexist) {
   }
 
   // Phase 2: single foreground writer + retrainer + checkpointer.
-  for (const Operation& op : gen.MixedReadWrite(6'000, 0.5)) {
+  for (const Operation& op :
+       Drain(*MakeOpSource(ParseWorkloadOrDie("mixed(w=0.5)"), gen, keys),
+             6'000)) {
     switch (op.type) {
       case OpType::kLookup:
         ASSERT_TRUE(index->Lookup(op.key, nullptr));
@@ -300,7 +308,7 @@ TEST_F(DurableIndexTest, CheckpointerRetrainerWriterReadersCoexist) {
   index->StopCheckpointer();
   inner->StopRetrainer();
 
-  EXPECT_EQ(index->size(), gen.live_keys());
+  EXPECT_EQ(index->size(), gen.live().size());
   // Durable state survives: a final synchronous checkpoint + recovery
   // round-trips the exact post-workload size.
   ASSERT_TRUE(index->Checkpoint());
@@ -308,7 +316,7 @@ TEST_F(DurableIndexTest, CheckpointerRetrainerWriterReadersCoexist) {
   auto recovered = std::make_unique<DurableIndex>(MakeIndex("Chameleon"), dir_,
                                                   options);
   ASSERT_TRUE(recovered->Recover());
-  EXPECT_EQ(recovered->size(), gen.live_keys());
+  EXPECT_EQ(recovered->size(), gen.live().size());
 }
 
 // Kill-and-recover under concurrent appenders: multiple writer threads

@@ -19,7 +19,6 @@
 #include "src/storage/durable_index.h"
 #include "src/util/random.h"
 #include "src/util/thread_pool.h"
-#include "src/workload/workload.h"
 
 namespace chameleon {
 namespace {
@@ -126,7 +125,6 @@ TEST_P(ConformanceTest, NegativeLookups) {
 }
 
 TEST_P(ConformanceTest, InsertLookupEraseCycle) {
-  WorkloadGenerator gen(std::vector<Key>{}, 3);
   Rng rng(5);
   // Fresh keys derived near existing ones.
   std::vector<Key> fresh;

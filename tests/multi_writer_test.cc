@@ -28,7 +28,7 @@
 #include "src/storage/durable_index.h"
 #include "src/util/random.h"
 #include "src/workload/driver.h"
-#include "src/workload/workload.h"
+#include "src/workload/workload_spec.h"
 
 namespace chameleon {
 namespace {
@@ -142,8 +142,8 @@ TEST(MultiWriterTest, WritersReadersRetrainerMatchSerialOracle) {
   // the serial oracle — same size, same sorted (key,value) sequence.
   const std::vector<Key> keys =
       GenerateDataset(DatasetKind::kFace, 30'000, 17);
-  WorkloadGenerator gen(keys, 19);
-  const std::vector<Operation> ops = gen.MixedReadWrite(40'000, 0.7);
+  const std::vector<Operation> ops = MaterializeWorkload(
+      ParseWorkloadOrDie("mixed(w=0.7)"), keys, 19, 40'000);
 
   ChameleonIndex serial(StressConfig());
   serial.BulkLoad(ToKeyValues(keys));
@@ -175,8 +175,8 @@ TEST(MultiWriterTest, FourWritersWithoutRetrainerMatchSerialOracle) {
   // writer/reader interleavings from retrain swaps.
   const std::vector<Key> keys =
       GenerateDataset(DatasetKind::kLogn, 20'000, 29);
-  WorkloadGenerator gen(keys, 31);
-  const std::vector<Operation> ops = gen.MixedReadWrite(30'000, 0.8);
+  const std::vector<Operation> ops = MaterializeWorkload(
+      ParseWorkloadOrDie("mixed(w=0.8)"), keys, 31, 30'000);
 
   ChameleonIndex serial(StressConfig());
   serial.BulkLoad(ToKeyValues(keys));
@@ -204,8 +204,8 @@ TEST(MultiWriterTest, DurableStackAcceptsConcurrentWriters) {
   std::filesystem::remove_all(dir);
   const std::vector<Key> keys =
       GenerateDataset(DatasetKind::kOsmc, 20'000, 37);
-  WorkloadGenerator gen(keys, 41);
-  const std::vector<Operation> ops = gen.MixedReadWrite(30'000, 0.6);
+  const std::vector<Operation> ops = MaterializeWorkload(
+      ParseWorkloadOrDie("mixed(w=0.6)"), keys, 41, 30'000);
 
   std::unique_ptr<KvIndex> serial = MakeIndex("Chameleon");
   serial->BulkLoad(ToKeyValues(keys));

@@ -11,7 +11,7 @@
 #include "src/data/dataset.h"
 #include "src/obs/stats.h"
 #include "src/util/timer.h"
-#include "src/workload/workload.h"
+#include "src/workload/workload_spec.h"
 
 namespace chameleon {
 namespace {
@@ -64,7 +64,9 @@ TEST(SerializeTest, RestoredIndexIsFullyOperational) {
 
   // Updates, scans, and retraining all work on the restored structure.
   WorkloadGenerator gen(keys, 7);
-  for (const Operation& op : gen.MixedReadWrite(30'000, 0.5)) {
+  for (const Operation& op :
+       Drain(*MakeOpSource(ParseWorkloadOrDie("mixed(w=0.5)"), gen, keys),
+             30'000)) {
     switch (op.type) {
       case OpType::kLookup:
         ASSERT_TRUE(index.Lookup(op.key, nullptr)) << op.key;
@@ -80,11 +82,11 @@ TEST(SerializeTest, RestoredIndexIsFullyOperational) {
         FAIL() << "MixedReadWrite never emits " << OpTypeName(op.type);
     }
   }
-  EXPECT_EQ(index.size(), gen.live_keys());
+  EXPECT_EQ(index.size(), gen.live().size());
   (void)index.RetrainOnce();
   std::vector<KeyValue> all;
   index.RangeScan(0, kMaxKey - 1, &all);
-  EXPECT_EQ(all.size(), gen.live_keys());
+  EXPECT_EQ(all.size(), gen.live().size());
   std::remove(path.c_str());
 }
 
@@ -119,7 +121,9 @@ TEST(SerializeTest, SaveWithLiveRetrainerPausesItAndSucceeds) {
   index.BulkLoad(ToKeyValues(keys));
   // Churn so retrain passes have real work while saves are in flight.
   WorkloadGenerator gen(keys, 3);
-  for (const Operation& op : gen.InsertDelete(8'000, 0.5)) {
+  for (const Operation& op :
+       Drain(*MakeOpSource(ParseWorkloadOrDie("insdel(u=0.5)"), gen, keys),
+             8'000)) {
     if (op.type == OpType::kInsert) {
       index.Insert(op.key, op.value);
     } else {
@@ -146,7 +150,7 @@ TEST(SerializeTest, SaveWithLiveRetrainerPausesItAndSucceeds) {
   EXPECT_EQ(restored.size(), index.size());
   std::vector<KeyValue> all;
   restored.RangeScan(0, kMaxKey - 1, &all);
-  EXPECT_EQ(all.size(), gen.live_keys());
+  EXPECT_EQ(all.size(), gen.live().size());
   std::remove(path.c_str());
 }
 

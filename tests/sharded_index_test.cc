@@ -15,7 +15,7 @@
 #include "src/data/dataset.h"
 #include "src/engine/sharded_index.h"
 #include "src/util/random.h"
-#include "src/workload/workload.h"
+#include "src/workload/workload_spec.h"
 
 namespace chameleon {
 namespace {
@@ -135,8 +135,8 @@ TEST(ShardedIndexTest, MixedReplayMatchesUnshardedAcrossShardCounts) {
   std::vector<Key> keys(data.size());
   for (size_t i = 0; i < data.size(); ++i) keys[i] = data[i].key;
 
-  WorkloadGenerator gen(keys, /*seed=*/23);
-  const std::vector<Operation> ops = gen.MixedReadWrite(8'000, 0.5);
+  const std::vector<Operation> ops = MaterializeWorkload(
+      ParseWorkloadOrDie("mixed(w=0.5)"), keys, 23, 8'000);
 
   std::unique_ptr<KvIndex> baseline = MakeIndex("Chameleon");
   baseline->BulkLoad(data);

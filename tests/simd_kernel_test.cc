@@ -18,7 +18,7 @@
 #include "src/data/dataset.h"
 #include "src/simd/kernels_impl.h"
 #include "src/simd/probe_kernel.h"
-#include "src/workload/workload.h"
+#include "src/workload/workload_spec.h"
 
 namespace chameleon {
 namespace simd {
@@ -463,8 +463,8 @@ TEST(SimdKernelTest, EbhLeafStateBitIdenticalAcrossTiers) {
 
 TEST(SimdKernelTest, ChameleonIndexCrudSweepMatchesScalarOracle) {
   const std::vector<Key> keys = GenerateDataset(DatasetKind::kFace, 20'000, 5);
-  WorkloadGenerator gen(keys, 17);
-  const std::vector<Operation> ops = gen.MixedReadWrite(30'000, 0.5);
+  const std::vector<Operation> ops = MaterializeWorkload(
+      ParseWorkloadOrDie("mixed(w=0.5)"), keys, 17, 30'000);
 
   // Oracle pass under the scalar tier.
   std::vector<uint8_t> oracle_ok;

@@ -14,7 +14,6 @@
 #include "src/data/dataset.h"
 #include "src/storage/snapshot.h"
 #include "src/storage/wal.h"
-#include "src/workload/workload.h"
 
 namespace chameleon {
 namespace {

@@ -4,6 +4,7 @@
 // (The full KvIndex contract over Disk(...) stacks is covered by the
 // conformance suite; these tests pin the tiered-specific lifecycle.)
 
+#include <atomic>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -42,6 +43,13 @@ class TieredIndexTest : public ::testing::Test {
 
   static std::vector<KeyValue> Load(size_t n, uint64_t seed = 7) {
     return ToKeyValues(GenerateDataset(DatasetKind::kLogn, n, seed));
+  }
+
+  /// Page reads recorded in the heatmap so far, over all pages.
+  static uint64_t PageReads(const KvIndex& index) {
+    uint64_t total = 0;
+    for (const obs::UnitHeat& u : index.HeatmapSnapshot()) total += u.reads;
+    return total;
   }
 };
 
@@ -264,13 +272,8 @@ TEST_F(TieredIndexTest, PageHeatIsSampledWhateverTheThreadDidBefore) {
   const std::vector<KeyValue> data = Load(4'000);
   index->BulkLoad(data);
   other->BulkLoad(data);
-  auto page_reads = [&] {
-    uint64_t total = 0;
-    for (const obs::UnitHeat& u : index->HeatmapSnapshot()) total += u.reads;
-    return total;
-  };
   for (int earlier_hits : {0, 1}) {
-    const uint64_t before = page_reads();
+    const uint64_t before = PageReads(*index);
     // A fresh thread starts with fresh sampling state.
     std::thread([&] {
       for (int i = 0; i < earlier_hits; ++i) {
@@ -278,8 +281,40 @@ TEST_F(TieredIndexTest, PageHeatIsSampledWhateverTheThreadDidBefore) {
       }
       for (int i = 0; i < 800; ++i) index->Lookup(data[100].key, nullptr);
     }).join();
-    EXPECT_EQ(page_reads() - before, 800u) << earlier_hits;
+    EXPECT_EQ(PageReads(*index) - before, 800u) << earlier_hits;
   }
+#endif
+}
+
+TEST_F(TieredIndexTest, ConcurrentReadersRaceALiveHeatmapPoller) {
+  // R Disk readers bump page heat without a lock while a sampler-style
+  // poller snapshots it (a TSan target): every lookup hits and no page
+  // read goes unrecorded.
+  std::unique_ptr<KvIndex> index = MakeTiered(",frames=8");
+  const std::vector<KeyValue> data = Load(8'000);
+  index->BulkLoad(data);
+  std::atomic<bool> done{false};
+  std::thread poller([&] {
+    while (!done) PageReads(*index);
+  });
+  std::atomic<int> misses{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&, t] {
+      Rng rng(100 + t);
+      for (int i = 0; i < 4'000; ++i) {  // a multiple of the heat weight
+        const KeyValue& kv = data[rng.NextBounded(data.size())];
+        Value v = 0;
+        misses += !index->Lookup(kv.key, &v) || v != kv.value;
+      }
+    });
+  }
+  for (std::thread& reader : readers) reader.join();
+  done = true;
+  poller.join();
+  EXPECT_EQ(misses.load(), 0);
+#ifndef CHAMELEON_NO_STATS
+  EXPECT_EQ(PageReads(*index), 4u * 4'000u);
 #endif
 }
 

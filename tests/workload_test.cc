@@ -7,7 +7,6 @@
 
 #include "src/data/dataset.h"
 #include "src/workload/key_chooser.h"
-#include "src/workload/workload.h"
 #include "src/workload/workload_spec.h"
 
 namespace chameleon {
@@ -20,8 +19,10 @@ std::vector<Key> LoadedKeys() {
 /// Replays operations against a reference map and asserts every op is
 /// valid at its point in the stream (lookups/erases/updates hit,
 /// inserts are fresh, scan ranges are well-formed and non-empty).
+/// `live_after`, when given, receives the number of keys left live.
 void ReplayAndValidate(const std::vector<Key>& loaded,
-                       const std::vector<Operation>& ops) {
+                       const std::vector<Operation>& ops,
+                       size_t* live_after = nullptr) {
   std::map<Key, Value> ref;
   for (Key k : loaded) ref[k] = 0;
   for (const Operation& op : ops) {
@@ -50,6 +51,7 @@ void ReplayAndValidate(const std::vector<Key>& loaded,
       }
     }
   }
+  if (live_after != nullptr) *live_after = ref.size();
 }
 
 // --- Golden streams (bit-identity across refactors) -------------------------
@@ -74,16 +76,16 @@ uint64_t HashOps(const std::vector<Operation>& ops) {
 
 TEST(WorkloadTest, ReadOnlyOpsAreValidLookups) {
   const std::vector<Key> loaded = LoadedKeys();
-  WorkloadGenerator gen(loaded, 1);
-  const std::vector<Operation> ops = gen.ReadOnly(10'000);
+  const std::vector<Operation> ops =
+      MaterializeWorkload(ParseWorkloadOrDie("read"), loaded, 1, 10'000);
   ASSERT_EQ(ops.size(), 10'000u);
   ReplayAndValidate(loaded, ops);
 }
 
 TEST(WorkloadTest, ZipfReadOnlySkewsTowardFewKeys) {
   const std::vector<Key> loaded = LoadedKeys();
-  WorkloadGenerator gen(loaded, 2);
-  const std::vector<Operation> ops = gen.ReadOnly(20'000, 0.99);
+  const std::vector<Operation> ops = MaterializeWorkload(
+      ParseWorkloadOrDie("read(zipf=0.99)"), loaded, 2, 20'000);
   std::map<Key, int> counts;
   for (const Operation& op : ops) ++counts[op.key];
   int max_count = 0;
@@ -95,8 +97,9 @@ TEST(WorkloadTest, ZipfReadOnlySkewsTowardFewKeys) {
 TEST(WorkloadTest, MixedReadWriteValidAndRatioed) {
   const std::vector<Key> loaded = LoadedKeys();
   for (double ratio : {0.0, 0.2, 0.5, 0.8, 1.0}) {
-    WorkloadGenerator gen(loaded, 3);
-    const std::vector<Operation> ops = gen.MixedReadWrite(10'000, ratio);
+    const std::string spec = "mixed(w=" + std::to_string(ratio) + ")";
+    const std::vector<Operation> ops =
+        MaterializeWorkload(ParseWorkloadOrDie(spec), loaded, 3, 10'000);
     ASSERT_EQ(ops.size(), 10'000u) << ratio;
     ReplayAndValidate(loaded, ops);
     size_t writes = 0;
@@ -109,7 +112,8 @@ TEST(WorkloadTest, MixedReadWriteValidAndRatioed) {
 TEST(WorkloadTest, MixedWritesAlternateInsertDelete) {
   const std::vector<Key> loaded = LoadedKeys();
   WorkloadGenerator gen(loaded, 4);
-  const std::vector<Operation> ops = gen.MixedReadWrite(10'000, 0.2);
+  const std::vector<Operation> ops = Drain(
+      *MakeOpSource(ParseWorkloadOrDie("mixed(w=0.2)"), gen, loaded), 10'000);
   size_t inserts = 0, erases = 0;
   for (const Operation& op : ops) {
     inserts += op.type == OpType::kInsert;
@@ -119,17 +123,18 @@ TEST(WorkloadTest, MixedWritesAlternateInsertDelete) {
   EXPECT_NEAR(static_cast<double>(inserts), static_cast<double>(erases),
               inserts * 0.05 + 2);
   // Live set stays near its initial size.
-  EXPECT_NEAR(static_cast<double>(gen.live_keys()),
+  EXPECT_NEAR(static_cast<double>(gen.live().size()),
               static_cast<double>(loaded.size()), loaded.size() * 0.05);
 }
 
 TEST(WorkloadTest, InsertDeleteRatios) {
   const std::vector<Key> loaded = LoadedKeys();
   for (double u : {0.0, 0.25, 0.5, 0.75, 1.0}) {
-    WorkloadGenerator gen(loaded, 5);
+    const std::string spec = "insdel(u=" + std::to_string(u) + ")";
     // Keep the op count below the loaded size so a delete-only stream
     // (u = 0) never exhausts the pool and falls back to inserts.
-    const std::vector<Operation> ops = gen.InsertDelete(4'000, u);
+    const std::vector<Operation> ops =
+        MaterializeWorkload(ParseWorkloadOrDie(spec), loaded, 5, 4'000);
     ReplayAndValidate(loaded, ops);
     size_t inserts = 0;
     for (const Operation& op : ops) inserts += op.type == OpType::kInsert;
@@ -139,8 +144,8 @@ TEST(WorkloadTest, InsertDeleteRatios) {
 
 TEST(WorkloadTest, BatchedPhasesStructureAndValidity) {
   const std::vector<Key> loaded = LoadedKeys();
-  WorkloadGenerator gen(loaded, 6);
-  const std::vector<WorkloadPhase> phases = gen.Batched(2'000, 500);
+  const std::vector<WorkloadPhase> phases = MaterializeWorkloadPhases(
+      ParseWorkloadOrDie("batched(pool=2000,queries=500)"), loaded, 6, 0, 0);
   ASSERT_EQ(phases.size(), 16u);  // (insert+query) x4, (delete+query) x4
 
   std::vector<Operation> all;
@@ -152,18 +157,19 @@ TEST(WorkloadTest, BatchedPhasesStructureAndValidity) {
       erases += op.type == OpType::kErase;
     }
   }
-  ReplayAndValidate(loaded, all);
+  size_t live_after = 0;
+  ReplayAndValidate(loaded, all, &live_after);
   EXPECT_EQ(inserts, 2'000u);
   EXPECT_EQ(erases, inserts);  // everything inserted is deleted again
   // Live set restored.
-  EXPECT_EQ(gen.live_keys(), loaded.size());
+  EXPECT_EQ(live_after, loaded.size());
 }
 
 TEST(WorkloadTest, DeterministicPerSeed) {
   const std::vector<Key> loaded = LoadedKeys();
-  WorkloadGenerator a(loaded, 7), b(loaded, 7);
-  const std::vector<Operation> oa = a.MixedReadWrite(1'000, 0.4);
-  const std::vector<Operation> ob = b.MixedReadWrite(1'000, 0.4);
+  const WorkloadDesc desc = ParseWorkloadOrDie("mixed(w=0.4)");
+  const std::vector<Operation> oa = MaterializeWorkload(desc, loaded, 7, 1'000);
+  const std::vector<Operation> ob = MaterializeWorkload(desc, loaded, 7, 1'000);
   ASSERT_EQ(oa.size(), ob.size());
   for (size_t i = 0; i < oa.size(); ++i) {
     EXPECT_EQ(oa[i].key, ob[i].key);
@@ -172,8 +178,9 @@ TEST(WorkloadTest, DeterministicPerSeed) {
 }
 
 TEST(WorkloadTest, FreshKeysNeverCollide) {
-  WorkloadGenerator gen(std::vector<Key>{1, 2, 3, 4, 5}, 8);
-  const std::vector<Operation> ops = gen.InsertDelete(5'000, 1.0);
+  const std::vector<Operation> ops =
+      MaterializeWorkload(ParseWorkloadOrDie("insdel(u=1)"),
+                          std::vector<Key>{1, 2, 3, 4, 5}, 8, 5'000);
   std::map<Key, int> seen;
   for (const Operation& op : ops) {
     ASSERT_EQ(op.type, OpType::kInsert);
@@ -181,40 +188,47 @@ TEST(WorkloadTest, FreshKeysNeverCollide) {
   }
 }
 
-// Golden stream hashes, captured from the pre-OpSource generator (the
-// hand-rolled loops before the streaming refactor) over OSMC 5k keys
-// seed 11, generator seed 12345. These pin the bit-identity contract:
-// any change to draw order, fresh-key scheme, or mix interleaving shows
-// up here before it silently shifts every BENCH_*.json.
+// Golden stream hashes, captured from the hand-rolled generator loops
+// that preceded the streaming sources, over OSMC 5k keys seed 11,
+// generator seed 12345. These pin the bit-identity contract of the
+// spec path (ParseWorkloadOrDie -> MakeOpSource): any change to draw
+// order, fresh-key scheme, or mix interleaving shows up here before it
+// silently shifts every BENCH_*.json.
 TEST(WorkloadTest, GoldenStreamReadUniform) {
-  WorkloadGenerator g(LoadedKeys(), 12345);
-  EXPECT_EQ(HashOps(g.ReadOnly(5'000)), 1728061933714552348ULL);
+  EXPECT_EQ(HashOps(MaterializeWorkload(ParseWorkloadOrDie("read"),
+                                        LoadedKeys(), 12345, 5'000)),
+            1728061933714552348ULL);
 }
 
 TEST(WorkloadTest, GoldenStreamReadZipf99) {
-  WorkloadGenerator g(LoadedKeys(), 12345);
-  EXPECT_EQ(HashOps(g.ReadOnly(5'000, 0.99)), 17295761252406072337ULL);
+  EXPECT_EQ(HashOps(MaterializeWorkload(ParseWorkloadOrDie("read(zipf=0.99)"),
+                                        LoadedKeys(), 12345, 5'000)),
+            17295761252406072337ULL);
 }
 
 TEST(WorkloadTest, GoldenStreamMixedW20) {
-  WorkloadGenerator g(LoadedKeys(), 12345);
-  EXPECT_EQ(HashOps(g.MixedReadWrite(5'000, 0.2)), 16280110563955634272ULL);
+  EXPECT_EQ(HashOps(MaterializeWorkload(ParseWorkloadOrDie("mixed(w=0.2)"),
+                                        LoadedKeys(), 12345, 5'000)),
+            16280110563955634272ULL);
 }
 
 TEST(WorkloadTest, GoldenStreamMixedW60) {
-  WorkloadGenerator g(LoadedKeys(), 12345);
-  EXPECT_EQ(HashOps(g.MixedReadWrite(5'000, 0.6)), 5565348514564422737ULL);
+  EXPECT_EQ(HashOps(MaterializeWorkload(ParseWorkloadOrDie("mixed(w=0.6)"),
+                                        LoadedKeys(), 12345, 5'000)),
+            5565348514564422737ULL);
 }
 
 TEST(WorkloadTest, GoldenStreamInsDelU50) {
-  WorkloadGenerator g(LoadedKeys(), 12345);
-  EXPECT_EQ(HashOps(g.InsertDelete(4'000, 0.5)), 5031648442864027122ULL);
+  EXPECT_EQ(HashOps(MaterializeWorkload(ParseWorkloadOrDie("insdel(u=0.5)"),
+                                        LoadedKeys(), 12345, 4'000)),
+            5031648442864027122ULL);
 }
 
 TEST(WorkloadTest, GoldenStreamBatched) {
-  WorkloadGenerator g(LoadedKeys(), 12345);
   uint64_t h = 1469598103934665603ULL;
-  for (const WorkloadPhase& p : g.Batched(2'000, 500)) {
+  for (const WorkloadPhase& p : MaterializeWorkloadPhases(
+           ParseWorkloadOrDie("batched(pool=2000,queries=500)"), LoadedKeys(),
+           12345, 0, 0)) {
     for (const Operation& op : p.ops) {
       h = Fnv(h, static_cast<uint64_t>(op.type));
       h = Fnv(h, op.key);
@@ -225,53 +239,30 @@ TEST(WorkloadTest, GoldenStreamBatched) {
 }
 
 TEST(WorkloadTest, GoldenStreamChainedCalls) {
-  // Generator state (live set + rng) carries across calls; the second
-  // stream depends on everything the first consumed.
-  WorkloadGenerator g(LoadedKeys(), 77);
-  (void)g.MixedReadWrite(1'000, 0.4);
-  EXPECT_EQ(HashOps(g.ReadOnly(1'000, 0.9)), 1520420203418788251ULL);
-}
-
-// The spec layer's factory must hit the same golden hashes: parsing
-// "read(zipf=0.99)" and materializing is the SAME stream as the legacy
-// ReadOnly(n, 0.99) call for a fixed seed (draw-order contract of
-// MakeOpSource).
-TEST(WorkloadTest, SpecPathMatchesLegacyGoldenStreams) {
+  // Sources built over one generator share its live set + rng; the
+  // second stream depends on everything the first consumed.
   const std::vector<Key> loaded = LoadedKeys();
-  const auto materialize = [&](const char* spec, size_t n) {
-    WorkloadDesc desc;
-    WorkloadSpecError error;
-    EXPECT_TRUE(ParseWorkloadSpec(spec, &desc, &error)) << error.Render();
-    return MaterializeWorkload(desc, loaded, 12345, n);
-  };
-  EXPECT_EQ(HashOps(materialize("read", 5'000)), 1728061933714552348ULL);
-  EXPECT_EQ(HashOps(materialize("read(zipf=0.99)", 5'000)),
-            17295761252406072337ULL);
-  EXPECT_EQ(HashOps(materialize("mixed(w=0.2)", 5'000)),
-            16280110563955634272ULL);
-  EXPECT_EQ(HashOps(materialize("insdel(u=0.5)", 4'000)),
-            5031648442864027122ULL);
+  WorkloadGenerator g(loaded, 77);
+  (void)Drain(*MakeOpSource(ParseWorkloadOrDie("mixed(w=0.4)"), g, loaded),
+              1'000);
+  EXPECT_EQ(HashOps(Drain(
+                *MakeOpSource(ParseWorkloadOrDie("read(zipf=0.9)"), g, loaded),
+                1'000)),
+            1520420203418788251ULL);
 }
 
 // --- YCSB mixes -------------------------------------------------------------
-
-std::vector<Operation> MaterializeSpec(const std::vector<Key>& loaded,
-                                       const std::string& spec, size_t n,
-                                       uint64_t seed = 21) {
-  WorkloadDesc desc;
-  WorkloadSpecError error;
-  EXPECT_TRUE(ParseWorkloadSpec(spec, &desc, &error)) << error.Render();
-  return MaterializeWorkload(desc, loaded, seed, n);
-}
 
 TEST(WorkloadTest, YcsbMixesAreValidAndDeterministic) {
   const std::vector<Key> loaded = LoadedKeys();
   for (const char* spec :
        {"ycsb-a", "ycsb-b", "ycsb-c", "ycsb-d", "ycsb-e", "ycsb-f"}) {
-    const std::vector<Operation> ops = MaterializeSpec(loaded, spec, 10'000);
+    const std::vector<Operation> ops = MaterializeWorkload(
+        ParseWorkloadOrDie(spec), loaded, 21, 10'000);
     ASSERT_EQ(ops.size(), 10'000u) << spec;
     ReplayAndValidate(loaded, ops);
-    const std::vector<Operation> again = MaterializeSpec(loaded, spec, 10'000);
+    const std::vector<Operation> again = MaterializeWorkload(
+        ParseWorkloadOrDie(spec), loaded, 21, 10'000);
     for (size_t i = 0; i < ops.size(); ++i) {
       ASSERT_EQ(ops[i].key, again[i].key) << spec << " op " << i;
       ASSERT_EQ(static_cast<int>(ops[i].type),
@@ -280,7 +271,7 @@ TEST(WorkloadTest, YcsbMixesAreValidAndDeterministic) {
   }
 }
 
-// Unlike the legacy families above, the YCSB mixes have no pre-refactor
+// Unlike the paper families above, the YCSB mixes have no pre-refactor
 // reference — these hashes were captured when the mixes first shipped
 // and pin the streams (OSMC 5k seed 11, materialize seed 21, 10k ops)
 // so future chooser/source changes can't silently reshuffle BENCH_ycsb
@@ -296,14 +287,17 @@ TEST(WorkloadTest, YcsbGoldenStreamHashes) {
       {"ycsb-f", 10481423187815972740ULL},
   };
   for (const auto& g : golden) {
-    EXPECT_EQ(HashOps(MaterializeSpec(loaded, g.spec, 10'000)), g.hash)
+    EXPECT_EQ(HashOps(MaterializeWorkload(ParseWorkloadOrDie(g.spec), loaded,
+                                          21, 10'000)),
+              g.hash)
         << g.spec;
   }
 }
 
 TEST(WorkloadTest, YcsbAProportionsAndSkew) {
   const std::vector<Key> loaded = LoadedKeys();
-  const std::vector<Operation> ops = MaterializeSpec(loaded, "ycsb-a", 20'000);
+  const std::vector<Operation> ops = MaterializeWorkload(
+      ParseWorkloadOrDie("ycsb-a"), loaded, 21, 20'000);
   size_t counts[kNumOpTypes] = {};
   std::map<Key, int> read_freq;
   for (const Operation& op : ops) {
@@ -325,7 +319,8 @@ TEST(WorkloadTest, YcsbAProportionsAndSkew) {
 TEST(WorkloadTest, YcsbEScansAndInserts) {
   const std::vector<Key> loaded = LoadedKeys();
   const std::vector<Operation> ops =
-      MaterializeSpec(loaded, "ycsb-e(scan=50)", 20'000);
+      MaterializeWorkload(ParseWorkloadOrDie("ycsb-e(scan=50)"), loaded, 21,
+                          20'000);
   size_t scans = 0, inserts = 0;
   for (const Operation& op : ops) {
     scans += op.type == OpType::kScan;
@@ -338,7 +333,8 @@ TEST(WorkloadTest, YcsbEScansAndInserts) {
 
 TEST(WorkloadTest, YcsbFReadModifyWritePairs) {
   const std::vector<Key> loaded = LoadedKeys();
-  const std::vector<Operation> ops = MaterializeSpec(loaded, "ycsb-f", 10'000);
+  const std::vector<Operation> ops = MaterializeWorkload(
+      ParseWorkloadOrDie("ycsb-f"), loaded, 21, 10'000);
   // Every kUpdate in mix F is the write half of an RMW: it immediately
   // follows a kLookup of the same key.
   size_t rmw = 0;
@@ -404,8 +400,9 @@ TEST(WorkloadTest, HotspotDriftMovesTheHotRangeMidRun) {
   // End-to-end through the spec layer: the hot key range in the first
   // period's reads is disjoint from the hot range a few periods later.
   const std::vector<Key> loaded = LoadedKeys();
-  const std::vector<Operation> ops = MaterializeSpec(
-      loaded, "read(dist=hotspot(width=5%,period=2k,hot=0.95))", 8'000);
+  const std::vector<Operation> ops = MaterializeWorkload(
+      ParseWorkloadOrDie("read(dist=hotspot(width=5%,period=2k,hot=0.95))"),
+      loaded, 21, 8'000);
   ASSERT_EQ(ops.size(), 8'000u);
   const auto median_key = [&](size_t begin, size_t end) {
     std::vector<Key> keys;

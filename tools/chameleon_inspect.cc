@@ -8,21 +8,14 @@
 //
 // Usage:
 //   chameleon_inspect [harness flags] [--index=NAME] [--dataset=NAME]
-//                     [--sigma=S] [--zipf=T] [--mix=W] [--top=K]
-//                     [--out=PATH] [--prom] [--kernels]
+//                     [--sigma=S] [--top=K] [--out=PATH] [--prom]
+//                     [--kernels]
 //
 //   --index=NAME   leaf index to build (default Chameleon); the shared
 //                  --spec/--shards adapter stack wraps it like any bench
 //   --dataset=NAME UDEN | OSMC | LOGN | FACE (default UDEN)
 //   --sigma=S      use the Fig. 9 clustered-skew generator with cluster
 //                  sigma S instead of --dataset
-//   --zipf=T       zipf theta for the read workload (default 0.9 —
-//                  skewed enough that the hot range is visible)
-//   --mix=W        write ratio; 0 = read-only replay (default 0)
-//                  (--zipf/--mix are sugar for --workload='read(zipf=T)'
-//                  / 'mixed(w=W)'; the shared --workload=SPEC flag
-//                  accepts any workload-grammar spec — ycsb-a..f,
-//                  drifting hotspots, insdel — and overrides both)
 //   --top=K        hottest units listed individually (default 8)
 //   --out=PATH     write the JSON there instead of stdout
 //   --prom         also print the Prometheus rendering of the metrics
@@ -40,7 +33,10 @@
 //                  what a bench run under the same env would use.
 //
 // Shared harness flags (--scale, --ops, --seed, --spec, --series, ...)
-// all apply; --scale sizes the dataset and --ops the replay.
+// all apply; --scale sizes the dataset and --ops the replay. The
+// replayed stream is --workload=SPEC, any workload-grammar spec
+// (ycsb-a..f, mixed(w=W), drifting hotspots, insdel); the default is
+// read(zipf=0.9), skewed enough that the hot range is visible.
 
 #include <cstdio>
 #include <cstdlib>
@@ -61,8 +57,6 @@ struct InspectFlags {
   std::string index = "Chameleon";
   std::string dataset = "UDEN";
   double sigma = 0.0;  // > 0 selects GenerateClusteredSkew
-  double zipf = 0.9;
-  double mix = 0.0;
   size_t top = 8;
   std::string out;
   bool prom = false;
@@ -138,12 +132,11 @@ int main(int argc, char** argv) {
       {StrFlag("--index=", &flags.index),
        StrFlag("--dataset=", &flags.dataset),
        NumFlag("--sigma=", &flags.sigma, std::numeric_limits<double>::min()),
-       NumFlag("--zipf=", &flags.zipf),
-       NumFlag("--mix=", &flags.mix, 0.0, 1.0),
        NumFlag("--top=", &flags.top), StrFlag("--out=", &flags.out),
        SwitchFlag("--prom", &flags.prom),
        SwitchFlag("--kernels", &flags.kernels),
-       SwitchFlag("--tiered", &flags.tiered)});
+       SwitchFlag("--tiered", &flags.tiered)},
+      /*takes_workload=*/true);
   if (flags.kernels) {
     PrintKernels();
     return 0;
@@ -157,7 +150,7 @@ int main(int argc, char** argv) {
   std::unique_ptr<KvIndex> index = MakeBenchIndex(flags.index, opt);
   // --tiered is a probe of the disk tier; running it against a stack
   // with no Disk(...) layer would silently report nothing. Same idiom
-  // as the --mix / --rthreads capability rejection: hard loud error.
+  // as the --rthreads capability rejection: hard loud error.
   if (flags.tiered) {
     TieredStatsBlock probe;
     if (!CollectTieredStats(index.get(), &probe)) {
@@ -168,23 +161,8 @@ int main(int argc, char** argv) {
       std::exit(2);
     }
   }
-  // The replayed workload: --workload=SPEC wins; otherwise the legacy
-  // --mix/--zipf sugar compiles to the equivalent spec ("mixed(w=W)" /
-  // "read(zipf=T)"), so both paths produce the same descriptor — and
-  // bit-identical streams to the pre-grammar tool.
-  WorkloadDesc workload;
-  if (!opt.workload.empty()) {
-    workload = ResolveWorkload(opt, "read");
-  } else if (flags.mix > 0.0) {
-    workload.family = WorkloadDesc::Family::kMixed;
-    workload.write_ratio = flags.mix;
-  } else {
-    workload.family = WorkloadDesc::Family::kRead;
-    if (flags.zipf > 0.0) {
-      workload.dist.kind = DistDesc::Kind::kZipf;
-      workload.dist.theta = flags.zipf;
-    }
-  }
+  const WorkloadDesc workload = ParseWorkloadOrDie(
+      opt.workload.empty() ? "read(zipf=0.9)" : opt.workload);
   // With a write-bearing workload, honoring a multi-threaded request
   // needs concurrent-write support from this exact composed stack.
   // Single-stack tool: no row to skip to, so an unsupported stack is a
@@ -227,15 +205,12 @@ int main(int argc, char** argv) {
                "  \"scale\": %zu,\n"
                "  \"ops\": %zu,\n"
                "  \"seed\": %llu,\n"
-               "  \"zipf\": %.6g,\n"
-               "  \"mix\": %.6g,\n"
                "  \"mean_ns\": %.6g,\n",
                JsonEscape(ComposeSpec(flags.index, opt)).c_str(),
                JsonEscape(workload.Canonical()).c_str(),
                flags.sigma > 0.0 ? "clustered" : flags.dataset.c_str(),
                flags.sigma, LocalSkewness(keys), opt.scale, opt.ops,
-               static_cast<unsigned long long>(opt.seed), flags.zipf,
-               flags.mix, result.MeanNs());
+               static_cast<unsigned long long>(opt.seed), result.MeanNs());
   std::fprintf(out,
                "  \"size\": %zu,\n"
                "  \"size_bytes\": %zu,\n"
