@@ -57,8 +57,8 @@ int main(int argc, char** argv) {
   const std::vector<Key> keys =
       GenerateDataset(DatasetKind::kLogn, opt.scale, opt.seed);
   const std::vector<KeyValue> data = ToKeyValues(keys);
-  const size_t per_page = tiered::EntriesPerPage(4096);
-  const size_t pages = (data.size() + per_page - 1) / per_page;
+  const size_t pages =
+      (data.size() + tiered::kEntriesPerPage - 1) / tiered::kEntriesPerPage;
 
   // --- Section 1: pool hit rate vs frame budget -----------------------------
   std::printf("=== tiered: frames sweep (LOGN, %zu keys = %zu pages, "

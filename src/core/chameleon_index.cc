@@ -405,8 +405,8 @@ bool ChameleonIndex::Insert(Key key, Value value) {
   const bool locked = locks_enabled_.load(std::memory_order_acquire);
   if (locked) {
     // Attribute time spent blocked on the retrainer's exclusive hold of
-    // this interval — or, in multi-writer mode, on a concurrent
-    // reader/writer of the same unit (usually ~one CAS uncontended).
+    // this interval or on a concurrent reader/writer of the same unit
+    // (usually ~one CAS uncontended).
     CHAMELEON_PHASE_SPAN(kRetrainBlock);
     const uint64_t spins = unit->lock.LockWrite();
     if (spins > 0) {

@@ -267,9 +267,9 @@ class ChameleonIndex final : public KvIndex {
     // statistic, not synchronization.
     std::atomic<uint64_t> heat_write_waits{0};
     // Guarded by `lock`: set (exclusive) by the retrainer, observed by
-    // writers holding the unit's Writer-Lock (multi-writer mode) or the
-    // Query-Lock (legacy single-writer mode) — either way mutation of
-    // pending_log is serialized per unit.
+    // writers holding the unit's Writer-Lock, which every Insert/Erase
+    // takes whenever locks are on — so mutation of pending_log is
+    // serialized per unit.
     bool rebuilding = false;
     std::vector<PendingOp> pending_log;
   };

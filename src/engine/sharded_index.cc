@@ -1,6 +1,5 @@
 #include "src/engine/sharded_index.h"
 
-#include <fcntl.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -15,6 +14,7 @@
 #include "src/api/index_spec.h"
 #include "src/obs/stats.h"
 #include "src/util/crc32c.h"
+#include "src/util/io.h"
 
 namespace chameleon {
 namespace {
@@ -43,15 +43,6 @@ std::string DurableRootOf(const SpecNode& spec, const SpecBuildContext& ctx) {
     return "";
   }
   return "";
-}
-
-void SyncDirOf(const std::string& path) {
-  const std::string dir = std::filesystem::path(path).parent_path().string();
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd >= 0) {
-    ::fsync(fd);
-    ::close(fd);
-  }
 }
 
 std::unique_ptr<KvIndex> BuildShardedFromSpec(const SpecNode& node,

@@ -22,10 +22,10 @@ namespace chameleon::obs {
 ///                    inside kGroupCommitWait of whichever thread
 ///                    leads; informational, not additive with it)
 ///   kApply           applying the logged op to the inner index
-///   kRetrainBlock    foreground write acquiring its unit's lock: the
-///                    per-unit Writer-Lock in multi-writer mode, or the
-///                    Query-Lock while a retrainer holds the interval
-///                    (single-writer legacy)
+///   kRetrainBlock    foreground write acquiring its unit's Writer-Lock
+///                    (taken whenever locks are on: behind a retrainer's
+///                    exclusive hold of the interval, or a concurrent
+///                    reader/writer of the same unit)
 ///   kWriteTotal      the whole DurableIndex::Insert/Erase call as the
 ///                    client observes it (includes acquiring the shared
 ///                    maintenance gate; writers no longer serialize on

@@ -1,6 +1,5 @@
 #include "src/storage/snapshot.h"
 
-#include <fcntl.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -11,6 +10,7 @@
 
 #include "src/core/chameleon_index.h"
 #include "src/util/crc32c.h"
+#include "src/util/io.h"
 
 namespace chameleon {
 namespace {
@@ -129,14 +129,7 @@ bool WriteSnapshot(const KvIndex& index, const std::string& path,
   std::error_code ec;
   std::filesystem::rename(tmp, path, ec);
   if (ec) return false;
-  // Persist the rename's directory entry.
-  const std::string dir = std::filesystem::path(path).parent_path().string();
-  const int dfd = ::open(dir.empty() ? "." : dir.c_str(),
-                         O_RDONLY | O_DIRECTORY);
-  if (dfd >= 0) {
-    ::fsync(dfd);
-    ::close(dfd);
-  }
+  SyncDirOf(path);  // persist the rename's directory entry
   return true;
 }
 

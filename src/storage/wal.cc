@@ -1,6 +1,5 @@
 #include "src/storage/wal.h"
 
-#include <fcntl.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -11,6 +10,7 @@
 #include "src/obs/phase_timer.h"
 #include "src/obs/stats.h"
 #include "src/util/crc32c.h"
+#include "src/util/io.h"
 
 namespace chameleon {
 namespace {
@@ -19,16 +19,6 @@ constexpr uint32_t kSegmentMagic = 0x4357414C;  // "CWAL"
 constexpr uint32_t kSegmentVersion = 1;
 constexpr size_t kSegmentHeaderSize = 4 + 4 + 8;  // magic, version, seq
 constexpr size_t kRecordHeaderSize = 4 + 4 + 1;   // crc, len, type
-
-/// fsyncs the directory so segment create/delete entries are durable
-/// (a file's own fsync does not persist its directory entry).
-void SyncDir(const std::string& dir) {
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd >= 0) {
-    ::fsync(fd);
-    ::close(fd);
-  }
-}
 
 }  // namespace
 
@@ -79,7 +69,7 @@ bool Wal::OpenSegmentLocked(uint64_t seq) {
   }
   segment_bytes_written_.store(kSegmentHeaderSize, std::memory_order_release);
   open_.store(true, std::memory_order_release);
-  SyncDir(dir_);
+  SyncDirOf(SegmentPath(seq));  // the new segment's directory entry
   return true;
 }
 
@@ -268,7 +258,7 @@ size_t Wal::TruncateBefore(uint64_t seq) {
     std::error_code ec;
     if (std::filesystem::remove(SegmentPath(s), ec)) ++removed;
   }
-  if (removed > 0) SyncDir(dir_);
+  if (removed > 0) SyncDirOf(SegmentPath(seq));  // dir_, every segment's home
   return removed;
 }
 

@@ -1,7 +1,6 @@
 #include "src/tiered/buffer_pool.h"
 
 #include <cassert>
-#include <cstring>
 
 #include "src/obs/stats.h"
 
@@ -12,18 +11,11 @@ PageRef& PageRef::operator=(PageRef&& other) noexcept {
     Release();
     pool_ = other.pool_;
     frame_ = other.frame_;
-    page_id_ = other.page_id_;
     data_ = other.data_;
     other.pool_ = nullptr;
     other.data_ = nullptr;
   }
   return *this;
-}
-
-void PageRef::MarkDirty() {
-  if (!pool_) return;
-  std::lock_guard<std::mutex> lock(pool_->mu_);
-  pool_->frames_[frame_].dirty = true;
 }
 
 void PageRef::Release() {
@@ -38,15 +30,12 @@ void PageRef::Release() {
 
 BufferPool::BufferPool(PageFile* file, size_t frames)
     : file_(file),
-      page_size_(file->page_size()),
-      arena_(PageFile::AllocateAligned(page_size_, frames < 1 ? 1 : frames)),
+      arena_(std::make_unique<Page[]>(frames < 1 ? 1 : frames)),
       frames_(frames < 1 ? 1 : frames) {
   page_table_.reserve(frames_.size());
 }
 
-BufferPool::~BufferPool() { FlushAll(); }
-
-PageRef BufferPool::Pin(uint64_t page_id, bool for_write) {
+PageRef BufferPool::Pin(uint64_t page_id) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = page_table_.find(page_id);
   if (it != page_table_.end()) {
@@ -55,8 +44,7 @@ PageRef BufferPool::Pin(uint64_t page_id, bool for_write) {
     f.ref_bit = true;
     ++hits_;
     CHAMELEON_STAT_INC(kTieredPoolHits);
-    return PageRef(this, it->second, page_id,
-                   arena_.get() + it->second * page_size_);
+    return PageRef(this, it->second, arena_[it->second].bytes);
   }
   ++misses_;
   CHAMELEON_STAT_INC(kTieredPoolMisses);
@@ -64,23 +52,18 @@ PageRef BufferPool::Pin(uint64_t page_id, bool for_write) {
   size_t frame;
   if (!EvictVictimLocked(&frame)) return PageRef();  // every frame pinned
 
-  uint8_t* data = arena_.get() + frame * page_size_;
-  if (for_write) {
-    std::memset(data, 0, page_size_);
-  } else {
-    if (!file_->ReadPage(page_id, data)) return PageRef();
-    ++page_reads_;
-    CHAMELEON_STAT_INC(kTieredPageReads);
-  }
+  uint8_t* data = arena_[frame].bytes;
+  if (!file_->ReadPage(page_id, data)) return PageRef();
+  ++page_reads_;
+  CHAMELEON_STAT_INC(kTieredPageReads);
 
   Frame& f = frames_[frame];
   f.page_id = page_id;
   f.pin_count = 1;
-  f.dirty = false;
   f.ref_bit = true;
   f.valid = true;
   page_table_[page_id] = frame;
-  return PageRef(this, frame, page_id, data);
+  return PageRef(this, frame, data);
 }
 
 bool BufferPool::EvictVictimLocked(size_t* frame_out) {
@@ -103,7 +86,6 @@ bool BufferPool::EvictVictimLocked(size_t* frame_out) {
       f.ref_bit = false;
       continue;
     }
-    if (f.dirty && !WriteBackLocked(victim)) return false;
     page_table_.erase(f.page_id);
     f.valid = false;
     ++evictions_;
@@ -114,30 +96,10 @@ bool BufferPool::EvictVictimLocked(size_t* frame_out) {
   return false;
 }
 
-bool BufferPool::WriteBackLocked(size_t frame) {
-  Frame& f = frames_[frame];
-  if (!file_->WritePage(f.page_id, arena_.get() + frame * page_size_)) {
-    return false;
-  }
-  f.dirty = false;
-  ++page_writes_;
-  CHAMELEON_STAT_INC(kTieredPageWrites);
-  return true;
-}
-
 void BufferPool::Unpin(size_t frame) {
   Frame& f = frames_[frame];
   assert(f.pin_count > 0);
   --f.pin_count;
-}
-
-bool BufferPool::FlushAll() {
-  std::lock_guard<std::mutex> lock(mu_);
-  bool ok = true;
-  for (size_t i = 0; i < frames_.size(); ++i) {
-    if (frames_[i].valid && frames_[i].dirty) ok = WriteBackLocked(i) && ok;
-  }
-  return ok;
 }
 
 void BufferPool::Reset(PageFile* file) {
@@ -156,7 +118,6 @@ BufferPoolStats BufferPool::stats() const {
   s.misses = misses_;
   s.evictions = evictions_;
   s.page_reads = page_reads_;
-  s.page_writes = page_writes_;
   return s;
 }
 

@@ -1,7 +1,6 @@
 #ifndef CHAMELEON_TIERED_BUFFER_POOL_H_
 #define CHAMELEON_TIERED_BUFFER_POOL_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -27,25 +26,19 @@ class PageRef {
   PageRef& operator=(const PageRef&) = delete;
 
   bool valid() const { return pool_ != nullptr; }
-  uint64_t page_id() const { return page_id_; }
   const void* data() const { return data_; }
-  void* mutable_data() { return data_; }
-
-  /// Marks the pinned frame dirty so eviction/flush writes it back.
-  void MarkDirty();
 
   /// Unpins early (the destructor is the usual path).
   void Release();
 
  private:
   friend class BufferPool;
-  PageRef(BufferPool* pool, size_t frame, uint64_t page_id, void* data)
-      : pool_(pool), frame_(frame), page_id_(page_id), data_(data) {}
+  PageRef(BufferPool* pool, size_t frame, const void* data)
+      : pool_(pool), frame_(frame), data_(data) {}
 
   BufferPool* pool_ = nullptr;
   size_t frame_ = 0;
-  uint64_t page_id_ = 0;
-  void* data_ = nullptr;
+  const void* data_ = nullptr;
 };
 
 /// Point-in-time pool statistics (also mirrored into the global
@@ -55,7 +48,6 @@ struct BufferPoolStats {
   uint64_t misses = 0;
   uint64_t evictions = 0;
   uint64_t page_reads = 0;
-  uint64_t page_writes = 0;
 
   double HitRate() const {
     uint64_t total = hits + misses;
@@ -63,64 +55,51 @@ struct BufferPoolStats {
   }
 };
 
-/// A fixed-budget buffer pool over one PageFile: CLOCK (second-chance)
-/// eviction, pin/unpin via PageRef, dirty write-back. All frames live in
-/// one page-aligned allocation so O_DIRECT files work unchanged.
+/// A fixed-budget, read-only page cache over one PageFile: CLOCK
+/// (second-chance) eviction and pin/unpin via PageRef. Runs are written
+/// straight to their file and installed whole (TieredIndex's WriteRun),
+/// so no frame is ever dirty and eviction never writes back.
 ///
 /// Thread safety: every public operation takes the pool mutex, so
 /// concurrent read-only replay threads (`--rthreads`) can Pin/Release
-/// freely; page *contents* of a pinned frame are only written by the
-/// pinning thread (TieredIndex's writes are externally serialized, like
-/// every other KvIndex without EnableConcurrentWrites).
+/// freely.
 class BufferPool {
  public:
   /// `frames` is clamped to at least 1. The pool does not own `file`.
   BufferPool(PageFile* file, size_t frames);
-  ~BufferPool();
 
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
 
   /// Pins `page_id`, faulting it from disk on a miss (evicting a CLOCK
-  /// victim if no frame is free; dirty victims are written back first).
-  /// With `for_write` the disk read is skipped — the caller will
-  /// overwrite the whole page (fresh pages past EOF have nothing to
-  /// read). Returns an invalid PageRef on I/O error or when every frame
-  /// is pinned.
-  PageRef Pin(uint64_t page_id, bool for_write = false);
-
-  /// Writes back every dirty frame (frames stay resident). Returns false
-  /// if any write fails.
-  bool FlushAll();
+  /// victim if no frame is free). Returns an invalid PageRef on I/O
+  /// error or when every frame is pinned.
+  PageRef Pin(uint64_t page_id);
 
   /// Drops all cached frames (asserting none are pinned) and retargets
-  /// the pool at `file` — called after a merge installs a new page run.
+  /// the pool at `file` — called when a new page run is installed.
   void Reset(PageFile* file);
 
   BufferPoolStats stats() const;
   size_t frames() const { return frames_.size(); }
-  size_t page_size() const { return page_size_; }
 
  private:
   struct Frame {
     uint64_t page_id = 0;
     uint32_t pin_count = 0;
-    bool dirty = false;
     bool ref_bit = false;
     bool valid = false;
   };
 
-  // All private helpers require mu_ held.
+  // Requires mu_ held.
   bool EvictVictimLocked(size_t* frame_out);
-  bool WriteBackLocked(size_t frame);
   void Unpin(size_t frame);  // called by PageRef
 
   friend class PageRef;
 
   mutable std::mutex mu_;
   PageFile* file_;
-  size_t page_size_;
-  std::unique_ptr<uint8_t, void (*)(void*)> arena_;
+  std::unique_ptr<Page[]> arena_;
   std::vector<Frame> frames_;
   std::unordered_map<uint64_t, size_t> page_table_;
   size_t clock_hand_ = 0;
@@ -129,7 +108,6 @@ class BufferPool {
   uint64_t misses_ = 0;
   uint64_t evictions_ = 0;
   uint64_t page_reads_ = 0;
-  uint64_t page_writes_ = 0;
 };
 
 }  // namespace chameleon::tiered

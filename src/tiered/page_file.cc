@@ -5,10 +5,11 @@
 
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <filesystem>
 
 #include "src/util/crc32c.h"
+#include "src/util/io.h"
 
 namespace chameleon::tiered {
 
@@ -20,7 +21,7 @@ constexpr uint32_t kPageFileVersion = 1;
 // Header page layout (page 0):
 //   0  u64 magic
 //   8  u32 version
-//  12  u32 page_size
+//  12  u32 page_size (always kPageSize)
 //  16  u64 num_data_pages
 //  24  u64 num_entries
 //  32  u32 crc32c over bytes [0, 32)
@@ -33,21 +34,6 @@ struct FileHeader {
   uint32_t crc;
 };
 static_assert(sizeof(FileHeader) == 40);
-
-int OpenFd(const std::string& path, int flags, bool* direct_io) {
-#ifdef O_DIRECT
-  if (*direct_io) {
-    int fd = ::open(path.c_str(), flags | O_DIRECT, 0644);
-    if (fd >= 0) return fd;
-    std::fprintf(stderr,
-                 "tiered: O_DIRECT unsupported for %s (%s); "
-                 "falling back to buffered I/O\n",
-                 path.c_str(), std::strerror(errno));
-  }
-#endif
-  *direct_io = false;
-  return ::open(path.c_str(), flags, 0644);
-}
 
 bool FullPread(int fd, void* buf, size_t n, off_t off) {
   uint8_t* p = static_cast<uint8_t*>(buf);
@@ -82,52 +68,26 @@ bool FullPwrite(int fd, const void* buf, size_t n, off_t off) {
 
 }  // namespace
 
-PageFile::PageFile(std::string path, int fd, PageFileOptions options)
-    : path_(std::move(path)),
-      fd_(fd),
-      page_size_(options.page_size),
-      direct_io_(options.direct_io) {}
-
 PageFile::~PageFile() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-std::unique_ptr<uint8_t, void (*)(void*)> PageFile::AllocateAligned(
-    size_t page_size, size_t count) {
-  void* p = nullptr;
-  if (posix_memalign(&p, page_size, page_size * count) != 0) {
-    std::fprintf(stderr, "tiered: posix_memalign(%zu x %zu) failed\n",
-                 page_size, count);
-    std::abort();
-  }
-  std::memset(p, 0, page_size * count);
-  return {static_cast<uint8_t*>(p), &std::free};
-}
-
-std::unique_ptr<PageFile> PageFile::Create(const std::string& path,
-                                           PageFileOptions options) {
-  if (options.page_size < kPageHeaderBytes + sizeof(KeyValue) ||
-      options.page_size % 512 != 0) {
-    std::fprintf(stderr, "tiered: invalid page size %zu for %s\n",
-                 options.page_size, path.c_str());
-    return nullptr;
-  }
-  int fd = OpenFd(path, O_CREAT | O_TRUNC | O_RDWR, &options.direct_io);
+std::unique_ptr<PageFile> PageFile::Create(const std::string& path) {
+  int fd = ::open(path.c_str(), O_CREAT | O_TRUNC | O_RDWR, 0644);
   if (fd < 0) {
     std::fprintf(stderr, "tiered: create %s failed: %s\n", path.c_str(),
                  std::strerror(errno));
     return nullptr;
   }
-  std::unique_ptr<PageFile> file(new PageFile(path, fd, options));
-  if (!file->WriteHeader(/*num_entries=*/0) || !file->Sync()) return nullptr;
+  std::unique_ptr<PageFile> file(new PageFile(path, fd));
+  if (!file->WriteHeader(/*num_entries=*/0)) return nullptr;
   return file;
 }
 
-std::unique_ptr<PageFile> PageFile::Open(const std::string& path,
-                                         PageFileOptions options) {
-  int fd = OpenFd(path, O_RDWR, &options.direct_io);
+std::unique_ptr<PageFile> PageFile::Open(const std::string& path) {
+  int fd = ::open(path.c_str(), O_RDWR);
   if (fd < 0) return nullptr;
-  std::unique_ptr<PageFile> file(new PageFile(path, fd, options));
+  std::unique_ptr<PageFile> file(new PageFile(path, fd));
   if (!file->ReadHeader()) {
     std::fprintf(stderr, "tiered: %s has an invalid page-file header\n",
                  path.c_str());
@@ -137,16 +97,16 @@ std::unique_ptr<PageFile> PageFile::Open(const std::string& path,
 }
 
 bool PageFile::WriteHeader(uint64_t num_entries) {
-  auto page = AllocateAligned(page_size_);
+  auto page = std::make_unique<Page>();
   FileHeader h{};
   h.magic = kPageFileMagic;
   h.version = kPageFileVersion;
-  h.page_size = static_cast<uint32_t>(page_size_);
+  h.page_size = static_cast<uint32_t>(kPageSize);
   h.num_data_pages = num_pages_;
   h.num_entries = num_entries;
   h.crc = Crc32c(&h, offsetof(FileHeader, crc));
   std::memcpy(page.get(), &h, sizeof(h));
-  if (!FullPwrite(fd_, page.get(), page_size_, 0)) {
+  if (!FullPwrite(fd_, page.get(), kPageSize, 0)) {
     std::fprintf(stderr, "tiered: header write to %s failed: %s\n",
                  path_.c_str(), std::strerror(errno));
     return false;
@@ -156,20 +116,11 @@ bool PageFile::WriteHeader(uint64_t num_entries) {
 }
 
 bool PageFile::ReadHeader() {
-  // The header must be read before page_size_ is known; read with the
-  // minimum O_DIRECT-legal granularity, then re-check against the
-  // recorded geometry.
-  auto probe = AllocateAligned(512);
-  if (!FullPread(fd_, probe.get(), 512, 0)) return false;
   FileHeader h;
-  std::memcpy(&h, probe.get(), sizeof(h));
+  if (!FullPread(fd_, &h, sizeof(h), 0)) return false;
   if (h.magic != kPageFileMagic || h.version != kPageFileVersion) return false;
   if (h.crc != Crc32c(&h, offsetof(FileHeader, crc))) return false;
-  if (h.page_size < kPageHeaderBytes + sizeof(KeyValue) ||
-      h.page_size % 512 != 0) {
-    return false;
-  }
-  page_size_ = h.page_size;
+  if (h.page_size != kPageSize) return false;
   num_pages_ = h.num_data_pages;
   header_entries_ = h.num_entries;
   return true;
@@ -177,8 +128,8 @@ bool PageFile::ReadHeader() {
 
 bool PageFile::ReadPage(uint64_t page_id, void* buf) {
   if (page_id >= num_pages_) return false;
-  off_t off = static_cast<off_t>((page_id + 1) * page_size_);
-  if (!FullPread(fd_, buf, page_size_, off)) {
+  off_t off = static_cast<off_t>((page_id + 1) * kPageSize);
+  if (!FullPread(fd_, buf, kPageSize, off)) {
     std::fprintf(stderr, "tiered: read of page %llu in %s failed: %s\n",
                  static_cast<unsigned long long>(page_id), path_.c_str(),
                  std::strerror(errno));
@@ -189,7 +140,7 @@ bool PageFile::ReadPage(uint64_t page_id, void* buf) {
   uint64_t page_seq;
   std::memcpy(&stored_crc, p, sizeof(stored_crc));
   std::memcpy(&page_seq, p + 8, sizeof(page_seq));
-  uint32_t actual = Crc32c(p + 8, page_size_ - 8);
+  uint32_t actual = Crc32c(p + 8, kPageSize - 8);
   if (stored_crc != actual || page_seq != page_id + 1) {
     std::fprintf(stderr,
                  "tiered: page %llu of %s is corrupt "
@@ -205,10 +156,10 @@ bool PageFile::WritePage(uint64_t page_id, void* buf) {
   uint8_t* p = static_cast<uint8_t*>(buf);
   uint64_t page_seq = page_id + 1;
   std::memcpy(p + 8, &page_seq, sizeof(page_seq));
-  uint32_t crc = Crc32c(p + 8, page_size_ - 8);
+  uint32_t crc = Crc32c(p + 8, kPageSize - 8);
   std::memcpy(p, &crc, sizeof(crc));
-  off_t off = static_cast<off_t>((page_id + 1) * page_size_);
-  if (!FullPwrite(fd_, buf, page_size_, off)) {
+  off_t off = static_cast<off_t>((page_id + 1) * kPageSize);
+  if (!FullPwrite(fd_, buf, kPageSize, off)) {
     std::fprintf(stderr, "tiered: write of page %llu to %s failed: %s\n",
                  static_cast<unsigned long long>(page_id), path_.c_str(),
                  std::strerror(errno));
@@ -219,15 +170,25 @@ bool PageFile::WritePage(uint64_t page_id, void* buf) {
 }
 
 bool PageFile::SyncHeader(uint64_t num_entries) {
-  return WriteHeader(num_entries) && Sync();
-}
-
-bool PageFile::Sync() {
+  if (!WriteHeader(num_entries)) return false;
   if (::fsync(fd_) != 0) {
     std::fprintf(stderr, "tiered: fsync %s failed: %s\n", path_.c_str(),
                  std::strerror(errno));
     return false;
   }
+  return true;
+}
+
+bool PageFile::RenameTo(const std::string& path) {
+  std::error_code ec;
+  std::filesystem::rename(path_, path, ec);
+  if (ec) {
+    std::fprintf(stderr, "tiered: renaming %s to %s failed: %s\n",
+                 path_.c_str(), path.c_str(), ec.message().c_str());
+    return false;
+  }
+  SyncDirOf(path);
+  path_ = path;
   return true;
 }
 

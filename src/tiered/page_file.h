@@ -5,19 +5,20 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "src/util/common.h"
 
 namespace chameleon::tiered {
 
 /// On-disk leaf file format (DESIGN.md §14). A page file is a single
-/// flat file of fixed-size pages:
+/// flat file of fixed 4 KiB pages:
 ///
-///   page 0          file header (magic, version, geometry, logical
+///   page 0          file header (magic, version, page size, logical
 ///                   entry count, CRC32C)
 ///   pages 1..N      data pages, each a sorted KeyValue run:
 ///
-///     offset 0      uint32 crc32c over bytes [8, page_size) — the
+///     offset 0      uint32 crc32c over bytes [8, kPageSize) — the
 ///                   whole page after the checksum+count words, so a
 ///                   torn or bit-rotted page is detected on read
 ///     offset 4      uint32 count — live entries in this page
@@ -26,31 +27,27 @@ namespace chameleon::tiered {
 ///     offset 16     KeyValue[count], keys ascending; the remainder of
 ///                   the page is zero (and covered by the crc)
 ///
-/// Pages are written with pwrite and read with pread at
-/// page_size-aligned offsets, so the format is O_DIRECT-compatible when
-/// buffers are aligned (see AllocateAligned). All multi-byte fields are
-/// little-endian native — the file is host-format, like the WAL and
-/// snapshot files in src/storage/.
-struct PageFileOptions {
-  size_t page_size = 4096;
-  /// Open the file with O_DIRECT (bypassing the page cache) so buffer
-  /// pool hit rates measure real I/O. Falls back to buffered I/O with a
-  /// warning when the filesystem refuses O_DIRECT (tmpfs, some
-  /// overlays).
-  bool direct_io = false;
-};
+/// Pages are written with pwrite and read with pread at page-aligned
+/// offsets. All multi-byte fields are little-endian native — the file is
+/// host-format, like the WAL and snapshot files in src/storage/.
+inline constexpr size_t kPageSize = 4096;
 
 /// Geometry/usage numbers every page holds.
 inline constexpr size_t kPageHeaderBytes = 16;
 
-/// KeyValue entries that fit one data page.
-inline constexpr size_t EntriesPerPage(size_t page_size) {
-  return (page_size - kPageHeaderBytes) / sizeof(KeyValue);
-}
+/// KeyValue entries that fit one data page (255).
+inline constexpr size_t kEntriesPerPage =
+    (kPageSize - kPageHeaderBytes) / sizeof(KeyValue);
 
-/// A page-aligned on-disk leaf file. Not thread-safe by itself; the
-/// buffer pool serializes access (pread/pwrite at distinct offsets are
-/// harmless to interleave, but header updates are not).
+/// One page-sized buffer; `std::make_unique<Page>()` (or `Page[]`) gives
+/// a zeroed, page-aligned one.
+struct alignas(kPageSize) Page {
+  uint8_t bytes[kPageSize];
+};
+
+/// A page-aligned on-disk leaf file. Not thread-safe by itself; readers
+/// go through the buffer pool, and a run is written by one thread before
+/// it is installed (pread at distinct offsets is harmless to interleave).
 class PageFile {
  public:
   ~PageFile();
@@ -59,52 +56,42 @@ class PageFile {
   PageFile& operator=(const PageFile&) = delete;
 
   /// Creates (truncating any previous file) a page file with zero data
-  /// pages. Returns nullptr on I/O error (diagnostic on stderr).
-  static std::unique_ptr<PageFile> Create(const std::string& path,
-                                          PageFileOptions options = {});
+  /// pages. Nothing is durable until SyncHeader. Returns nullptr on I/O
+  /// error (diagnostic on stderr).
+  static std::unique_ptr<PageFile> Create(const std::string& path);
 
   /// Opens an existing page file and validates its header (magic,
-  /// version, page size, CRC). Returns nullptr when the file is missing
-  /// or invalid. `options.page_size` is ignored — the file's own
-  /// geometry wins — but `direct_io` applies.
-  static std::unique_ptr<PageFile> Open(const std::string& path,
-                                        PageFileOptions options = {});
+  /// version, a page size of kPageSize, CRC). Returns nullptr when the
+  /// file is missing or invalid.
+  static std::unique_ptr<PageFile> Open(const std::string& path);
 
-  /// Reads data page `page_id` (0-based) into `buf` (page_size bytes)
+  /// Reads data page `page_id` (0-based) into `buf` (kPageSize bytes)
   /// and verifies its checksum and page_seq. Returns false on I/O
   /// error, short read, or corruption.
   bool ReadPage(uint64_t page_id, void* buf);
 
   /// Finalizes `buf` as data page `page_id` (stamps page_seq, computes
-  /// the checksum over [8, page_size)) and pwrites it, growing the file
-  /// as needed. Out-of-order writes past the end are legal — the buffer
-  /// pool's write-back order is frame order, not page order — but every
-  /// page below num_pages() must be written before the run is read (a
-  /// hole fails its checksum). The caller must have set the count word
-  /// at offset 4 and the entries.
+  /// the checksum over [8, kPageSize)) and pwrites it, growing the file
+  /// as needed. Every page below num_pages() must be written before the
+  /// run is read (a hole fails its checksum). The caller must have set
+  /// the count word at offset 4 and the entries.
   bool WritePage(uint64_t page_id, void* buf);
 
   /// Rewrites the header page with the current num_pages and the given
-  /// logical entry count, then fsyncs the file. Call after a bulk load
-  /// or merge installs a new page run.
+  /// logical entry count, then fsyncs the file: the one durability point
+  /// of a written run.
   bool SyncHeader(uint64_t num_entries);
 
-  /// fsync without a header rewrite (e.g. after flushing dirty pages).
-  bool Sync();
+  /// Atomically renames the file to `path` and fsyncs the directory, so
+  /// a run written under a temporary name replaces the live one.
+  bool RenameTo(const std::string& path);
 
-  size_t page_size() const { return page_size_; }
-  size_t entries_per_page() const { return EntriesPerPage(page_size_); }
   uint64_t num_pages() const { return num_pages_; }
   /// Logical entry count recorded by the last SyncHeader (what a
   /// reopened file reports before its pages are scanned).
   uint64_t header_entries() const { return header_entries_; }
-  const std::string& path() const { return path_; }
   /// Total file bytes (header page + data pages).
-  size_t SizeBytes() const { return (num_pages_ + 1) * page_size_; }
-
-  /// Allocates a page_size-aligned zeroed buffer usable with O_DIRECT.
-  static std::unique_ptr<uint8_t, void (*)(void*)> AllocateAligned(
-      size_t page_size, size_t count = 1);
+  size_t SizeBytes() const { return (num_pages_ + 1) * kPageSize; }
 
   // --- In-page accessors (shared by pool, index, and tests) ----------------
 
@@ -127,15 +114,13 @@ class PageFile {
   }
 
  private:
-  PageFile(std::string path, int fd, PageFileOptions options);
+  PageFile(std::string path, int fd) : path_(std::move(path)), fd_(fd) {}
 
   bool WriteHeader(uint64_t num_entries);
   bool ReadHeader();
 
   std::string path_;
   int fd_ = -1;
-  size_t page_size_ = 4096;
-  bool direct_io_ = false;
   uint64_t num_pages_ = 0;
   uint64_t header_entries_ = 0;
 };

@@ -1,13 +1,8 @@
 #include "src/tiered/tiered_index.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cassert>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <utility>
 
@@ -23,31 +18,44 @@ constexpr size_t kNoPage = static_cast<size_t>(-1);
 
 std::string MainPath(const std::string& dir) { return dir + "/main.pages"; }
 
-void SyncDirContaining(const std::string& path) {
-  const std::string dir = std::filesystem::path(path).parent_path().string();
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd >= 0) {
-    ::fsync(fd);
-    ::close(fd);
-  }
-}
-
 }  // namespace
 
+template <typename Fill>
+bool TieredIndex::WriteRun(tiered::PageFile* file, Fill fill,
+                           RunLayout* layout) {
+  auto page = std::make_unique<tiered::Page>();
+  KeyValue* entries = tiered::PageFile::PageEntries(page.get());
+  size_t n = 0;
+  bool ok = true;
+  auto flush = [&] {
+    // Only a run's last page is partial; its tail must be zero.
+    std::fill(entries + n, entries + tiered::kEntriesPerPage, KeyValue{});
+    tiered::PageFile::SetPageCount(page.get(), static_cast<uint32_t>(n));
+    ok = ok && file->WritePage(file->num_pages(), page.get());
+    if (ok) CHAMELEON_STAT_INC(kTieredPageWrites);
+    n = 0;
+  };
+  auto emit = [&](const KeyValue& kv) {
+    if (n == 0) layout->fences.push_back(kv.key);
+    entries[n++] = kv;
+    ++layout->entries;
+    layout->max_key = kv.key;
+    if (n == tiered::kEntriesPerPage) flush();
+  };
+  ok = fill(emit) && ok;
+  if (ok && n > 0) flush();
+  return ok && file->SyncHeader(layout->entries);
+}
+
 TieredIndex::TieredIndex(
-    std::string dir, TieredOptions options,
+    std::string dir, TieredOptions options, std::unique_ptr<KvIndex> delta,
     std::function<std::unique_ptr<KvIndex>()> delta_factory)
     : dir_(std::move(dir)),
       options_(options),
-      delta_factory_(std::move(delta_factory)) {
+      delta_factory_(std::move(delta_factory)),
+      delta_(std::move(delta)) {
   std::error_code ec;
   std::filesystem::create_directories(dir_, ec);
-  delta_ = delta_factory_();
-  if (delta_ == nullptr) {
-    std::fprintf(stderr, "tiered: delta factory returned null for %s\n",
-                 dir_.c_str());
-    std::abort();
-  }
   name_ = "Disk:" + std::string(delta_->Name());
 }
 
@@ -57,49 +65,35 @@ TieredIndex::~TieredIndex() {
   if (delta_->size() > 0 || !tombstones_.empty()) Merge();
 }
 
-bool TieredIndex::EnsureMainFile() {
-  if (main_ != nullptr) return true;
-  tiered::PageFileOptions pf;
-  pf.page_size = options_.page_size;
-  pf.direct_io = options_.direct_io;
-  main_ = tiered::PageFile::Create(MainPath(dir_), pf);
-  if (main_ == nullptr) return false;
-  pool_ = std::make_unique<tiered::BufferPool>(main_.get(), options_.frames);
-  return true;
+void TieredIndex::Install(std::unique_ptr<tiered::PageFile> file,
+                          RunLayout layout) {
+  std::unique_lock<std::shared_mutex> heat_lock(heat_mu_);
+  if (pool_ == nullptr) {
+    pool_ = std::make_unique<tiered::BufferPool>(file.get(), options_.frames);
+  } else {
+    pool_->Reset(file.get());
+  }
+  main_ = std::move(file);
+  fences_ = std::move(layout.fences);
+  disk_entries_ = layout.entries;
+  disk_max_key_ = layout.max_key;
+  heat_reads_.reset(new std::atomic<uint64_t>[fences_.size()]());
+  heat_writes_.reset(new std::atomic<uint64_t>[fences_.size()]());
 }
 
 void TieredIndex::BulkLoad(std::span<const KeyValue> data) {
-  if (!EnsureMainFile()) return;
-  const size_t per_page = main_->entries_per_page();
-  std::vector<Key> fences;
-  // Writes go through the pool on purpose: a frame budget smaller than
-  // the load exercises dirty write-back and CLOCK eviction on day one.
-  for (size_t off = 0; off < data.size(); off += per_page) {
-    const size_t n = std::min(per_page, data.size() - off);
-    const uint64_t page_id = off / per_page;
-    tiered::PageRef ref = pool_->Pin(page_id, /*for_write=*/true);
-    if (!ref.valid()) {
-      std::fprintf(stderr, "tiered: bulk load of %s failed at page %llu\n",
-                   dir_.c_str(), static_cast<unsigned long long>(page_id));
-      return;
-    }
-    tiered::PageFile::SetPageCount(ref.mutable_data(), static_cast<uint32_t>(n));
-    std::memcpy(tiered::PageFile::PageEntries(ref.mutable_data()), data.data() + off,
-                n * sizeof(KeyValue));
-    ref.MarkDirty();
-    fences.push_back(data[off].key);
-  }
-  if (!pool_->FlushAll() || !main_->SyncHeader(data.size())) {
-    std::fprintf(stderr, "tiered: bulk load flush of %s failed\n",
-                 dir_.c_str());
+  auto fill = [&](auto emit) {
+    for (const KeyValue& kv : data) emit(kv);
+    return true;
+  };
+  std::unique_ptr<tiered::PageFile> file =
+      tiered::PageFile::Create(MainPath(dir_));
+  RunLayout layout;
+  if (file == nullptr || !WriteRun(file.get(), fill, &layout)) {
+    std::fprintf(stderr, "tiered: bulk load of %s failed\n", dir_.c_str());
     return;
   }
-  std::unique_lock<std::shared_mutex> heat_lock(heat_mu_);
-  fences_ = std::move(fences);
-  disk_entries_ = data.size();
-  disk_max_key_ = data.empty() ? 0 : data.back().key;
-  heat_reads_.reset(new std::atomic<uint64_t>[fences_.size()]());
-  heat_writes_.reset(new std::atomic<uint64_t>[fences_.size()]());
+  Install(std::move(file), std::move(layout));
 }
 
 size_t TieredIndex::CandidatePage(Key key) const {
@@ -236,7 +230,7 @@ size_t TieredIndex::SizeBytes() const {
   size_t bytes = delta_->SizeBytes() + fences_.size() * sizeof(Key) +
                  tombstones_.size() * sizeof(Key);
   if (main_ != nullptr) bytes += main_->SizeBytes();
-  if (pool_ != nullptr) bytes += pool_->frames() * options_.page_size;
+  if (pool_ != nullptr) bytes += pool_->frames() * tiered::kPageSize;
   return bytes;
 }
 
@@ -290,170 +284,98 @@ void TieredIndex::MaybeMerge() {
 
 bool TieredIndex::Merge() {
   if (delta_->size() == 0 && tombstones_.empty()) return true;
-  if (!EnsureMainFile()) return false;
 
-  // Phase 1 — scan: drain the delta (sorted) and stream the old run.
+  // Phase 1 — scan: drain the delta (sorted).
   std::vector<KeyValue> delta_entries;
-  uint64_t old_pages = 0;
   {
     CHAMELEON_PHASE_SPAN(kMergeScan);
     delta_entries.reserve(delta_->size());
     delta_->RangeScan(kMinKey, kMaxKey, &delta_entries);
-    old_pages = main_->num_pages();
   }
 
-  // Phase 2 — write: merge-join old pages with the delta into a fresh
-  // page run (temp file, direct sequential I/O, no pool pollution).
+  // Phase 2 — write: merge-join the old run's pages with the delta into
+  // a fresh run under a temp name (sequential I/O, no pool pollution).
   const std::string tmp_path = MainPath(dir_) + ".tmp";
-  std::vector<Key> fences;
-  uint64_t written_entries = 0;
+  std::unique_ptr<tiered::PageFile> out;
+  RunLayout layout;
   {
     CHAMELEON_PHASE_SPAN(kMergeWrite);
-    tiered::PageFileOptions pf;
-    pf.page_size = options_.page_size;
-    pf.direct_io = options_.direct_io;
-    std::unique_ptr<tiered::PageFile> out = tiered::PageFile::Create(tmp_path, pf);
+    out = tiered::PageFile::Create(tmp_path);
     if (out == nullptr) return false;
-    const size_t per_page = out->entries_per_page();
-
-    auto in_buf = tiered::PageFile::AllocateAligned(main_->page_size());
-    auto out_buf = tiered::PageFile::AllocateAligned(options_.page_size);
-    KeyValue* out_entries = tiered::PageFile::PageEntries(out_buf.get());
-    size_t out_n = 0;
-    uint64_t out_page = 0;
-    bool ok = true;
-
-    auto emit = [&](const KeyValue& kv) {
-      if (out_n == 0) fences.push_back(kv.key);
-      out_entries[out_n++] = kv;
-      ++written_entries;
-      if (out_n == per_page) {
-        tiered::PageFile::SetPageCount(out_buf.get(), static_cast<uint32_t>(out_n));
-        ok = ok && out->WritePage(out_page++, out_buf.get());
-        out_n = 0;
-        std::memset(out_buf.get(), 0, options_.page_size);
-      }
-    };
-
-    size_t di = 0;  // delta cursor
-    for (uint64_t page = 0; page < old_pages && ok; ++page) {
-      if (!main_->ReadPage(page, in_buf.get())) {
-        ok = false;
-        break;
-      }
-      CHAMELEON_STAT_INC(kTieredPageReads);
-      const KeyValue* entries = tiered::PageFile::PageEntries(in_buf.get());
-      const uint32_t count = tiered::PageFile::PageCount(in_buf.get());
-      for (uint32_t i = 0; i < count; ++i) {
-        while (di < delta_entries.size() &&
-               delta_entries[di].key < entries[i].key) {
-          emit(delta_entries[di++]);
+    auto fill = [&](auto emit) {
+      const uint64_t old_pages = main_ != nullptr ? main_->num_pages() : 0;
+      auto in = std::make_unique<tiered::Page>();
+      size_t di = 0;  // delta cursor
+      for (uint64_t page = 0; page < old_pages; ++page) {
+        if (!main_->ReadPage(page, in.get())) return false;
+        CHAMELEON_STAT_INC(kTieredPageReads);
+        const KeyValue* entries = tiered::PageFile::PageEntries(in.get());
+        const uint32_t count = tiered::PageFile::PageCount(in.get());
+        for (uint32_t i = 0; i < count; ++i) {
+          while (di < delta_entries.size() &&
+                 delta_entries[di].key < entries[i].key) {
+            emit(delta_entries[di++]);
+          }
+          // Tombstoned disk keys drop out here — including shadowed
+          // ones, whose live copy arrives from the delta cursor instead.
+          if (tombstones_.count(entries[i].key) == 0) emit(entries[i]);
         }
-        // Tombstoned disk keys drop out here — including shadowed ones,
-        // whose live copy arrives from the delta cursor instead.
-        if (tombstones_.count(entries[i].key) == 0) emit(entries[i]);
       }
-    }
-    while (ok && di < delta_entries.size()) emit(delta_entries[di++]);
-    if (ok && out_n > 0) {
-      tiered::PageFile::SetPageCount(out_buf.get(), static_cast<uint32_t>(out_n));
-      ok = out->WritePage(out_page++, out_buf.get());
-    }
-    CHAMELEON_STAT_ADD(kTieredPageWrites, out_page);
-    if (!ok || !out->SyncHeader(written_entries)) {
+      while (di < delta_entries.size()) emit(delta_entries[di++]);
+      return true;
+    };
+    if (!WriteRun(out.get(), fill, &layout)) {
       std::filesystem::remove(tmp_path);
       return false;
     }
   }
 
-  // Phase 3 — install: atomic rename over the old run, retarget the
-  // pool, swap in a fresh delta, drop tombstones.
+  // Phase 3 — install: atomic rename over the old run, then the shared
+  // install step; swap in a fresh delta and drop tombstones.
   {
     CHAMELEON_PHASE_SPAN(kMergeInstall);
-    std::error_code ec;
-    std::filesystem::rename(tmp_path, MainPath(dir_), ec);
-    if (ec) {
-      std::fprintf(stderr, "tiered: installing merged run in %s failed: %s\n",
-                   dir_.c_str(), ec.message().c_str());
+    if (!out->RenameTo(MainPath(dir_))) {
       std::filesystem::remove(tmp_path);
       return false;
     }
-    SyncDirContaining(MainPath(dir_));
-    tiered::PageFileOptions pf;
-    pf.direct_io = options_.direct_io;
-    std::unique_ptr<tiered::PageFile> reopened = tiered::PageFile::Open(MainPath(dir_), pf);
-    if (reopened == nullptr) return false;  // unrecoverable mid-install
-    main_ = std::move(reopened);
-    pool_->Reset(main_.get());
-
-    std::unique_lock<std::shared_mutex> heat_lock(heat_mu_);
-    fences_ = std::move(fences);
-    disk_entries_ = written_entries;
-    disk_max_key_ = 0;
-    heat_reads_.reset(new std::atomic<uint64_t>[fences_.size()]());
-    heat_writes_.reset(new std::atomic<uint64_t>[fences_.size()]());
+    Install(std::move(out), std::move(layout));
   }
-  // Recompute the max key from the last page (cheap: one pooled read).
-  if (!fences_.empty()) {
-    tiered::PageRef ref = pool_->Pin(fences_.size() - 1);
-    if (ref.valid()) {
-      const uint32_t count = tiered::PageFile::PageCount(ref.data());
-      disk_max_key_ = tiered::PageFile::PageEntries(ref.data())[count - 1].key;
-    }
-  }
-
   delta_ = delta_factory_();
   tombstones_.clear();
   ++merges_;
   CHAMELEON_STAT_INC(kTieredMerges);
-  CHAMELEON_STAT_ADD(kTieredMergeEntries, written_entries);
+  CHAMELEON_STAT_ADD(kTieredMergeEntries, disk_entries_);
   return true;
 }
 
 bool TieredIndex::Recover() {
   if (main_ != nullptr) return false;  // already loaded
-  tiered::PageFileOptions pf;
-  pf.direct_io = options_.direct_io;
-  main_ = tiered::PageFile::Open(MainPath(dir_), pf);
-  if (main_ == nullptr) return false;
-  options_.page_size = main_->page_size();  // the file's geometry wins
-  pool_ = std::make_unique<tiered::BufferPool>(main_.get(), options_.frames);
+  std::unique_ptr<tiered::PageFile> file =
+      tiered::PageFile::Open(MainPath(dir_));
+  if (file == nullptr) return false;
 
   // Rebuild the fence router with one sequential scan of the run,
   // validating every page's checksum on the way.
-  std::vector<Key> fences;
-  uint64_t entries_seen = 0;
-  Key max_key = 0;
-  auto buf = tiered::PageFile::AllocateAligned(main_->page_size());
-  for (uint64_t page = 0; page < main_->num_pages(); ++page) {
-    if (!main_->ReadPage(page, buf.get())) {
-      main_.reset();
-      pool_.reset();
-      return false;
-    }
+  RunLayout layout;
+  auto buf = std::make_unique<tiered::Page>();
+  for (uint64_t page = 0; page < file->num_pages(); ++page) {
+    if (!file->ReadPage(page, buf.get())) return false;
     const uint32_t count = tiered::PageFile::PageCount(buf.get());
     const KeyValue* entries = tiered::PageFile::PageEntries(buf.get());
     if (count == 0) continue;
-    fences.push_back(entries[0].key);
-    entries_seen += count;
-    max_key = entries[count - 1].key;
+    layout.fences.push_back(entries[0].key);
+    layout.entries += count;
+    layout.max_key = entries[count - 1].key;
   }
-  if (entries_seen != main_->header_entries()) {
+  if (layout.entries != file->header_entries()) {
     std::fprintf(stderr,
                  "tiered: %s header claims %llu entries but pages hold %llu\n",
                  MainPath(dir_).c_str(),
-                 static_cast<unsigned long long>(main_->header_entries()),
-                 static_cast<unsigned long long>(entries_seen));
-    main_.reset();
-    pool_.reset();
+                 static_cast<unsigned long long>(file->header_entries()),
+                 static_cast<unsigned long long>(layout.entries));
     return false;
   }
-  std::unique_lock<std::shared_mutex> heat_lock(heat_mu_);
-  fences_ = std::move(fences);
-  disk_entries_ = entries_seen;
-  disk_max_key_ = max_key;
-  heat_reads_.reset(new std::atomic<uint64_t>[fences_.size()]());
-  heat_writes_.reset(new std::atomic<uint64_t>[fences_.size()]());
+  Install(std::move(file), std::move(layout));
   CHAMELEON_STAT_INC(kRecoveries);
   return true;
 }
@@ -470,7 +392,7 @@ bool CollectTieredStats(const KvIndex* index, TieredStatsBlock* out) {
   }
   ++out->layers;
   out->frames += tiered->frame_budget();
-  if (out->page_size == 0) out->page_size = tiered->page_size();
+  out->page_size = tiered::kPageSize;
   out->pages += tiered->disk_pages();
   out->disk_entries += tiered->disk_entries();
   out->delta_entries += tiered->delta_entries();
@@ -482,7 +404,6 @@ bool CollectTieredStats(const KvIndex* index, TieredStatsBlock* out) {
     out->pool.misses += s.misses;
     out->pool.evictions += s.evictions;
     out->pool.page_reads += s.page_reads;
-    out->pool.page_writes += s.page_writes;
   }
   return true;
 }
@@ -503,8 +424,7 @@ bool ParseSizeValue(const std::string& value, size_t* out) {
   return true;
 }
 
-/// Spec builder for
-/// "Disk(<dir>[,pages=<bytes>][,frames=<N>][,merge=<N>][,direct=on|off])".
+/// Spec builder for "Disk(<dir>[,frames=<N>][,merge=<N>])".
 /// The positional dir gets the build context's suffix appended, so
 /// Sharded4:Disk(d):X roots each shard's page run at d/shard-<i>.
 std::unique_ptr<KvIndex> BuildTieredFromSpec(const SpecNode& node,
@@ -520,15 +440,6 @@ std::unique_ptr<KvIndex> BuildTieredFromSpec(const SpecNode& node,
         return nullptr;
       }
       dir = option.value;
-    } else if (option.key == "pages") {
-      if (!ParseSizeValue(option.value, &options.page_size) ||
-          options.page_size % 512 != 0 ||
-          options.page_size < tiered::kPageHeaderBytes + sizeof(KeyValue)) {
-        error->pos = option.pos;
-        error->message = "bad pages value '" + option.value +
-                         "' (expected a multiple of 512 bytes, e.g. 4096 or 4K)";
-        return nullptr;
-      }
     } else if (option.key == "frames") {
       if (!ParseSizeValue(option.value, &options.frames)) {
         error->pos = option.pos;
@@ -543,22 +454,10 @@ std::unique_ptr<KvIndex> BuildTieredFromSpec(const SpecNode& node,
                          "' (expected a positive integer)";
         return nullptr;
       }
-    } else if (option.key == "direct") {
-      if (option.value == "on") {
-        options.direct_io = true;
-      } else if (option.value == "off") {
-        options.direct_io = false;
-      } else {
-        error->pos = option.pos;
-        error->message =
-            "bad direct value '" + option.value + "' (expected on or off)";
-        return nullptr;
-      }
     } else {
       error->pos = option.pos;
-      error->message =
-          "unknown Disk option '" + option.key +
-          "' (options: pages=<bytes>, frames=<N>, merge=<N>, direct=on|off)";
+      error->message = "unknown Disk option '" + option.key +
+                       "' (options: frames=<N>, merge=<N>)";
       return nullptr;
     }
   }
@@ -568,11 +467,12 @@ std::unique_ptr<KvIndex> BuildTieredFromSpec(const SpecNode& node,
     return nullptr;
   }
   dir += ctx.dir_suffix;
-  // The delta factory rebuilds the wrapped spec after every merge; the
-  // build context is cloned so per-shard suffixes stay stable.
+  // The first build validates the wrapped spec and becomes the first
+  // delta; the factory rebuilds it after every merge, with the build
+  // context cloned so per-shard suffixes stay stable.
   auto inner_node = node.inner->Clone();
-  auto probe = BuildIndexSpec(*inner_node, ctx, error);
-  if (probe == nullptr) return nullptr;
+  auto delta = BuildIndexSpec(*inner_node, ctx, error);
+  if (delta == nullptr) return nullptr;
   auto factory = [spec = std::shared_ptr<SpecNode>(std::move(inner_node)),
                   ctx_copy = ctx]() -> std::unique_ptr<KvIndex> {
     SpecError err;
@@ -584,7 +484,7 @@ std::unique_ptr<KvIndex> BuildTieredFromSpec(const SpecNode& node,
     return built;
   };
   return std::make_unique<TieredIndex>(std::move(dir), options,
-                                       std::move(factory));
+                                       std::move(delta), std::move(factory));
 }
 
 }  // namespace
@@ -594,9 +494,9 @@ void RegisterTieredDecorator() {
       "Disk",
       DecoratorInfo{
           BuildTieredFromSpec, /*wants_count=*/false,
-          "Disk(<dir>[,pages=<bytes>][,frames=<N>][,merge=<N>][,direct=on|off])"
-          ":<spec>   page the leaves to <dir> behind a buffer pool "
-          "(pages default 4096, frames 256, merge 8192, direct off)"});
+          "Disk(<dir>[,frames=<N>][,merge=<N>]):<spec>   page the leaves "
+          "to <dir> in 4 KiB pages behind a read-only buffer pool "
+          "(frames default 256, merge 8192)"});
 }
 
 }  // namespace chameleon

@@ -17,28 +17,24 @@
 namespace chameleon {
 
 struct TieredOptions {
-  /// On-disk page size in bytes (must be a multiple of 512; 4096-byte
-  /// pages hold 255 KeyValue entries).
-  size_t page_size = 4096;
-  /// Buffer-pool frame budget. frames * page_size bytes of page cache;
-  /// a budget smaller than the data forces CLOCK evictions.
+  /// Buffer-pool frame budget. frames * tiered::kPageSize bytes of page
+  /// cache; a budget smaller than the data forces CLOCK evictions.
   size_t frames = 256;
   /// Absorbed writes (delta entries + tombstones) that trigger an
   /// automatic Merge() into a rewritten page run.
   size_t merge_threshold = 8192;
-  /// Open the page file with O_DIRECT (falls back to buffered I/O with
-  /// a warning where unsupported, e.g. tmpfs).
-  bool direct_io = false;
 };
 
 /// Tiered disk-resident leaf storage (DESIGN.md §14): the hybrid
 /// memory/disk pattern of "Making In-Memory Learned Indexes Efficient
 /// on Disk" (SIGMOD 2024). The bulk-loaded key space lives in a
-/// page-aligned on-disk run (`<dir>/main.pages`) behind a fixed-budget
-/// buffer pool; an in-memory *delta index* — a fresh instance of the
-/// wrapped spec, e.g. Chameleon — absorbs Insert/Erase; a
+/// page-aligned on-disk run (`<dir>/main.pages`) behind a fixed-budget,
+/// read-only buffer pool; an in-memory *delta index* — a fresh instance
+/// of the wrapped spec, e.g. Chameleon — absorbs Insert/Erase; a
 /// threshold-triggered Merge() compacts delta + tombstones into a
-/// rewritten page run installed by atomic rename.
+/// rewritten page run installed by atomic rename. BulkLoad and Merge
+/// write their runs with one writer, and BulkLoad, Merge and Recover
+/// make a run live with one install step.
 ///
 /// Read path: Lookup probes the delta first (newest data wins), then
 /// the tombstone set (a deleted/shadowed disk key is a miss), then
@@ -65,7 +61,7 @@ struct TieredOptions {
 /// capabilities (a Chameleon delta's concurrent writes, its contention
 /// map) never surface through this layer. HeatmapSnapshot() may be polled
 /// live by the metrics sampler; it only touches state guarded against
-/// Merge's structural swap.
+/// Install's swap.
 ///
 /// Clean close: the destructor merges any outstanding delta/tombstones
 /// into the page run, so a later TieredIndex on the same directory can
@@ -74,9 +70,10 @@ struct TieredOptions {
 /// into a recovered TieredIndex).
 class TieredIndex final : public KvIndex {
  public:
-  /// `delta_factory` builds a fresh empty instance of the wrapped spec;
-  /// it is invoked once at construction and after every merge.
+  /// `delta` is the first (empty) delta; `delta_factory` builds a fresh
+  /// empty instance of the same spec after every merge.
   TieredIndex(std::string dir, TieredOptions options,
+              std::unique_ptr<KvIndex> delta,
               std::function<std::unique_ptr<KvIndex>()> delta_factory);
   ~TieredIndex() override;
 
@@ -117,14 +114,30 @@ class TieredIndex final : public KvIndex {
   uint64_t disk_entries() const { return disk_entries_; }
   uint64_t merges() const { return merges_; }
   size_t frame_budget() const { return options_.frames; }
-  size_t page_size() const { return options_.page_size; }
   const std::string& dir() const { return dir_; }
   const KvIndex& delta() const { return *delta_; }
 
  private:
-  /// Creates `<dir>/main.pages` (empty run) and the pool if the index
-  /// was never bulk-loaded; Merge and the destructor need a file.
-  bool EnsureMainFile();
+  /// Router state of a written or recovered page run.
+  struct RunLayout {
+    std::vector<Key> fences;
+    uint64_t entries = 0;
+    Key max_key = 0;
+  };
+
+  /// Makes `file` the live run: retargets (or creates) the pool, then
+  /// swaps the fences, counters and fresh heat arrays under heat_mu_.
+  /// The one install step of BulkLoad, Merge and Recover.
+  void Install(std::unique_ptr<tiered::PageFile> file, RunLayout layout);
+
+  /// The one run writer: packs the ascending pairs that `fill(emit)`
+  /// passes to `emit` into consecutive data pages of the fresh `file`,
+  /// records the run's router state in `*layout` and makes the run
+  /// durable with one SyncHeader. `fill` returns false when its source
+  /// fails (a corrupt input page); nothing is synced then.
+  template <typename Fill>
+  static bool WriteRun(tiered::PageFile* file, Fill fill, RunLayout* layout);
+
   /// Fence binary search: index of the one page that could hold `key`,
   /// or npos when the run is empty or key precedes every fence.
   size_t CandidatePage(Key key) const;
@@ -165,7 +178,7 @@ class TieredIndex final : public KvIndex {
 struct TieredStatsBlock {
   size_t layers = 0;  // TieredIndex instances found
   size_t frames = 0;
-  size_t page_size = 0;  // of the first layer (uniform in practice)
+  size_t page_size = 0;  // tiered::kPageSize once a layer is found
   uint64_t pages = 0;
   uint64_t disk_entries = 0;
   size_t delta_entries = 0;

@@ -1,9 +1,13 @@
 #include "src/util/io.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 
 namespace chameleon {
 namespace {
@@ -64,6 +68,15 @@ bool WriteSosdFile(const std::string& path, const std::vector<Key>& keys) {
     return false;
   }
   return ok;
+}
+
+void SyncDirOf(const std::string& path) {
+  const std::string dir = std::filesystem::path(path).parent_path().string();
+  const int fd = ::open(dir.empty() ? "." : dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (fd >= 0) {
+    ::fsync(fd);
+    ::close(fd);
+  }
 }
 
 }  // namespace chameleon

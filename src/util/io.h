@@ -17,6 +17,12 @@ bool ReadSosdFile(const std::string& path, std::vector<Key>* keys);
 /// printing an errno-annotated diagnostic to stderr.
 bool WriteSosdFile(const std::string& path, const std::vector<Key>& keys);
 
+/// fsyncs the directory holding `path` ("." when the path has no
+/// directory part), so a file created, renamed or removed there keeps
+/// its directory entry across a crash (a file's own fsync does not
+/// persist it). Best effort: an unopenable directory is skipped.
+void SyncDirOf(const std::string& path);
+
 }  // namespace chameleon
 
 #endif  // CHAMELEON_UTIL_IO_H_

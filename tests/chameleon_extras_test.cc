@@ -2,6 +2,8 @@
 // end-to-end, adaptive-alpha config, memory accounting, and the
 // paper's headline comparisons at test scale.
 
+#include <algorithm>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -74,12 +76,14 @@ TEST(ChameleonExtrasTest, MemoryParityWithLippOnSkewedData) {
 
 TEST(ChameleonExtrasTest, FasterInsertsThanAlexOnSkewedData) {
   // The paper's update headline (up to 2.92x over baselines); assert a
-  // conservative margin to stay robust to machine noise.
+  // conservative margin. Each index is timed as the best of three
+  // passes, interleaved so that a burst of load from other processes
+  // slows one pass of each rather than every pass of one.
   const std::vector<Key> keys =
       GenerateDataset(DatasetKind::kLogn, 50'000, 13);
   const std::vector<KeyValue> data = ToKeyValues(keys);
 
-  auto run_inserts = [&](KvIndex* index) {
+  auto run_inserts = [&](std::unique_ptr<KvIndex> index) {
     index->BulkLoad(data);
     // The generator (and its live set) stays allocated through the timed
     // loop: freeing it first hands the allocator warm pages that speed
@@ -92,10 +96,12 @@ TEST(ChameleonExtrasTest, FasterInsertsThanAlexOnSkewedData) {
     return timer.ElapsedNanos() / static_cast<double>(ops.size());
   };
 
-  ChameleonIndex cha;
-  const double cha_ns = run_inserts(&cha);
-  std::unique_ptr<KvIndex> alex = MakeIndex("ALEX");
-  const double alex_ns = run_inserts(alex.get());
+  double cha_ns = std::numeric_limits<double>::infinity();
+  double alex_ns = cha_ns;
+  for (int pass = 0; pass < 3; ++pass) {
+    cha_ns = std::min(cha_ns, run_inserts(std::make_unique<ChameleonIndex>()));
+    alex_ns = std::min(alex_ns, run_inserts(MakeIndex("ALEX")));
+  }
   EXPECT_LT(cha_ns * 1.5, alex_ns)
       << "Chameleon " << cha_ns << " ns vs ALEX " << alex_ns << " ns";
 }

@@ -6,10 +6,13 @@
 
 #include <atomic>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -326,22 +329,30 @@ TEST_F(TieredIndexTest, SpecOptionsAndErrors) {
   EXPECT_EQ(MakeIndex("Disk(" + dir_ + ",bogus=1):Chameleon", &error),
             nullptr);
   EXPECT_NE(error.find("bogus"), std::string::npos) << error;
-  EXPECT_EQ(MakeIndex("Disk(" + dir_ + ",pages=100):Chameleon", &error),
-            nullptr);
+  // Pages are a fixed 4 KiB and there is no direct-I/O mode: the old
+  // page-size and I/O-mode knobs are unknown options, not ignored ones.
+  for (const auto& [key, value] :
+       {std::pair<std::string, std::string>{"pages", "4K"}, {"direct", "on"}}) {
+    EXPECT_EQ(MakeIndex("Disk(" + dir_ + "," + key + "=" + value +
+                            "):Chameleon",
+                        &error),
+              nullptr)
+        << key;
+    EXPECT_NE(error.find("unknown Disk option '" + key + "'"),
+              std::string::npos)
+        << error;
+  }
   EXPECT_EQ(MakeIndex("Disk(" + dir_ + ",frames=0):Chameleon", &error),
-            nullptr);
-  EXPECT_EQ(MakeIndex("Disk(" + dir_ + ",direct=maybe):Chameleon", &error),
             nullptr);
   EXPECT_EQ(MakeIndex("Disk4(" + dir_ + "):Chameleon", &error), nullptr);
 
-  // "4K" page-size shorthand parses; the stack reports its name.
+  // The "4K" size shorthand parses; the stack reports its name.
   std::unique_ptr<KvIndex> index =
-      MakeIndex("Disk(" + dir_ + ",pages=4K,frames=32):Chameleon", &error);
+      MakeIndex("Disk(" + dir_ + ",frames=32,merge=4K):Chameleon", &error);
   ASSERT_NE(index, nullptr) << error;
   EXPECT_EQ(index->Name(), "Disk:Chameleon");
   auto* tiered = dynamic_cast<TieredIndex*>(index.get());
   ASSERT_NE(tiered, nullptr);
-  EXPECT_EQ(tiered->page_size(), 4096u);
   EXPECT_EQ(tiered->frame_budget(), 32u);
 }
 
@@ -350,9 +361,11 @@ TEST_F(TieredIndexTest, CollectTieredStatsWalksAdapterStacks) {
   std::unique_ptr<KvIndex> index =
       MakeIndex("Sharded2:Disk(" + dir_ + ",frames=8):Chameleon", &error);
   ASSERT_NE(index, nullptr) << error;
-  index->BulkLoad(Load(6'000));
-  for (int i = 0; i < 200; ++i) {
-    index->Lookup(static_cast<Key>(i) * 131, nullptr);
+  const std::vector<KeyValue> data = Load(6'000);
+  index->BulkLoad(data);
+  // Every loaded key routes to exactly one shard's page: 200 pins.
+  for (size_t i = 0; i < 200; ++i) {
+    ASSERT_TRUE(index->Lookup(data[i * 29].key, nullptr)) << i;
   }
   TieredStatsBlock block;
   ASSERT_TRUE(CollectTieredStats(index.get(), &block));
@@ -361,13 +374,46 @@ TEST_F(TieredIndexTest, CollectTieredStatsWalksAdapterStacks) {
   EXPECT_EQ(block.page_size, 4096u);
   EXPECT_EQ(block.disk_entries, 6'000u);
   EXPECT_GT(block.pages, 0u);
-  EXPECT_GT(block.pool.hits + block.pool.misses, 0u);
+  EXPECT_EQ(block.pool.hits + block.pool.misses, 200u);
 
   // A stack without a tiered layer reports absence.
   std::unique_ptr<KvIndex> volatile_index = MakeIndex("Chameleon");
   TieredStatsBlock none;
   EXPECT_FALSE(CollectTieredStats(volatile_index.get(), &none));
   EXPECT_EQ(none.layers, 0u);
+}
+
+TEST_F(TieredIndexTest, BulkLoadAndMergeWriteIdenticalRuns) {
+  // BulkLoad and Merge share one run writer: loading every key at once
+  // and loading half, inserting the rest and merging must leave the
+  // same main.pages, byte for byte.
+  const std::vector<KeyValue> data = Load(5'000);
+  std::vector<KeyValue> evens, odds;
+  for (size_t i = 0; i < data.size(); ++i) {
+    (i % 2 == 0 ? evens : odds).push_back(data[i]);
+  }
+  auto read_file = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  std::string error;
+  std::unique_ptr<KvIndex> whole =
+      MakeIndex("Disk(" + dir_ + "/whole):Chameleon", &error);
+  ASSERT_NE(whole, nullptr) << error;
+  whole->BulkLoad(data);
+  std::unique_ptr<KvIndex> merged =
+      MakeIndex("Disk(" + dir_ + "/merged):Chameleon", &error);
+  ASSERT_NE(merged, nullptr) << error;
+  merged->BulkLoad(evens);
+  for (const KeyValue& kv : odds) ASSERT_TRUE(merged->Insert(kv.key, kv.value));
+  ASSERT_TRUE(dynamic_cast<TieredIndex*>(merged.get())->Merge());
+
+  const std::string a = read_file(dir_ + "/whole/main.pages");
+  const std::string b = read_file(dir_ + "/merged/main.pages");
+  // A header page plus ceil(5000 / 255) = 20 data pages.
+  EXPECT_EQ(a.size(), 21 * tiered::kPageSize);
+  EXPECT_TRUE(a == b) << "runs differ (" << a.size() << " vs " << b.size()
+                      << " bytes)";
 }
 
 TEST_F(TieredIndexTest, ShardedDiskUsesPerShardDirectories) {

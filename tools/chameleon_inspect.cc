@@ -271,7 +271,7 @@ int main(int argc, char** argv) {
                  "\"tombstones\": %zu, \"merges\": %llu,\n"
                  "    \"pool\": {\"hits\": %llu, \"misses\": %llu, "
                  "\"hit_rate\": %.6g, \"evictions\": %llu, "
-                 "\"page_reads\": %llu, \"page_writes\": %llu}},\n",
+                 "\"page_reads\": %llu}},\n",
                  tiered.layers, tiered.frames, tiered.page_size,
                  static_cast<unsigned long long>(tiered.pages),
                  static_cast<unsigned long long>(tiered.disk_entries),
@@ -281,8 +281,7 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(tiered.pool.misses),
                  tiered.pool.HitRate(),
                  static_cast<unsigned long long>(tiered.pool.evictions),
-                 static_cast<unsigned long long>(tiered.pool.page_reads),
-                 static_cast<unsigned long long>(tiered.pool.page_writes));
+                 static_cast<unsigned long long>(tiered.pool.page_reads));
   }
 
   const obs::CounterSnapshot snap = obs::StatsRegistry::Get().Snapshot();
