@@ -13,6 +13,9 @@
 // restores) and on keeping worst-case probes bounded; reads pay a small
 // Query-Lock overhead while the retrainer is live. See EXPERIMENTS.md
 // for the measured numbers and discussion.
+//
+// Inserts always replay on one writer thread, so fig15 ignores
+// --wthreads; --rthreads fans out only the read segments.
 
 #include <chrono>
 #include <cstdio>
@@ -36,16 +39,18 @@ void RunTrace(ChameleonIndex* index, const std::vector<Key>& keys,
   const WorkloadDesc insert_desc = ParseWorkloadOrDie("insdel(u=1)");
   const WorkloadDesc read_desc = ParseWorkloadOrDie("read");
   obs::LatencyHistogram* hist = report->lat();
+  ReplayOptions writer = WriteReplayOptions(opt);
+  writer.threads = 1;
   std::vector<double> read_ns, write_ns;
   for (size_t s = 0; s < segments; ++s) {
     // Writes stay on one driver thread (the paper's single workload
-    // writer); the read segment fans out over --rthreads reader threads
-    // while the retrainer keeps rebuilding drifted units — the fig15
-    // scenario with R concurrent foreground readers.
+    // writer, so the index never enters multi-writer mode); the read
+    // segment fans out over --rthreads reader threads while the
+    // retrainer keeps rebuilding drifted units — the fig15 scenario
+    // with R concurrent foreground readers.
     const std::vector<Operation> inserts =
         Drain(*MakeOpSource(insert_desc, gen, keys), inserts_per_seg);
-    write_ns.push_back(
-        Replay(index, inserts, WriteReplayOptions(opt), hist).MeanNs());
+    write_ns.push_back(Replay(index, inserts, writer, hist).MeanNs());
 
     const std::vector<Operation> reads =
         Drain(*MakeOpSource(read_desc, gen, keys), reads_per_seg);

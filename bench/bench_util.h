@@ -471,17 +471,58 @@ inline std::string JsonEscape(std::string_view s) {
   return out;
 }
 
+/// Writes a document's one-line "build" member (trailing comma), shared
+/// by every --json blob and chameleon_inspect: source revision, compiler,
+/// build type, instrumentation state, and the probe-kernel tier the run
+/// actually dispatched to (cpuid + CHAMELEON_SIMD_LEVEL at runtime).
+inline void WriteBuildJson(FILE* f, uint64_t seed) {
+  std::fprintf(f,
+               "  \"build\": {\"git_sha\": \"%s\", \"compiler\": \"%s\", "
+               "\"build_type\": \"%s\", \"seed\": %llu, \"no_stats\": %s, "
+               "\"simd_kernel\": \"%s\"},\n",
+               JsonEscape(CHAMELEON_GIT_SHA).c_str(),
+               JsonEscape(CompilerString()).c_str(),
+               JsonEscape(CHAMELEON_BUILD_TYPE).c_str(),
+               static_cast<unsigned long long>(seed),
+#ifdef CHAMELEON_NO_STATS
+               "true",
+#else
+               "false",
+#endif
+               JsonEscape(simd::SimdLevelName(simd::ActiveSimdLevel()))
+                   .c_str());
+}
+
+/// Writes a document's closing "counters" member: every StatsRegistry
+/// counter's total, one per line. The caller closes the object.
+inline void WriteCountersJson(FILE* f) {
+  const obs::CounterSnapshot snap = obs::StatsRegistry::Get().Snapshot();
+  std::fprintf(f, "  \"counters\": {");
+  for (size_t i = 0; i < obs::kNumCounters; ++i) {
+    const std::string_view name =
+        obs::CounterName(static_cast<obs::Counter>(i));
+    std::fprintf(f, "%s\n    \"%.*s\": %llu", i == 0 ? "" : ",",
+                 static_cast<int>(name.size()), name.data(),
+                 static_cast<unsigned long long>(snap[i]));
+  }
+  std::fprintf(f, "\n  }\n");
+}
+
 /// Collects one bench run's results and writes the `--json=PATH` blob:
 ///
 ///   {
 ///     "bench": "...", "scale": N, "ops": N, "seed": N,
 ///     "threads": N, "batch": N, "shards": N, "rthreads": N,
+///     "wthreads": N, "sample_ms": N,
 ///     "spec": "Sharded4:Durable(...):<index>",  // canonical adapter
 ///                                               // stack per swept index
+///     "workload": "<canonical spec>",    // only when one was driven
+///     "build": {"git_sha","compiler","build_type","seed","no_stats",
+///               "simd_kernel"},          // WriteBuildJson
 ///     "throughput_mops": X,              // from the latency histogram
 ///     "latency_ns": {"count","mean","p50","p90","p99","p999","max"},
 ///     "rows": [ {bench-specific fields}, ... ],
-///     "counters": { "<CounterName>": total, ... }   // full registry
+///     "counters": { "<CounterName>": total, ... }   // WriteCountersJson
 ///   }
 ///
 /// Successive PRs diff these blobs (collected as BENCH_*.json, see
@@ -580,27 +621,7 @@ class JsonReport {
       std::fprintf(f, "  \"workload\": \"%s\",\n",
                    JsonEscape(workload_).c_str());
     }
-    // Build provenance (PR 6): every perf blob is attributable to an
-    // exact source revision, compiler, and instrumentation state.
-    // simd_kernel (PR 7) records the probe-kernel tier the run actually
-    // dispatched to (cpuid + CHAMELEON_SIMD_LEVEL at runtime, not just
-    // what was compiled in) — perf diffs across hosts are meaningless
-    // without it.
-    std::fprintf(f,
-                 "  \"build\": {\"git_sha\": \"%s\", \"compiler\": \"%s\", "
-                 "\"build_type\": \"%s\", \"seed\": %llu, \"no_stats\": %s, "
-                 "\"simd_kernel\": \"%s\"},\n",
-                 JsonEscape(CHAMELEON_GIT_SHA).c_str(),
-                 JsonEscape(CompilerString()).c_str(),
-                 JsonEscape(CHAMELEON_BUILD_TYPE).c_str(),
-                 static_cast<unsigned long long>(opt_.seed),
-#ifdef CHAMELEON_NO_STATS
-                 "true",
-#else
-                 "false",
-#endif
-                 JsonEscape(simd::SimdLevelName(simd::ActiveSimdLevel()))
-                     .c_str());
+    WriteBuildJson(f, opt_.seed);
     std::fprintf(f, "  \"throughput_mops\": %.6g,\n",
                  mean > 0.0 ? 1e3 / mean : 0.0);
     std::fprintf(f,
@@ -629,16 +650,8 @@ class JsonReport {
       std::fprintf(f, "}");
     }
     std::fprintf(f, "%s],\n", rows_.empty() ? "" : "\n  ");
-    const obs::CounterSnapshot snap = obs::StatsRegistry::Get().Snapshot();
-    std::fprintf(f, "  \"counters\": {");
-    for (size_t i = 0; i < obs::kNumCounters; ++i) {
-      const std::string_view name =
-          obs::CounterName(static_cast<obs::Counter>(i));
-      std::fprintf(f, "%s\n    \"%.*s\": %llu", i == 0 ? "" : ",",
-                   static_cast<int>(name.size()), name.data(),
-                   static_cast<unsigned long long>(snap[i]));
-    }
-    std::fprintf(f, "\n  }\n}\n");
+    WriteCountersJson(f);
+    std::fprintf(f, "}\n");
     const bool ok = std::fclose(f) == 0;
     if (ok) std::fprintf(stderr, "wrote %s\n", opt_.json_path.c_str());
     return ok;

@@ -507,7 +507,8 @@ size_t ChameleonIndex::RangeScan(Key lo, Key hi,
   return scanner.count;
 }
 
-obs::Heatmap ChameleonIndex::HeatmapSnapshot() const {
+obs::Heatmap ChameleonIndex::SnapshotUnits(
+    std::pair<uint64_t, uint64_t> (*counts)(const Unit& unit)) const {
   // try_to_lock: a full (re)build or LoadFrom holds heatmap_mu_ while
   // it replaces units_; report empty for that tick instead of stalling
   // the sampler (or racing the vector).
@@ -516,11 +517,17 @@ obs::Heatmap ChameleonIndex::HeatmapSnapshot() const {
   obs::Heatmap out;
   out.reserve(units_.size());
   for (const auto& unit : units_) {
-    out.push_back({unit->lk, unit->uk,
-                   unit->heat_reads.load(std::memory_order_relaxed),
-                   unit->heat_writes.load(std::memory_order_relaxed)});
+    const auto [reads, writes] = counts(*unit);
+    out.push_back({unit->lk, unit->uk, reads, writes});
   }
   return out;
+}
+
+obs::Heatmap ChameleonIndex::HeatmapSnapshot() const {
+  return SnapshotUnits([](const Unit& unit) {
+    return std::pair{unit.heat_reads.load(std::memory_order_relaxed),
+                     unit.heat_writes.load(std::memory_order_relaxed)};
+  });
 }
 
 bool ChameleonIndex::EnableConcurrentWrites() {
@@ -534,17 +541,10 @@ bool ChameleonIndex::EnableConcurrentWrites() {
 }
 
 obs::Heatmap ChameleonIndex::WriteContentionSnapshot() const {
-  // Same try_to_lock discipline as HeatmapSnapshot: never race a
-  // structural rebuild replacing units_, never stall the sampler.
-  std::unique_lock<std::mutex> lock(heatmap_mu_, std::try_to_lock);
-  if (!lock.owns_lock()) return {};
-  obs::Heatmap out;
-  out.reserve(units_.size());
-  for (const auto& unit : units_) {
-    out.push_back({unit->lk, unit->uk, 0,
-                   unit->heat_write_waits.load(std::memory_order_relaxed)});
-  }
-  return out;
+  return SnapshotUnits([](const Unit& unit) {
+    return std::pair{uint64_t{0},
+                     unit.heat_write_waits.load(std::memory_order_relaxed)};
+  });
 }
 
 // --- Retraining -------------------------------------------------------------

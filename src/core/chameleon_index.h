@@ -12,6 +12,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/api/kv_index.h"
@@ -306,6 +307,12 @@ class ChameleonIndex final : public KvIndex {
                         Key uk, int depth,
                         std::vector<DeferredLeaf>* deferred);
   Unit* FindUnit(Key key) const;
+  /// One {lo, hi, reads, writes} entry per unit, in key order, with the
+  /// two counts taken from `counts(unit)`. Shared walk behind
+  /// HeatmapSnapshot and WriteContentionSnapshot: try-locks heatmap_mu_
+  /// and returns empty rather than race or stall a structural rebuild.
+  obs::Heatmap SnapshotUnits(
+      std::pair<uint64_t, uint64_t> (*counts)(const Unit& unit)) const;
   void RetrainerLoop(std::chrono::milliseconds interval);
   /// SaveTo's guard (core/serialize.cc): blocks new retrainer-thread
   /// passes and waits out the in-flight one, so the save never races a

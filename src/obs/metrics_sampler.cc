@@ -3,39 +3,18 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <utility>
 
 #include "src/util/timer.h"
 
 namespace chameleon::obs {
 
-// --- HistogramRegistry ------------------------------------------------------
-
-HistogramRegistry& HistogramRegistry::Get() {
-  static HistogramRegistry registry;
-  return registry;
-}
-
-void HistogramRegistry::Register(std::string name,
-                                 const LatencyHistogram* hist) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [existing, _] : entries_) {
-    if (existing == name) return;
-  }
-  entries_.emplace_back(std::move(name), hist);
-}
-
-std::vector<std::pair<std::string, const LatencyHistogram*>>
-HistogramRegistry::List() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return entries_;
-}
-
-// --- Active heatmap source --------------------------------------------------
+// --- Active index source ----------------------------------------------------
 
 namespace {
 
 std::mutex g_source_mu;
-std::function<Heatmap()> g_source;
+std::function<Heatmap()> g_heat_source;
 std::function<Heatmap()> g_contention_source;
 
 // Started samplers; ticked under g_running_mu, which Stop() takes to
@@ -52,44 +31,30 @@ void SampleRunningSamplers() {
   for (MetricsSampler* sampler : g_running) sampler->SampleNow();
 }
 
+/// Snapshots the active source; both maps empty when none is
+/// registered. Invoked under the mutex: a ScopedIndexSource destructor
+/// cannot return while a snapshot of its index is still in flight.
+void ReadActiveSource(Heatmap* heat, Heatmap* contention) {
+  std::lock_guard<std::mutex> lock(g_source_mu);
+  *heat = g_heat_source ? g_heat_source() : Heatmap{};
+  *contention = g_contention_source ? g_contention_source() : Heatmap{};
+}
+
 }  // namespace
 
-Heatmap ReadActiveHeatmap() {
-  // Invoked under the mutex: a ScopedHeatmapSource destructor cannot
-  // return while a snapshot of its index is still in flight.
+ScopedIndexSource::ScopedIndexSource(std::function<Heatmap()> heat,
+                                     std::function<Heatmap()> contention) {
   std::lock_guard<std::mutex> lock(g_source_mu);
-  return g_source ? g_source() : Heatmap{};
+  previous_heat_ = std::exchange(g_heat_source, std::move(heat));
+  previous_contention_ =
+      std::exchange(g_contention_source, std::move(contention));
 }
 
-ScopedHeatmapSource::ScopedHeatmapSource(std::function<Heatmap()> source) {
-  std::lock_guard<std::mutex> lock(g_source_mu);
-  previous_ = std::move(g_source);
-  g_source = std::move(source);
-}
-
-ScopedHeatmapSource::~ScopedHeatmapSource() {
+ScopedIndexSource::~ScopedIndexSource() {
   SampleRunningSamplers();
   std::lock_guard<std::mutex> lock(g_source_mu);
-  g_source = std::move(previous_);
-}
-
-Heatmap ReadActiveContention() {
-  // Same holding-the-mutex discipline as ReadActiveHeatmap: a
-  // ScopedContentionSource destructor cannot return mid-snapshot.
-  std::lock_guard<std::mutex> lock(g_source_mu);
-  return g_contention_source ? g_contention_source() : Heatmap{};
-}
-
-ScopedContentionSource::ScopedContentionSource(
-    std::function<Heatmap()> source) {
-  std::lock_guard<std::mutex> lock(g_source_mu);
-  previous_ = std::move(g_contention_source);
-  g_contention_source = std::move(source);
-}
-
-ScopedContentionSource::~ScopedContentionSource() {
-  std::lock_guard<std::mutex> lock(g_source_mu);
-  g_contention_source = std::move(previous_);
+  g_heat_source = std::move(previous_heat_);
+  g_contention_source = std::move(previous_contention_);
 }
 
 // --- MetricsSampler ---------------------------------------------------------
@@ -161,40 +126,29 @@ void MetricsSampler::CaptureLocked() {
         s.totals[i] - std::min(last_totals_[i], s.totals[i]);
   }
 
-  const auto hists = HistogramRegistry::Get().List();
-  s.hists.reserve(hists.size());
-  for (size_t i = 0; i < hists.size(); ++i) {
-    const auto& [name, hist] = hists[i];
-    HistSample hs;
-    hs.count = hist->count();
-    hs.mean_ns = hist->MeanNanos();
-    hs.p50_ns = hist->PercentileNanos(50);
-    hs.p99_ns = hist->PercentileNanos(99);
-    hs.max_ns = hist->MaxNanos();
-    // The registry is append-only, so positional match (with a name
-    // check for safety) recovers the previous tick's count.
-    if (i < last_hist_counts_.size() && last_hist_counts_[i].first == name) {
-      hs.delta_count =
-          hs.count - std::min(last_hist_counts_[i].second, hs.count);
-    } else {
-      hs.delta_count = hs.count;
-    }
-    s.hists.emplace_back(name, hs);
+  for (size_t p = 0; p < kNumWritePhases; ++p) {
+    const LatencyHistogram& hist = PhaseHistogram(static_cast<WritePhase>(p));
+    HistSample& hs = s.hists[p];
+    hs.count = hist.count();
+    // Saturating, like the counter deltas: a ResetPhaseHistograms
+    // between ticks shrinks the count.
+    hs.delta_count = hs.count - std::min(last_hist_counts_[p], hs.count);
+    hs.mean_ns = hist.MeanNanos();
+    hs.p50_ns = hist.PercentileNanos(50);
+    hs.p99_ns = hist.PercentileNanos(99);
+    hs.max_ns = hist.MaxNanos();
+    last_hist_counts_[p] = hs.count;
   }
 
-  Heatmap cur = ReadActiveHeatmap();
-  s.hot = TopKHottest(HeatmapDelta(cur, last_heat_), options_.heatmap_top_k);
-  Heatmap contention = ReadActiveContention();
-  s.contention = TopKHottest(HeatmapDelta(contention, last_contention_),
-                             options_.heatmap_top_k);
+  Heatmap heat, contention;
+  ReadActiveSource(&heat, &contention);
+  s.hot = TopKHottest(HeatmapDelta(heat, last_heat_), kSampleTopK);
+  s.contention =
+      TopKHottest(HeatmapDelta(contention, last_contention_), kSampleTopK);
 
   last_ts_ns_ = s.ts_ns;
   last_totals_ = s.totals;
-  last_hist_counts_.clear();
-  for (const auto& [name, hs] : s.hists) {
-    last_hist_counts_.emplace_back(name, hs.count);
-  }
-  last_heat_ = std::move(cur);
+  last_heat_ = std::move(heat);
   last_contention_ = std::move(contention);
 
   if (ring_.size() < options_.ring_capacity) {
@@ -258,14 +212,15 @@ void MetricsSampler::AppendSampleJson(const MetricsSample& s,
     first = false;
   }
   *out += "},\"hists\":{";
-  for (size_t i = 0; i < s.hists.size(); ++i) {
-    const auto& [name, hs] = s.hists[i];
+  for (size_t p = 0; p < kNumWritePhases; ++p) {
+    const HistSample& hs = s.hists[p];
+    const std::string_view name = WritePhaseName(static_cast<WritePhase>(p));
     std::snprintf(buf, sizeof(buf),
-                  "%s\"%s\":{\"count\":%llu,\"delta_count\":%llu,"
+                  "%s\"phase_%.*s\":{\"count\":%llu,\"delta_count\":%llu,"
                   "\"mean_ns\":%.6g,\"p50_ns\":%.6g,\"p99_ns\":%.6g,"
                   "\"max_ns\":%.6g}",
-                  i == 0 ? "" : ",", name.c_str(),
-                  static_cast<unsigned long long>(hs.count),
+                  p == 0 ? "" : ",", static_cast<int>(name.size()),
+                  name.data(), static_cast<unsigned long long>(hs.count),
                   static_cast<unsigned long long>(hs.delta_count),
                   hs.mean_ns, hs.p50_ns, hs.p99_ns, hs.max_ns);
     *out += buf;
@@ -308,20 +263,23 @@ std::string MetricsSampler::RenderProm() {
                   static_cast<unsigned long long>(snap[i]));
     out += buf;
   }
-  for (const auto& [name, hist] : HistogramRegistry::Get().List()) {
-    const uint64_t count = hist->count();
+  for (size_t p = 0; p < kNumWritePhases; ++p) {
+    const LatencyHistogram& hist = PhaseHistogram(static_cast<WritePhase>(p));
+    const std::string name =
+        "phase_" + std::string(WritePhaseName(static_cast<WritePhase>(p)));
+    const uint64_t count = hist.count();
     std::snprintf(
         buf, sizeof(buf),
         "# TYPE chameleon_%s_ns summary\n"
         "chameleon_%s_ns{quantile=\"0.5\"} %.6g\n"
         "chameleon_%s_ns{quantile=\"0.99\"} %.6g\n",
-        name.c_str(), name.c_str(), hist->PercentileNanos(50), name.c_str(),
-        hist->PercentileNanos(99));
+        name.c_str(), name.c_str(), hist.PercentileNanos(50), name.c_str(),
+        hist.PercentileNanos(99));
     out += buf;
     std::snprintf(buf, sizeof(buf),
                   "chameleon_%s_ns_sum %.6g\n"
                   "chameleon_%s_ns_count %llu\n",
-                  name.c_str(), hist->MeanNanos() * static_cast<double>(count),
+                  name.c_str(), hist.MeanNanos() * static_cast<double>(count),
                   name.c_str(), static_cast<unsigned long long>(count));
     out += buf;
   }

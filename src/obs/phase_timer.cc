@@ -1,12 +1,9 @@
 #include "src/obs/phase_timer.h"
 
-#include <string>
-
 #if defined(__x86_64__) || defined(_M_X64)
 #include <x86intrin.h>
 #endif
 
-#include "src/obs/metrics_sampler.h"
 #include "src/util/timer.h"
 
 namespace chameleon::obs {
@@ -29,24 +26,10 @@ std::string_view WritePhaseName(WritePhase p) {
 
 namespace {
 
-/// All phase histograms, registered with the HistogramRegistry once at
-/// first use so the sampler and RenderProm pick them up by name.
-struct PhaseHistograms {
-  LatencyHistogram hist[kNumWritePhases];
-
-  PhaseHistograms() {
-    for (size_t i = 0; i < kNumWritePhases; ++i) {
-      HistogramRegistry::Get().Register(
-          "phase_" +
-              std::string(WritePhaseName(static_cast<WritePhase>(i))),
-          &hist[i]);
-    }
-  }
-};
-
-PhaseHistograms& Storage() {
-  static PhaseHistograms storage;
-  return storage;
+/// All phase histograms, indexed by WritePhase.
+LatencyHistogram* Storage() {
+  static LatencyHistogram hist[kNumWritePhases];
+  return hist;
 }
 
 #if defined(__x86_64__) || defined(_M_X64)
@@ -88,12 +71,12 @@ int64_t CycleClock::ToNanos(uint64_t ticks) noexcept {
 }
 
 LatencyHistogram& PhaseHistogram(WritePhase p) {
-  return Storage().hist[static_cast<size_t>(p)];
+  return Storage()[static_cast<size_t>(p)];
 }
 
 void ResetPhaseHistograms() {
   for (size_t i = 0; i < kNumWritePhases; ++i) {
-    Storage().hist[i].Clear();
+    Storage()[i].Clear();
   }
 }
 

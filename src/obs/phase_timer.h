@@ -62,12 +62,11 @@ inline constexpr size_t kNumWritePhases =
     static_cast<size_t>(WritePhase::kCount);
 
 /// Stable snake_case name ("wal_append", "group_commit_wait", ...).
-/// Phase histograms appear in the HistogramRegistry (and thus in
-/// sampler series and Prometheus output) as "phase_<name>".
+/// Every phase histogram appears in sampler series and Prometheus
+/// output as "phase_<name>", touched or not.
 std::string_view WritePhaseName(WritePhase p);
 
-/// The process-wide histogram for one phase. First use registers every
-/// phase histogram with the HistogramRegistry.
+/// The process-wide histogram for one phase.
 LatencyHistogram& PhaseHistogram(WritePhase p);
 
 /// Zeroes all phase histograms (bench sections reset between

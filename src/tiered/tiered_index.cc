@@ -106,23 +106,15 @@ size_t TieredIndex::CandidatePage(Key key) const {
 // Probes take no lock: only writers (BulkLoad/Merge/Recover) swap the
 // fences and heat arrays, and writers never run alongside readers.
 void TieredIndex::RecordPageRead(size_t page) const {
-#ifndef CHAMELEON_NO_STATS
   if (heat_reads_ != nullptr && page < fences_.size()) {
     CHAMELEON_HEAT_HIT(heat_reads_[page]);
   }
-#else
-  (void)page;
-#endif
 }
 
 void TieredIndex::RecordPageWrite(size_t page) const {
-#ifndef CHAMELEON_NO_STATS
   if (heat_writes_ != nullptr && page < fences_.size()) {
     CHAMELEON_HEAT_HIT(heat_writes_[page]);
   }
-#else
-  (void)page;
-#endif
 }
 
 bool TieredIndex::DiskLookup(Key key, Value* value) const {

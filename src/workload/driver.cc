@@ -131,17 +131,15 @@ ChunkResult ReplayDispatch(KvIndex* index, std::span<const Operation> ops,
 ReplayResult Replay(KvIndex* index, std::span<const Operation> ops,
                     const ReplayOptions& options,
                     obs::LatencyHistogram* hist) {
-  // Register the replayed index as the sampler's heatmap + contention
-  // sources for the duration: every bench driving through here gets
-  // per-tick unit heatmaps (and writer-lock-wait maps) in its --series
-  // output with no harness wiring. Safe with concurrent replay threads
-  // (the snapshots' contracts) and scoped so the sampler can never
-  // touch the index after Replay returns. The heat scope is inner, so
-  // the tick a running sampler takes as it closes still sees both.
-  obs::ScopedContentionSource contention_scope(
+  // Register the replayed index as the sampler's source for the
+  // duration: every bench driving through here gets per-tick unit
+  // heatmaps (and writer-lock-wait maps) in its --series output with no
+  // harness wiring. Safe with concurrent replay threads (the snapshots'
+  // contracts) and scoped so the sampler can never touch the index
+  // after Replay returns.
+  obs::ScopedIndexSource telemetry(
+      [index] { return index->HeatmapSnapshot(); },
       [index] { return index->WriteContentionSnapshot(); });
-  obs::ScopedHeatmapSource heat_scope(
-      [index] { return index->HeatmapSnapshot(); });
   const size_t batch = std::max<size_t>(1, options.batch);
   const size_t warmup = std::min(options.warmup, ops.size());
   if (warmup > 0) {
@@ -257,10 +255,9 @@ void WaitUntilNanos(int64_t deadline_ns) {
 
 OpenLoopResult RunOpenLoop(KvIndex* index, OpSource& source, size_t max_ops,
                            const OpenLoopOptions& options) {
-  obs::ScopedContentionSource contention_scope(
+  obs::ScopedIndexSource telemetry(
+      [index] { return index->HeatmapSnapshot(); },
       [index] { return index->WriteContentionSnapshot(); });
-  obs::ScopedHeatmapSource heat_scope(
-      [index] { return index->HeatmapSnapshot(); });
 
   OpenLoopResult result;
   result.target_rate = std::max(options.rate_ops_per_sec, 1.0);

@@ -217,16 +217,6 @@ TEST(PhaseTimerTest, SpanRecordsIntoThePhaseHistogram) {
 #endif
 }
 
-TEST(PhaseTimerTest, PhaseHistogramsAppearInTheRegistry) {
-  PhaseHistogram(WritePhase::kWalAppend);  // force registration
-  size_t found = 0;
-  for (const auto& [name, hist] : HistogramRegistry::Get().List()) {
-    if (name.rfind("phase_", 0) == 0) ++found;
-    EXPECT_NE(hist, nullptr);
-  }
-  EXPECT_GE(found, kNumWritePhases);
-}
-
 // The acceptance contract: per-phase histograms from a real durable
 // write stream sum consistently with the end-to-end write latency.
 TEST(PhaseBreakdownTest, DurableWritePhasesSumConsistently) {
@@ -316,13 +306,19 @@ TEST(MetricsSamplerTest, RingIsBoundedAndKeepsNewestTicks) {
 
 TEST(MetricsSamplerTest, HeatmapSourceFeedsTopKDeltas) {
   std::atomic<uint64_t> heat{0};
-  ScopedHeatmapSource scope([&heat] {
-    return Heatmap{{0, 100, heat.load(), 0}, {100, 200, 4, 0}};
-  });
+  std::atomic<uint64_t> waits{0};
+  ScopedIndexSource scope(
+      [&heat] {
+        return Heatmap{{0, 100, heat.load(), 0}, {100, 200, 4, 0}};
+      },
+      [&waits] {
+        return Heatmap{{0, 100, 0, 0}, {100, 200, 0, waits.load()}};
+      });
   MetricsSampler sampler;
   heat = 80;
   sampler.SampleNow();
   heat = 200;
+  waits = 30;
   sampler.SampleNow();
 
   const std::vector<MetricsSample> series = sampler.Snapshot();
@@ -331,21 +327,45 @@ TEST(MetricsSamplerTest, HeatmapSourceFeedsTopKDeltas) {
   // Hottest-by-delta first: unit [0,100) moved 120, unit [100,200) 0.
   EXPECT_EQ(series[1].hot[0].lo, 0u);
   EXPECT_EQ(series[1].hot[0].reads, 120u);
+  // The contention map rides the same scope: only [100,200) contended.
+  EXPECT_TRUE(series[0].contention.empty());
+  ASSERT_EQ(series[1].contention.size(), 1u);
+  EXPECT_EQ(series[1].contention[0].lo, 100u);
+  EXPECT_EQ(series[1].contention[0].writes, 30u);
+
+  const std::string path = ::testing::TempDir() + "/telemetry_source.jsonl";
+  ASSERT_TRUE(sampler.WriteJsonl(path));
+  std::ifstream in(path);
+  std::string line;
+  ASSERT_TRUE(std::getline(in, line));
+  EXPECT_NE(line.find("\"contention\":[]"), std::string::npos) << line;
+  ASSERT_TRUE(std::getline(in, line));
+  EXPECT_NE(line.find("\"contention\":[{\"lo\":100,\"hi\":200,"),
+            std::string::npos)
+      << line;
+  std::remove(path.c_str());
 }
 
+// Nesting, observed through fresh samplers (a first tick's delta is the
+// whole map): the inner scope shadows the outer one and restores it.
 TEST(MetricsSamplerTest, ScopedSourceNestsAndRestores) {
-  EXPECT_TRUE(ReadActiveHeatmap().empty());
+  const auto hot_units = [] {
+    MetricsSampler sampler;
+    sampler.SampleNow();
+    return sampler.Snapshot()[0].hot.size();
+  };
+  EXPECT_EQ(hot_units(), 0u);
   {
-    ScopedHeatmapSource outer([] { return Heatmap{{0, 1, 1, 0}}; });
-    ASSERT_EQ(ReadActiveHeatmap().size(), 1u);
+    ScopedIndexSource outer([] { return Heatmap{{0, 1, 1, 0}}; }, nullptr);
+    ASSERT_EQ(hot_units(), 1u);
     {
-      ScopedHeatmapSource inner([] { return Heatmap{{0, 1, 0, 0},
-                                                    {1, 2, 0, 0}}; });
-      EXPECT_EQ(ReadActiveHeatmap().size(), 2u);
+      ScopedIndexSource inner(
+          [] { return Heatmap{{0, 1, 1, 0}, {1, 2, 1, 0}}; }, nullptr);
+      EXPECT_EQ(hot_units(), 2u);
     }
-    EXPECT_EQ(ReadActiveHeatmap().size(), 1u);
+    EXPECT_EQ(hot_units(), 1u);
   }
-  EXPECT_TRUE(ReadActiveHeatmap().empty());
+  EXPECT_EQ(hot_units(), 0u);
 }
 
 TEST(MetricsSamplerTest, WriteJsonlEmitsOneParseableLinePerTick) {
@@ -377,7 +397,6 @@ TEST(MetricsSamplerTest, WriteJsonlEmitsOneParseableLinePerTick) {
 
 TEST(MetricsSamplerTest, RenderPromExposesCountersAndHistograms) {
   StatsRegistry::Get().Add(Counter::kLookups, 1);
-  PhaseHistogram(WritePhase::kWalAppend);  // ensure registration
   const std::string prom = MetricsSampler::RenderProm();
   EXPECT_NE(prom.find("# TYPE chameleon_lookups_total counter"),
             std::string::npos)
@@ -388,16 +407,41 @@ TEST(MetricsSamplerTest, RenderPromExposesCountersAndHistograms) {
   StatsRegistry::Get().Reset();
 }
 
+// No phase has been touched before the first tick, yet every phase's
+// digest is listed under its "phase_<name>" key, in the JSONL and in
+// the Prometheus rendering alike.
+TEST(MetricsSamplerTest, HistsListEveryPhaseFromTheFirstTick) {
+  MetricsSampler sampler;
+  sampler.SampleNow();
+  const std::string path = ::testing::TempDir() + "/telemetry_hists.jsonl";
+  ASSERT_TRUE(sampler.WriteJsonl(path));
+  std::ifstream in(path);
+  std::string line;
+  ASSERT_TRUE(std::getline(in, line));
+  const std::string prom = MetricsSampler::RenderProm();
+  for (size_t p = 0; p < kNumWritePhases; ++p) {
+    const std::string name =
+        "phase_" + std::string(WritePhaseName(static_cast<WritePhase>(p)));
+    EXPECT_NE(line.find("\"" + name + "\":{\"count\":"), std::string::npos)
+        << name << " missing from tick 0: " << line;
+    EXPECT_NE(prom.find("chameleon_" + name + "_ns_count "), std::string::npos)
+        << name << " missing from the Prometheus rendering";
+  }
+  std::remove(path.c_str());
+}
+
 // Background thread ticking while the workload mutates every sampled
-// surface (counters, a registered histogram, the heatmap source). This
-// is the telemetry TSan target.
+// surface (counters, a phase histogram, the index source). This is the
+// telemetry TSan target.
 TEST(MetricsSamplerTest, BackgroundThreadSamplesDuringConcurrentLoad) {
   StatsRegistry::Get().Reset();
   ResetPhaseHistograms();
   std::atomic<uint64_t> heat{0};
-  ScopedHeatmapSource scope([&heat] {
-    return Heatmap{{0, 1000, heat.load(std::memory_order_relaxed), 0}};
-  });
+  ScopedIndexSource scope(
+      [&heat] {
+        return Heatmap{{0, 1000, heat.load(std::memory_order_relaxed), 0}};
+      },
+      nullptr);
 
   SamplerOptions options;
   options.interval = std::chrono::milliseconds(2);
@@ -439,7 +483,7 @@ TEST(MetricsSamplerTest, BackgroundThreadSamplesDuringConcurrentLoad) {
 
 // A replay far shorter than the tick interval: no periodic tick lands
 // inside it and Stop()'s final tick comes after the replay unregistered
-// its index, so only the tick taken as its heatmap source closes can
+// its index, so only the tick taken as its index source closes can
 // carry its heat into the series.
 TEST(MetricsSamplerTest, ReplayShorterThanIntervalStillReachesSeries) {
 #ifdef CHAMELEON_NO_STATS

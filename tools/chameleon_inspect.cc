@@ -32,6 +32,12 @@
 //                  Honors CHAMELEON_SIMD_LEVEL, so it shows exactly
 //                  what a bench run under the same env would use.
 //
+// The document's members, in order: spec, workload, dataset, sigma,
+// lsn, scale, ops, seed, mean_ns, size, size_bytes, structure, build
+// (the --json blobs' block, WriteBuildJson), num_units, hottest_unit,
+// top_units, heatmap, write_contention, tiered (only when the stack has
+// a Disk layer), counters (WriteCountersJson).
+//
 // Shared harness flags (--scale, --ops, --seed, --spec, --series, ...)
 // all apply; --scale sizes the dataset and --ops the replay. The
 // replayed stream is --workload=SPEC, any workload-grammar spec
@@ -220,19 +226,7 @@ int main(int argc, char** argv) {
                index->size(), index->SizeBytes(), stats.max_height,
                stats.avg_height, stats.max_error, stats.avg_error,
                stats.num_nodes);
-  std::fprintf(out,
-               "  \"build\": {\"git_sha\": \"%s\", \"build_type\": \"%s\", "
-               "\"seed\": %llu, \"no_stats\": %s, \"simd_kernel\": \"%s\"},\n",
-               JsonEscape(CHAMELEON_GIT_SHA).c_str(),
-               JsonEscape(CHAMELEON_BUILD_TYPE).c_str(),
-               static_cast<unsigned long long>(opt.seed),
-#ifdef CHAMELEON_NO_STATS
-               "true",
-#else
-               "false",
-#endif
-               JsonEscape(simd::SimdLevelName(simd::ActiveSimdLevel()))
-                   .c_str());
+  WriteBuildJson(out, opt.seed);
 
   std::fprintf(out, "  \"num_units\": %zu,\n", heat.size());
   std::fprintf(out, "  \"hottest_unit\": ");
@@ -284,16 +278,8 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(tiered.pool.page_reads));
   }
 
-  const obs::CounterSnapshot snap = obs::StatsRegistry::Get().Snapshot();
-  std::fprintf(out, "  \"counters\": {");
-  for (size_t i = 0; i < obs::kNumCounters; ++i) {
-    const std::string_view name =
-        obs::CounterName(static_cast<obs::Counter>(i));
-    std::fprintf(out, "%s\n    \"%.*s\": %llu", i == 0 ? "" : ",",
-                 static_cast<int>(name.size()), name.data(),
-                 static_cast<unsigned long long>(snap[i]));
-  }
-  std::fprintf(out, "\n  }\n}\n");
+  WriteCountersJson(out);
+  std::fprintf(out, "}\n");
   if (out != stdout) {
     std::fclose(out);
     std::fprintf(stderr, "wrote %s\n", flags.out.c_str());
