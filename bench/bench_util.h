@@ -29,6 +29,7 @@
 #include "src/obs/stats.h"
 #include "src/obs/trace_journal.h"
 #include "src/simd/probe_kernel.h"
+#include "src/util/crc32c.h"
 #include "src/util/thread_pool.h"
 #include "src/util/timer.h"
 #include "src/workload/driver.h"
@@ -473,13 +474,15 @@ inline std::string JsonEscape(std::string_view s) {
 
 /// Writes a document's one-line "build" member (trailing comma), shared
 /// by every --json blob and chameleon_inspect: source revision, compiler,
-/// build type, instrumentation state, and the probe-kernel tier the run
-/// actually dispatched to (cpuid + CHAMELEON_SIMD_LEVEL at runtime).
+/// build type, instrumentation state, the probe-kernel tier the run
+/// actually dispatched to (cpuid + CHAMELEON_SIMD_LEVEL at runtime), and
+/// the CRC-32C path every page, WAL record and snapshot check ran
+/// ("sse4.2" instruction or "table"; cpuid at runtime).
 inline void WriteBuildJson(FILE* f, uint64_t seed) {
   std::fprintf(f,
                "  \"build\": {\"git_sha\": \"%s\", \"compiler\": \"%s\", "
                "\"build_type\": \"%s\", \"seed\": %llu, \"no_stats\": %s, "
-               "\"simd_kernel\": \"%s\"},\n",
+               "\"simd_kernel\": \"%s\", \"crc32c\": \"%s\"},\n",
                JsonEscape(CHAMELEON_GIT_SHA).c_str(),
                JsonEscape(CompilerString()).c_str(),
                JsonEscape(CHAMELEON_BUILD_TYPE).c_str(),
@@ -490,7 +493,8 @@ inline void WriteBuildJson(FILE* f, uint64_t seed) {
                "false",
 #endif
                JsonEscape(simd::SimdLevelName(simd::ActiveSimdLevel()))
-                   .c_str());
+                   .c_str(),
+               crc32c_internal::HardwareAvailable() ? "sse4.2" : "table");
 }
 
 /// Writes a document's closing "counters" member: every StatsRegistry
@@ -518,7 +522,7 @@ inline void WriteCountersJson(FILE* f) {
 ///                                               // stack per swept index
 ///     "workload": "<canonical spec>",    // only when one was driven
 ///     "build": {"git_sha","compiler","build_type","seed","no_stats",
-///               "simd_kernel"},          // WriteBuildJson
+///               "simd_kernel","crc32c"}, // WriteBuildJson
 ///     "throughput_mops": X,              // from the latency histogram
 ///     "latency_ns": {"count","mean","p50","p90","p99","p999","max"},
 ///     "rows": [ {bench-specific fields}, ... ],

@@ -29,30 +29,31 @@ void PageRef::Release() {
 }
 
 BufferPool::BufferPool(PageFile* file, size_t frames)
-    : file_(file),
-      arena_(std::make_unique<Page[]>(frames < 1 ? 1 : frames)),
+    : arena_(std::make_unique<Page[]>(frames < 1 ? 1 : frames)),
       frames_(frames < 1 ? 1 : frames) {
-  page_table_.reserve(frames_.size());
+  ClearLocked(file);
 }
 
 PageRef BufferPool::Pin(uint64_t page_id) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = page_table_.find(page_id);
-  if (it != page_table_.end()) {
-    Frame& f = frames_[it->second];
+  if (page_id >= page_table_.size()) return PageRef();
+  uint32_t frame = page_table_[page_id];
+  if (frame != kNoFrame) {
+    Frame& f = frames_[frame];
     ++f.pin_count;
     f.ref_bit = true;
     ++hits_;
     CHAMELEON_STAT_INC(kTieredPoolHits);
-    return PageRef(this, it->second, arena_[it->second].bytes);
+    return PageRef(this, frame, arena_[frame].bytes);
   }
   ++misses_;
   CHAMELEON_STAT_INC(kTieredPoolMisses);
 
-  size_t frame;
-  if (!EvictVictimLocked(&frame)) return PageRef();  // every frame pinned
+  if (!TakeFrameLocked(&frame)) return PageRef();  // every frame pinned
 
   uint8_t* data = arena_[frame].bytes;
+  // A failed read leaves the frame unfilled (valid == false, ref_bit
+  // clear), so the next CLOCK sweep that reaches it takes it back.
   if (!file_->ReadPage(page_id, data)) return PageRef();
   ++page_reads_;
   CHAMELEON_STAT_INC(kTieredPageReads);
@@ -66,30 +67,29 @@ PageRef BufferPool::Pin(uint64_t page_id) {
   return PageRef(this, frame, data);
 }
 
-bool BufferPool::EvictVictimLocked(size_t* frame_out) {
-  // Free frame first (cold start / post-Reset).
-  for (size_t i = 0; i < frames_.size(); ++i) {
-    if (!frames_[i].valid) {
-      *frame_out = i;
-      return true;
-    }
-  }
+bool BufferPool::TakeFrameLocked(uint32_t* frame_out) {
   // CLOCK sweep: clear reference bits until an unpinned, unreferenced
   // victim turns up. Two full revolutions visit every unpinned frame at
-  // least twice, so failure means everything is pinned.
+  // least twice, so failure means everything is pinned. After a Reset
+  // every frame is unfilled and unreferenced and the hand is at 0, so a
+  // cold pool hands out frames 0, 1, 2, ... one step each.
   for (size_t step = 0; step < 2 * frames_.size(); ++step) {
-    Frame& f = frames_[clock_hand_];
-    size_t victim = clock_hand_;
-    clock_hand_ = (clock_hand_ + 1) % frames_.size();
+    const auto victim = static_cast<uint32_t>(clock_hand_);
+    Frame& f = frames_[victim];
+    if (++clock_hand_ == frames_.size()) clock_hand_ = 0;
     if (f.pin_count > 0) continue;
     if (f.ref_bit) {
       f.ref_bit = false;
       continue;
     }
-    page_table_.erase(f.page_id);
-    f.valid = false;
-    ++evictions_;
-    CHAMELEON_STAT_INC(kTieredPageEvictions);
+    // A frame that never held a page has no table entry: page_id is
+    // stale or 0 there, and clearing it would orphan a resident page.
+    if (f.valid) {
+      page_table_[f.page_id] = kNoFrame;
+      f.valid = false;
+      ++evictions_;
+      CHAMELEON_STAT_INC(kTieredPageEvictions);
+    }
     *frame_out = victim;
     return true;
   }
@@ -104,9 +104,17 @@ void BufferPool::Unpin(size_t frame) {
 
 void BufferPool::Reset(PageFile* file) {
   std::lock_guard<std::mutex> lock(mu_);
-  for ([[maybe_unused]] const Frame& f : frames_) assert(f.pin_count == 0);
-  for (Frame& f : frames_) f = Frame{};
-  page_table_.clear();
+  ClearLocked(file);
+}
+
+void BufferPool::ClearLocked(PageFile* file) {
+  for (Frame& f : frames_) {
+    assert(f.pin_count == 0);
+    f.page_id = 0;
+    f.ref_bit = false;
+    f.valid = false;
+  }
+  page_table_.assign(file->num_pages(), kNoFrame);
   clock_hand_ = 0;
   file_ = file;
 }

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "src/tiered/page_file.h"
@@ -58,7 +57,10 @@ struct BufferPoolStats {
 /// A fixed-budget, read-only page cache over one PageFile: CLOCK
 /// (second-chance) eviction and pin/unpin via PageRef. Runs are written
 /// straight to their file and installed whole (TieredIndex's WriteRun),
-/// so no frame is ever dirty and eviction never writes back.
+/// so no frame is ever dirty and eviction never writes back. CLOCK picks
+/// every frame, unfilled ones included, and a direct-mapped table (page
+/// id -> frame, sized from the file) finds a resident page, so a fault
+/// costs about one pread plus its CRC check.
 ///
 /// Thread safety: every public operation takes the pool mutex, so
 /// concurrent read-only replay threads (`--rthreads`) can Pin/Release
@@ -71,9 +73,11 @@ class BufferPool {
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
 
-  /// Pins `page_id`, faulting it from disk on a miss (evicting a CLOCK
-  /// victim if no frame is free). Returns an invalid PageRef on I/O
-  /// error or when every frame is pinned.
+  /// Pins `page_id`, faulting it from disk on a miss into a CLOCK
+  /// victim (evicting its page, if it holds one). Returns an invalid
+  /// PageRef on I/O error or corruption (the frame stays unfilled), when
+  /// every frame is pinned, or when `page_id` is past the file's end
+  /// (the pool is then left untouched).
   PageRef Pin(uint64_t page_id);
 
   /// Drops all cached frames (asserting none are pinned) and retargets
@@ -84,6 +88,8 @@ class BufferPool {
   size_t frames() const { return frames_.size(); }
 
  private:
+  static constexpr uint32_t kNoFrame = UINT32_MAX;
+
   struct Frame {
     uint64_t page_id = 0;
     uint32_t pin_count = 0;
@@ -91,9 +97,10 @@ class BufferPool {
     bool valid = false;
   };
 
-  // Requires mu_ held.
-  bool EvictVictimLocked(size_t* frame_out);
-  void Unpin(size_t frame);  // called by PageRef
+  // Require mu_ held (or, for the constructor's ClearLocked, sole access).
+  bool TakeFrameLocked(uint32_t* frame_out);
+  void ClearLocked(PageFile* file);  // empties every frame, retargets
+  void Unpin(size_t frame);          // called by PageRef
 
   friend class PageRef;
 
@@ -101,7 +108,7 @@ class BufferPool {
   PageFile* file_;
   std::unique_ptr<Page[]> arena_;
   std::vector<Frame> frames_;
-  std::unordered_map<uint64_t, size_t> page_table_;
+  std::vector<uint32_t> page_table_;  // page id -> frame, or kNoFrame
   size_t clock_hand_ = 0;
 
   uint64_t hits_ = 0;

@@ -1,5 +1,6 @@
-// Tests for the CRC-32C implementation guarding WAL records and
-// snapshot headers (util/crc32c.h).
+// Tests for the CRC-32C implementation guarding Disk pages, WAL records,
+// snapshots and the shard manifest (util/crc32c.h), including the
+// differential check of its hardware path against the table path.
 
 #include <cstring>
 #include <string>
@@ -69,6 +70,72 @@ TEST(Crc32cTest, UnalignedStartsMatch) {
       EXPECT_EQ(Crc32c(data.data() + off, len), byte_wise)
           << "off " << off << " len " << len;
     }
+  }
+}
+
+// RFC 3720 (iSCSI) appendix B.4 vectors plus the common check value,
+// run on each path directly rather than through the dispatcher.
+void ExpectRfc3720Vectors(uint32_t (*extend)(uint32_t, const void*, size_t),
+                          const char* path) {
+  SCOPED_TRACE(path);
+  std::vector<unsigned char> buf(32, 0);
+  EXPECT_EQ(extend(0, buf.data(), buf.size()), 0x8A9136AAu);
+  buf.assign(32, 0xFF);
+  EXPECT_EQ(extend(0, buf.data(), buf.size()), 0x62A8AB43u);
+  for (size_t i = 0; i < 32; ++i) buf[i] = static_cast<unsigned char>(i);
+  EXPECT_EQ(extend(0, buf.data(), buf.size()), 0x46DD794Eu);
+  for (size_t i = 0; i < 32; ++i) buf[i] = static_cast<unsigned char>(31 - i);
+  EXPECT_EQ(extend(0, buf.data(), buf.size()), 0x113FDB5Cu);
+  EXPECT_EQ(extend(0, "123456789", 9), 0xE3069283u);
+  EXPECT_EQ(extend(0, "", 0), 0x00000000u);
+}
+
+TEST(Crc32cTest, BothPathsMatchRfc3720Vectors) {
+  ExpectRfc3720Vectors(&crc32c_internal::ExtendPortable, "portable");
+  if (!crc32c_internal::HardwareAvailable()) {
+    GTEST_SKIP() << "no crc32 instruction on this CPU";
+  }
+  ExpectRfc3720Vectors(&crc32c_internal::ExtendHardware, "hardware");
+}
+
+TEST(Crc32cTest, HardwareMatchesPortableOnEveryLengthAndOffset) {
+  if (!crc32c_internal::HardwareAvailable()) {
+    GTEST_SKIP() << "no crc32 instruction on this CPU";
+  }
+  Rng rng(29);
+  std::vector<unsigned char> data(4096 + 8);
+  for (auto& b : data) b = static_cast<unsigned char>(rng.Next());
+  for (size_t off = 0; off < 8; ++off) {
+    for (size_t len = 0; len <= 4096; ++len) {
+      const uint32_t seed = static_cast<uint32_t>(len * 2654435761u);
+      const unsigned char* p = data.data() + off;
+      ASSERT_EQ(crc32c_internal::ExtendHardware(seed, p, len),
+                crc32c_internal::ExtendPortable(seed, p, len))
+          << "off " << off << " len " << len;
+    }
+  }
+}
+
+TEST(Crc32cTest, PathsContinueEachOther) {
+  // A checksum begun on one path and finished on the other equals the
+  // one-shot value: the running state means the same on both.
+  if (!crc32c_internal::HardwareAvailable()) {
+    GTEST_SKIP() << "no crc32 instruction on this CPU";
+  }
+  Rng rng(31);
+  std::vector<unsigned char> data(4099);
+  for (auto& b : data) b = static_cast<unsigned char>(rng.Next());
+  const uint32_t whole = Crc32c(data.data(), data.size());
+  for (size_t split : {size_t{0}, size_t{3}, size_t{8}, size_t{13},
+                       size_t{2048}, size_t{4091}, data.size()}) {
+    const unsigned char* rest = data.data() + split;
+    const size_t rest_n = data.size() - split;
+    uint32_t crc = crc32c_internal::ExtendPortable(0, data.data(), split);
+    EXPECT_EQ(crc32c_internal::ExtendHardware(crc, rest, rest_n), whole)
+        << "portable then hardware, split " << split;
+    crc = crc32c_internal::ExtendHardware(0, data.data(), split);
+    EXPECT_EQ(crc32c_internal::ExtendPortable(crc, rest, rest_n), whole)
+        << "hardware then portable, split " << split;
   }
 }
 

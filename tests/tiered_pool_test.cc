@@ -3,6 +3,7 @@
 // read-only CLOCK buffer pool (pin/unpin, eviction under a tiny frame
 // budget).
 
+#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -194,24 +195,88 @@ TEST_F(TieredPoolTest, ResetRetargetsPool) {
 }
 
 TEST_F(TieredPoolTest, ConcurrentReadersShareThePool) {
-  // TSan coverage: N threads hammer overlapping pages through a small
-  // pool; contents must always match and no race may fire.
-  std::unique_ptr<PageFile> f = MakeFile(12);
-  BufferPool pool(f.get(), 4);
+  // TSan coverage: N threads hammer overlapping pages through a pool
+  // with fewer frames than threads, so frames are evicted and re-read
+  // while other readers hold or just dropped them. Every entry of each
+  // pinned page is checked: an unpin that is not ordered before the
+  // next pread into its frame races on the page bytes, not only on
+  // entry 0. Contents must always match and no race may fire.
+  //
+  // With fewer frames than threads, a miss can find every frame pinned;
+  // Pin then fails (counting a miss, reading nothing) and the reader
+  // retries, so the counters below balance exactly with the retries.
+  static constexpr uint32_t kPerPage = 32;
+  std::unique_ptr<PageFile> f = MakeFile(12, kPerPage);
+  BufferPool pool(f.get(), 3);
+  std::atomic<uint64_t> retries{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&pool, t] {
+    threads.emplace_back([&pool, &retries, t] {
       for (int i = 0; i < 400; ++i) {
         const uint64_t p = static_cast<uint64_t>((i * 7 + t * 3) % 12);
         PageRef ref = pool.Pin(p);
+        for (int attempt = 0; !ref.valid() && attempt < 100000; ++attempt) {
+          retries.fetch_add(1, std::memory_order_relaxed);
+          std::this_thread::yield();
+          ref = pool.Pin(p);
+        }
         ASSERT_TRUE(ref.valid());
-        ASSERT_EQ(PageFile::PageEntries(ref.data())[0].key, p * 1000);
+        ASSERT_EQ(PageFile::PageCount(ref.data()), kPerPage);
+        const KeyValue* kv = PageFile::PageEntries(ref.data());
+        for (uint32_t e = 0; e < kPerPage; ++e) {
+          ASSERT_EQ(kv[e].key, p * 1000 + e) << "page " << p << " entry " << e;
+          ASSERT_EQ(kv[e].value, p) << "page " << p << " entry " << e;
+        }
       }
     });
   }
   for (std::thread& t : threads) t.join();
   const BufferPoolStats s = pool.stats();
-  EXPECT_EQ(s.hits + s.misses, 1600u);
+  EXPECT_EQ(s.hits + s.misses, 1600u + retries.load());
+  EXPECT_EQ(s.page_reads, s.misses - retries.load());
+  EXPECT_GT(s.evictions, 0u);
+}
+
+TEST_F(TieredPoolTest, FailedReadKeepsResidentPagesResident) {
+  { MakeFile(3); }
+  // Corrupt page 2's payload so its CRC check fails on every read.
+  {
+    std::FILE* raw = std::fopen(Path().c_str(), "r+b");
+    ASSERT_NE(raw, nullptr);
+    std::fseek(raw, 3 * 4096 + 100, SEEK_SET);
+    std::fputc(0x5A, raw);
+    std::fclose(raw);
+  }
+  std::unique_ptr<PageFile> f = PageFile::Open(Path());
+  ASSERT_NE(f, nullptr);
+  BufferPool pool(f.get(), 2);
+  { ASSERT_TRUE(pool.Pin(0).valid()); }
+
+  // Past the end: invalid, and nothing is counted, read or evicted.
+  const BufferPoolStats before = pool.stats();
+  EXPECT_FALSE(pool.Pin(f->num_pages()).valid());
+  const BufferPoolStats after = pool.stats();
+  EXPECT_EQ(after.hits, before.hits);
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(after.page_reads, before.page_reads);
+  EXPECT_EQ(after.evictions, before.evictions);
+
+  EXPECT_FALSE(pool.Pin(2).valid());  // corrupt: the read fails
+  // The frame the failed read took stays unfilled, and the page that was
+  // resident before stays resident: CLOCK hands page 1 the unfilled
+  // frame without touching page 0's table entry, and page 0 is still a
+  // hit with nothing evicted.
+  PageRef one = pool.Pin(1);
+  ASSERT_TRUE(one.valid());
+  EXPECT_EQ(PageFile::PageEntries(one.data())[0].key, 1000u);
+  const uint64_t hits = pool.stats().hits;
+  PageRef zero = pool.Pin(0);
+  ASSERT_TRUE(zero.valid());
+  EXPECT_EQ(PageFile::PageEntries(zero.data())[0].key, 0u);
+  const BufferPoolStats s = pool.stats();
+  EXPECT_EQ(s.hits, hits + 1);
+  EXPECT_EQ(s.evictions, 0u);
+  EXPECT_EQ(s.page_reads, 2u);  // pages 0 and 1; the corrupt read failed
 }
 
 TEST_F(TieredPoolTest, RejectsBadPageSizes) {
