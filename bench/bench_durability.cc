@@ -72,27 +72,14 @@ const char* FsyncName(FsyncPolicy p) {
   return "?";
 }
 
-/// Every Durable(<dir>) directory named in `spec`, for wipe/cleanup.
-/// An outer Sharded roots its shard stacks *under* these directories
+/// Removes every Durable(<dir>) directory named in `spec`. An outer
+/// Sharded roots its shard stacks *under* these directories
 /// (dir/shard-<i>), so remove_all on each root covers the whole stack.
-std::vector<std::string> DurableDirsOf(const std::string& spec) {
-  std::vector<std::string> dirs;
-  SpecError error;
-  std::unique_ptr<SpecNode> node = ParseIndexSpec(spec, &error);
-  for (const SpecNode* n = node.get(); n != nullptr; n = n->inner.get()) {
-    if (n->name != "Durable") continue;
-    for (const SpecOption& option : n->options) {
-      if (option.key.empty()) {
-        dirs.push_back(option.value);
-        break;
-      }
-    }
-  }
-  return dirs;
-}
-
 void WipeDurableDirs(const std::string& spec) {
-  for (const std::string& dir : DurableDirsOf(spec)) {
+  SpecError error;
+  const std::unique_ptr<SpecNode> node = ParseIndexSpec(spec, &error);
+  if (node == nullptr) return;
+  for (const std::string& dir : DurableDirsOf(*node)) {
     std::filesystem::remove_all(dir);
   }
 }

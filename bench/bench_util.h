@@ -130,10 +130,10 @@ inline Flag SwitchFlag(std::string_view name, bool* field) {
 ///                  (the swept index name is appended as the leaf):
 ///                  --spec='Sharded4' or
 ///                  --spec='Sharded2:Durable(/tmp/d,fsync=everyN)'.
-///                  Parsed and canonicalized up front; a bad stack
-///                  prints the spec grammar and exits.
-///   --shards=N     sugar for prepending "Sharded<N>" to --spec (1 =
-///                  the plain stack). The blob's "shards" is read back
+///                  Numbers in it take decimal suffixes
+///                  (Disk(d,frames=1k) is 1000 frames). Parsed and
+///                  canonicalized up front; a bad stack prints the spec
+///                  grammar and exits. The blob's "shards" is read back
 ///                  from the canonical stack: the product of its
 ///                  Sharded<N> layers, 1 when it has none.
 ///   --rthreads=R   foreground replay threads (driver layer). Read-only
@@ -198,13 +198,14 @@ struct Options {
   uint64_t seed = 42;
   size_t threads = 0;
   size_t batch = 1;
+  /// Product of the --spec stack's Sharded<N> layers (1 without any).
   size_t shards = 1;
   size_t rthreads = 1;
   size_t wthreads = 1;
   size_t warmup = 0;
   size_t sample_ms = 100;
-  /// Canonicalized adapter stack every swept index is wrapped in
-  /// (includes the --shards sugar); "" = plain indexes.
+  /// Canonicalized adapter stack every swept index is wrapped in;
+  /// "" = plain indexes.
   std::string spec;
   /// Canonicalized --workload override ("" = the bench's built-in mix).
   std::string workload;
@@ -237,7 +238,6 @@ struct Options {
         NumFlag("--seed=", &opt.seed),
         NumFlag("--threads=", &opt.threads),
         NumFlag("--batch=", &opt.batch),
-        NumFlag("--shards=", &opt.shards),
         NumFlag("--rthreads=", &opt.rthreads),
         NumFlag("--wthreads=", &opt.wthreads),
         NumFlag("--warmup=", &opt.warmup),
@@ -285,17 +285,10 @@ struct Options {
     }
     if (forward_unknown) *argc = kept;
     // Counts where 0 means the smallest useful value.
-    for (size_t* n : {&opt.batch, &opt.shards, &opt.rthreads, &opt.wthreads,
-                      &opt.sample_ms}) {
+    for (size_t* n :
+         {&opt.batch, &opt.rthreads, &opt.wthreads, &opt.sample_ms}) {
       *n = std::max<size_t>(*n, 1);
     }
-    // --shards=N is sugar for an outermost Sharded<N> adapter; it folds
-    // into the unified spec so there is exactly one composition path.
-    if (opt.shards > 1) {
-      opt.spec = "Sharded" + std::to_string(opt.shards) +
-                 (opt.spec.empty() ? "" : ":" + opt.spec);
-    }
-    opt.shards = 1;
     if (!opt.spec.empty()) {
       std::string error;
       const std::string canonical = CanonicalAdapterStack(opt.spec, &error);
@@ -329,8 +322,7 @@ struct Options {
 };
 
 /// Full spec string for one swept index under the current options: the
-/// canonical --spec adapter stack (with the --shards sugar folded in)
-/// wrapped around `name`.
+/// canonical --spec adapter stack wrapped around `name`.
 inline std::string ComposeSpec(std::string_view name, const Options& opt) {
   return opt.spec.empty() ? std::string(name)
                           : opt.spec + ":" + std::string(name);
@@ -359,8 +351,8 @@ inline std::unique_ptr<KvIndex> MakeIndexOrDie(std::string_view spec) {
 }
 
 /// Creates the index a bench drives for `name` under the current
-/// options: `name` wrapped in the --spec adapter stack (which includes
-/// the --shards sugar). Dies loudly on an invalid composition.
+/// options: `name` wrapped in the --spec adapter stack. Dies loudly on
+/// an invalid composition.
 inline std::unique_ptr<KvIndex> MakeBenchIndex(std::string_view name,
                                                const Options& opt) {
   return MakeIndexOrDie(ComposeSpec(name, opt));

@@ -68,6 +68,31 @@ std::string JoinedBaseNames() {
   return joined;
 }
 
+/// The count rule every adapter element obeys, whether it is built or
+/// only canonicalized: a count in [1, kMaxShards] exactly when the
+/// adapter takes one (only Sharded does).
+bool CheckAdapterCount(const SpecNode& node, const DecoratorInfo& info,
+                       SpecError* error) {
+  if (info.wants_count && (!node.has_count || node.count == 0)) {
+    error->pos = node.pos;
+    error->message = "adapter '" + node.name +
+                     "' needs a shard count >= 1 (e.g. " + node.name + "4)";
+    return false;
+  }
+  if (info.wants_count && node.count > kMaxShards) {
+    error->pos = node.pos + node.name.size();
+    error->message = "shard count " + std::to_string(node.count) +
+                     " exceeds the ceiling of " + std::to_string(kMaxShards);
+    return false;
+  }
+  if (!info.wants_count && node.has_count) {
+    error->pos = node.pos;
+    error->message = "adapter '" + node.name + "' does not take a count suffix";
+    return false;
+  }
+  return true;
+}
+
 std::string JoinedDecoratorNames() {
   std::string joined;
   for (const std::string& usage : IndexDecoratorUsage()) {
@@ -99,18 +124,7 @@ std::unique_ptr<KvIndex> BuildIndexSpec(const SpecNode& node,
   EnsureBuiltinIndexDecorators();
   DecoratorInfo info;
   if (GetIndexDecorator(node.name, &info)) {
-    if (info.wants_count && (!node.has_count || node.count == 0)) {
-      error->pos = node.pos;
-      error->message = "adapter '" + node.name +
-                       "' needs a shard count >= 1 (e.g. " + node.name + "4)";
-      return nullptr;
-    }
-    if (!info.wants_count && node.has_count) {
-      error->pos = node.pos;
-      error->message =
-          "adapter '" + node.name + "' does not take a count suffix";
-      return nullptr;
-    }
+    if (!CheckAdapterCount(node, info, error)) return nullptr;
     if (node.inner == nullptr) {
       error->pos = node.pos;
       error->message = "adapter '" + node.name +
@@ -179,37 +193,20 @@ std::string CanonicalIndexSpec(std::string_view spec, std::string* error) {
 std::string CanonicalAdapterStack(std::string_view stack, std::string* error) {
   SpecError spec_error;
   std::unique_ptr<SpecNode> node = ParseIndexSpec(stack, &spec_error);
-  if (node == nullptr) {
-    if (error != nullptr) *error = spec_error.Render();
-    return "";
-  }
-  for (const SpecNode* n = node.get(); n != nullptr; n = n->inner.get()) {
+  bool ok = node != nullptr;
+  for (const SpecNode* n = node.get(); ok && n != nullptr; n = n->inner.get()) {
     DecoratorInfo info;
-    if (!GetIndexDecorator(n->name, &info)) {
+    ok = GetIndexDecorator(n->name, &info);
+    if (!ok) {
       spec_error.pos = n->pos;
       spec_error.message =
           "'" + n->name + "' is not a registered adapter (adapters: " +
           JoinedDecoratorNames() + "); --spec takes an adapter-only stack";
-      if (error != nullptr) *error = spec_error.Render();
-      return "";
     }
-    if (info.wants_count && (!n->has_count || n->count == 0)) {
-      spec_error.pos = n->pos;
-      spec_error.message = "adapter '" + n->name +
-                           "' needs a shard count >= 1 (e.g. " + n->name +
-                           "4)";
-      if (error != nullptr) *error = spec_error.Render();
-      return "";
-    }
-    if (!info.wants_count && n->has_count) {
-      spec_error.pos = n->pos;
-      spec_error.message =
-          "adapter '" + n->name + "' does not take a count suffix";
-      if (error != nullptr) *error = spec_error.Render();
-      return "";
-    }
+    ok = ok && CheckAdapterCount(*n, info, &spec_error);
   }
-  return node->Canonical();
+  if (!ok && error != nullptr) *error = spec_error.Render();
+  return ok ? node->Canonical() : "";
 }
 
 std::string IndexSpecGrammarHelp() {

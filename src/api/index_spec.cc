@@ -1,24 +1,11 @@
 #include "src/api/index_spec.h"
 
-#include <cctype>
 #include <map>
 #include <mutex>
 #include <utility>
 
 namespace chameleon {
 namespace {
-
-bool IsNameChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '+' || c == '_';
-}
-
-/// Option values exclude the grammar's structural characters and
-/// whitespace; everything else (paths with '/', '.', '-') passes
-/// through verbatim.
-bool IsValueChar(char c) {
-  return c != '(' && c != ')' && c != ',' && c != '=' && c != ':' &&
-         !std::isspace(static_cast<unsigned char>(c));
-}
 
 struct Registry {
   std::mutex mu;
@@ -30,134 +17,45 @@ Registry& GetRegistry() {
   return *registry;
 }
 
-/// Recursive-descent parser over the grammar in index_spec.h. `pos`
-/// always points at the next unconsumed character; every failure
-/// records the offset it happened at.
-struct Parser {
-  std::string_view spec;
-  size_t pos = 0;
-  SpecError* error;
-
-  std::nullptr_t Fail(size_t at, std::string message) {
-    error->pos = at;
-    error->message = std::move(message);
-    return nullptr;
-  }
-
-  std::unique_ptr<SpecNode> ParseChain() {
-    std::unique_ptr<SpecNode> node = ParseElement();
-    if (node == nullptr) return nullptr;
-    if (pos < spec.size() && spec[pos] == ':') {
-      ++pos;
-      node->inner = ParseChain();
-      if (node->inner == nullptr) return nullptr;
-    }
-    return node;
-  }
-
-  std::unique_ptr<SpecNode> ParseElement() {
-    const size_t start = pos;
-    while (pos < spec.size() && IsNameChar(spec[pos])) ++pos;
-    if (pos == start) {
-      if (pos >= spec.size()) {
-        return Fail(pos, "expected an index or adapter name");
+/// Turns one parsed call into a chain element: splits a registered
+/// adapter's count suffix off its name ("Sharded4" -> Sharded, 4) and
+/// keeps the scalar arguments as options. Index specs have no nested
+/// calls.
+std::unique_ptr<SpecNode> ToNode(SpecCall call, SpecError* error) {
+  auto node = std::make_unique<SpecNode>();
+  node->pos = call.pos;
+  node->name = std::move(call.name);
+  // Only when the alpha prefix is a registered adapter that wants a
+  // count, so base names ending in digits stay whole tokens.
+  if (!GetIndexDecorator(node->name)) {
+    // npos + 1 == 0: an all-digit name has no prefix to split off.
+    const size_t digits = node->name.find_last_not_of("0123456789") + 1;
+    DecoratorInfo info;
+    if (digits > 0 && digits < node->name.size() &&
+        GetIndexDecorator(node->name.substr(0, digits), &info) &&
+        info.wants_count) {
+      if (!ReadSpecCount(std::string_view(node->name).substr(digits),
+                         node->pos + digits, "count", &node->count, error)) {
+        return nullptr;
       }
-      return Fail(pos, std::string("unexpected character '") + spec[pos] +
-                           "' where a name should start");
-    }
-    auto node = std::make_unique<SpecNode>();
-    node->pos = start;
-    std::string token(spec.substr(start, pos - start));
-    // Count-suffix split ("Sharded4" -> Sharded, 4): only when the
-    // alpha prefix is a registered adapter that wants a count, so base
-    // names ending in digits stay whole tokens.
-    if (!GetIndexDecorator(token)) {
-      size_t digits = token.size();
-      while (digits > 0 &&
-             std::isdigit(static_cast<unsigned char>(token[digits - 1]))) {
-        --digits;
-      }
-      if (digits > 0 && digits < token.size()) {
-        const std::string prefix = token.substr(0, digits);
-        DecoratorInfo info;
-        if (GetIndexDecorator(prefix, &info) && info.wants_count) {
-          node->has_count = true;
-          node->count = std::stoull(token.substr(digits));
-          token = prefix;
-        }
-      }
-    }
-    node->name = std::move(token);
-    if (pos < spec.size() && spec[pos] == '(') {
-      if (!ParseArgs(node.get())) return nullptr;
-    }
-    return node;
-  }
-
-  bool ParseArgs(SpecNode* node) {
-    ++pos;  // consume '('
-    if (pos < spec.size() && spec[pos] == ')') {
-      ++pos;  // empty argument list: "Durable()"
-      return true;
-    }
-    while (true) {
-      SpecOption option;
-      option.pos = pos;
-      std::string first = ParseValue();
-      if (pos < spec.size() && spec[pos] == '=') {
-        if (first.empty()) {
-          Fail(option.pos, "expected an option key before '='");
-          return false;
-        }
-        ++pos;
-        option.key = std::move(first);
-        option.value = ParseValue();
-        if (option.value.empty()) {
-          Fail(pos, "missing value for option '" + option.key + "'");
-          return false;
-        }
-      } else {
-        if (first.empty()) {
-          Fail(pos, pos < spec.size()
-                        ? std::string("unexpected character '") + spec[pos] +
-                              "' in argument list"
-                        : std::string("unclosed '(' in argument list"));
-          return false;
-        }
-        option.value = std::move(first);
-      }
-      node->options.push_back(std::move(option));
-      if (pos >= spec.size()) {
-        Fail(pos, "unclosed '(' in argument list");
-        return false;
-      }
-      if (spec[pos] == ',') {
-        ++pos;
-        continue;
-      }
-      if (spec[pos] == ')') {
-        ++pos;
-        return true;
-      }
-      Fail(pos, std::string("expected ',' or ')' in argument list, got '") +
-                    spec[pos] + "'");
-      return false;
+      node->has_count = true;
+      node->name.resize(digits);
     }
   }
-
-  std::string ParseValue() {
-    const size_t start = pos;
-    while (pos < spec.size() && IsValueChar(spec[pos])) ++pos;
-    return std::string(spec.substr(start, pos - start));
+  for (SpecArg& arg : call.args) {
+    if (arg.call != nullptr) {
+      error->pos = arg.call->pos;
+      error->message = "index spec options are plain values, not calls ('" +
+                       arg.call->name + "(...)')";
+      return nullptr;
+    }
+    node->options.push_back(
+        SpecOption{std::move(arg.key), std::move(arg.scalar), arg.pos});
   }
-};
+  return node;
+}
 
 }  // namespace
-
-std::string SpecError::Render() const {
-  return "index spec error at position " + std::to_string(pos) + ": " +
-         message;
-}
 
 std::string SpecNode::Canonical() const {
   std::string out = name;
@@ -221,15 +119,26 @@ std::vector<std::string> IndexDecoratorUsage() {
 std::unique_ptr<SpecNode> ParseIndexSpec(std::string_view spec,
                                          SpecError* error) {
   EnsureBuiltinIndexDecorators();
-  Parser parser{spec, 0, error};
-  std::unique_ptr<SpecNode> node = parser.ParseChain();
-  if (node == nullptr) return nullptr;
-  if (parser.pos != spec.size()) {
-    parser.Fail(parser.pos, std::string("unexpected character '") +
-                                spec[parser.pos] + "' after spec element");
+  std::unique_ptr<SpecNode> head;
+  std::unique_ptr<SpecNode>* tail = &head;
+  size_t pos = 0;
+  while (true) {
+    std::unique_ptr<SpecCall> call =
+        ParseSpecCall(spec, &pos, "an index or adapter name", error);
+    if (call == nullptr) return nullptr;
+    *tail = ToNode(std::move(*call), error);
+    if (*tail == nullptr) return nullptr;
+    if (pos >= spec.size() || spec[pos] != ':') break;
+    ++pos;
+    tail = &(*tail)->inner;
+  }
+  if (pos != spec.size()) {
+    error->pos = pos;
+    error->message = std::string("unexpected character '") + spec[pos] +
+                     "' after spec element";
     return nullptr;
   }
-  return node;
+  return head;
 }
 
 }  // namespace chameleon

@@ -9,22 +9,20 @@
 #include <vector>
 
 #include "src/api/kv_index.h"
+#include "src/api/spec_grammar.h"
 
 namespace chameleon {
 
 // Composable index-stack specs. A spec is a ':'-separated chain of
-// elements; every element but the last must be a registered deployment
-// adapter (decorator), and the last names a base index:
+// calls in the shared spec grammar (src/api/spec_grammar.h); every
+// element but the last must be a registered deployment adapter
+// (decorator), and the last names a base index:
 //
 //   spec    := element (":" spec)?
-//   element := name count? args?
-//   name    := (alnum | "+" | "_")+        -- "B+Tree" is one name
+//   element := name count? args?           -- a grammar call whose
+//                                             arguments are scalars
 //   count   := digit+                      -- only on adapters that
 //                                             take one (Sharded4)
-//   args    := "(" [ arg ("," arg)* ] ")"
-//   arg     := value | key "=" value
-//   value   := any run of characters except "(" ")" "," "=" and
-//              whitespace (so paths like /tmp/a.b-c are plain values)
 //
 // Examples:
 //   Chameleon
@@ -40,6 +38,8 @@ namespace chameleon {
 // names may legally end in digits. Semantic validation (unknown names,
 // missing counts, bad option keys) happens when the parsed chain is
 // built into an index; both layers report position-accurate errors.
+// Numeric option values go through the grammar's number readers
+// (ReadSpecCount and friends), so adapters share one suffix table.
 
 /// One argument from an element's parenthesized list. Positional
 /// arguments ("Durable(/tmp/d)") have an empty key.
@@ -71,16 +71,6 @@ struct SpecNode {
   /// (exactly the grammar above, no whitespace).
   std::string Canonical() const;
   std::unique_ptr<SpecNode> Clone() const;
-};
-
-/// A parse or build failure, with the offset of the offending character
-/// in the spec text.
-struct SpecError {
-  std::string message;
-  size_t pos = 0;
-
-  /// One-line rendering: "index spec error at position <pos>: <message>".
-  std::string Render() const;
 };
 
 /// Context threaded through a recursive stack build. Partitioning

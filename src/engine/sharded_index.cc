@@ -13,6 +13,7 @@
 
 #include "src/api/index_spec.h"
 #include "src/obs/stats.h"
+#include "src/storage/durable_index.h"
 #include "src/util/crc32c.h"
 #include "src/util/io.h"
 
@@ -28,23 +29,6 @@ namespace {
 constexpr uint32_t kShardMetaMagic = 0x4D485343;  // "CSHM"
 constexpr uint32_t kShardMetaVersion = 1;
 
-/// Root directory of the first Durable element in the template chain
-/// (under the *outer* build context — the per-shard suffixes live below
-/// it), or "" when the shards are volatile.
-std::string DurableRootOf(const SpecNode& spec, const SpecBuildContext& ctx) {
-  for (const SpecNode* node = &spec; node != nullptr;
-       node = node->inner.get()) {
-    if (node->name != "Durable") continue;
-    for (const SpecOption& option : node->options) {
-      if (option.key.empty() && !option.value.empty()) {
-        return option.value + ctx.dir_suffix;
-      }
-    }
-    return "";
-  }
-  return "";
-}
-
 std::unique_ptr<KvIndex> BuildShardedFromSpec(const SpecNode& node,
                                               const SpecBuildContext& ctx,
                                               SpecError* error) {
@@ -55,7 +39,8 @@ std::unique_ptr<KvIndex> BuildShardedFromSpec(const SpecNode& node,
         "(Sharded4)";
     return nullptr;
   }
-  // The spec layer rejects a missing or zero count before building.
+  // The spec layer rejects a count outside [1, kMaxShards] before
+  // building.
   std::vector<std::unique_ptr<KvIndex>> shards;
   for (size_t i = 0; i < node.count; ++i) {
     SpecBuildContext shard_ctx = ctx;
@@ -65,10 +50,13 @@ std::unique_ptr<KvIndex> BuildShardedFromSpec(const SpecNode& node,
     if (shard == nullptr) return nullptr;
     shards.push_back(std::move(shard));
   }
+  // The routing table lives beside the shard stacks, under the first
+  // Durable root (with the outer build context's suffix; the per-shard
+  // suffixes sit below it). Volatile shards persist nothing.
   std::string meta_path;
-  if (node.count > 1) {
-    const std::string root = DurableRootOf(*node.inner, ctx);
-    if (!root.empty()) meta_path = root + "/shards.meta";
+  const std::vector<std::string> roots = DurableDirsOf(*node.inner);
+  if (node.count > 1 && !roots.empty()) {
+    meta_path = roots.front() + ctx.dir_suffix + "/shards.meta";
   }
   return std::make_unique<ShardedIndex>(std::move(shards),
                                         std::move(meta_path));

@@ -11,6 +11,10 @@
 
 namespace chameleon {
 
+/// Largest shard count a Sharded<N> spec accepts: BulkLoad and Recover
+/// start one OS thread per shard.
+inline constexpr size_t kMaxShards = 256;
+
 /// Serving-engine layer: a KvIndex adapter that range-partitions the key
 /// space across N inner indexes (the "shards"), each built independently
 /// from an inner *spec template*. Shard boundaries are the bulk-load key

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 
@@ -269,16 +268,10 @@ std::unique_ptr<KvIndex> BuildDurableFromSpec(const SpecNode& node,
         return nullptr;
       }
     } else if (option.key == "n") {
-      char* end = nullptr;
-      const unsigned long long n =
-          std::strtoull(option.value.c_str(), &end, 10);
-      if (end == nullptr || *end != '\0' || n == 0) {
-        error->pos = option.pos;
-        error->message =
-            "bad n value '" + option.value + "' (expected a positive integer)";
+      if (!ReadSpecPositiveCount(option.value, option.pos, "n",
+                                 &options.wal.fsync_every_n, error)) {
         return nullptr;
       }
-      options.wal.fsync_every_n = static_cast<size_t>(n);
     } else {
       error->pos = option.pos;
       error->message = "unknown Durable option '" + option.key +
@@ -299,6 +292,21 @@ std::unique_ptr<KvIndex> BuildDurableFromSpec(const SpecNode& node,
 }
 
 }  // namespace
+
+std::vector<std::string> DurableDirsOf(const SpecNode& spec) {
+  std::vector<std::string> dirs;
+  for (const SpecNode* node = &spec; node != nullptr;
+       node = node->inner.get()) {
+    if (node->name != "Durable") continue;
+    for (const SpecOption& option : node->options) {
+      if (option.key.empty()) {
+        dirs.push_back(option.value);
+        break;
+      }
+    }
+  }
+  return dirs;
+}
 
 void RegisterDurableDecorator() {
   RegisterIndexDecorator(

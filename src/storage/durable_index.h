@@ -8,12 +8,15 @@
 #include <shared_mutex>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "src/api/kv_index.h"
 #include "src/storage/snapshot.h"
 #include "src/storage/wal.h"
 
 namespace chameleon {
+
+struct SpecNode;
 
 struct DurableOptions {
   WalOptions wal;
@@ -170,6 +173,12 @@ class DurableIndex final : public KvIndex {
 /// Registers the "Durable(...)" decorator in the index-spec registry.
 /// Called by EnsureBuiltinIndexDecorators(); not for direct use.
 void RegisterDurableDecorator();
+
+/// Where the Durable layers of a spec chain keep their files: the
+/// directory (first positional argument) of every Durable element from
+/// `spec` inward, outermost first, before any build-context suffix. An
+/// outer Sharded roots its shard stacks below these (<dir>/shard-<i>).
+std::vector<std::string> DurableDirsOf(const SpecNode& spec);
 
 /// Simulates a crash on every durable layer in an index stack built
 /// from a spec: a DurableIndex crashes directly, any other layer

@@ -1,6 +1,7 @@
 #include "src/tiered/buffer_pool.h"
 
 #include <cassert>
+#include <cstdlib>
 
 #include "src/obs/stats.h"
 
@@ -35,30 +36,36 @@ BufferPool::BufferPool(PageFile* file, size_t frames)
 }
 
 PageRef BufferPool::Pin(uint64_t page_id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (page_id >= page_table_.size()) return PageRef();
+  std::unique_lock<std::mutex> lock(mu_);
+  assert(page_id < page_table_.size() && "page id past the end of the run");
   uint32_t frame = page_table_[page_id];
-  if (frame != kNoFrame) {
-    Frame& f = frames_[frame];
+  bool resident = frame != kNoFrame;
+  while (!resident && !TakeFrameLocked(&frame)) {
+    // Every frame is pinned. Each holder is a reader between its Pin
+    // and its unpin, not waiting here, so a frame frees up.
+    ++waiters_;
+    unpinned_.wait(lock);
+    --waiters_;
+    // Another reader may have faulted the page in meanwhile.
+    frame = page_table_[page_id];
+    resident = frame != kNoFrame;
+  }
+  Frame& f = frames_[frame];
+  uint8_t* data = arena_[frame].bytes;
+  if (resident) {
     ++f.pin_count;
     f.ref_bit = true;
     ++hits_;
     CHAMELEON_STAT_INC(kTieredPoolHits);
-    return PageRef(this, frame, arena_[frame].bytes);
+    return PageRef(this, frame, data);
   }
   ++misses_;
   CHAMELEON_STAT_INC(kTieredPoolMisses);
-
-  if (!TakeFrameLocked(&frame)) return PageRef();  // every frame pinned
-
-  uint8_t* data = arena_[frame].bytes;
-  // A failed read leaves the frame unfilled (valid == false, ref_bit
-  // clear), so the next CLOCK sweep that reaches it takes it back.
-  if (!file_->ReadPage(page_id, data)) return PageRef();
+  // ReadPage has named the file, the page and the failure on stderr.
+  if (!file_->ReadPage(page_id, data)) std::abort();
   ++page_reads_;
   CHAMELEON_STAT_INC(kTieredPageReads);
 
-  Frame& f = frames_[frame];
   f.page_id = page_id;
   f.pin_count = 1;
   f.ref_bit = true;
@@ -99,7 +106,7 @@ bool BufferPool::TakeFrameLocked(uint32_t* frame_out) {
 void BufferPool::Unpin(size_t frame) {
   Frame& f = frames_[frame];
   assert(f.pin_count > 0);
-  --f.pin_count;
+  if (--f.pin_count == 0 && waiters_ > 0) unpinned_.notify_all();
 }
 
 void BufferPool::Reset(PageFile* file) {

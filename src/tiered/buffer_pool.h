@@ -1,6 +1,7 @@
 #ifndef CHAMELEON_TIERED_BUFFER_POOL_H_
 #define CHAMELEON_TIERED_BUFFER_POOL_H_
 
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -13,7 +14,8 @@ namespace chameleon::tiered {
 class BufferPool;
 
 /// RAII pin on a pooled page frame. While live, the frame cannot be
-/// evicted and `data()` stays valid. Movable, not copyable.
+/// evicted and `data()` stays valid. Movable, not copyable; a
+/// default-constructed or moved-from PageRef pins nothing.
 class PageRef {
  public:
   PageRef() = default;
@@ -24,7 +26,6 @@ class PageRef {
   PageRef(const PageRef&) = delete;
   PageRef& operator=(const PageRef&) = delete;
 
-  bool valid() const { return pool_ != nullptr; }
   const void* data() const { return data_; }
 
   /// Unpins early (the destructor is the usual path).
@@ -64,7 +65,10 @@ struct BufferPoolStats {
 ///
 /// Thread safety: every public operation takes the pool mutex, so
 /// concurrent read-only replay threads (`--rthreads`) can Pin/Release
-/// freely.
+/// freely, with more threads than frames too: a Pin that finds every
+/// frame pinned waits for an unpin. That cannot deadlock as long as a
+/// thread holds at most one pin while it calls Pin, which every reader
+/// (TieredIndex's lookups and scans) does.
 class BufferPool {
  public:
   /// `frames` is clamped to at least 1. The pool does not own `file`.
@@ -74,10 +78,13 @@ class BufferPool {
   BufferPool& operator=(const BufferPool&) = delete;
 
   /// Pins `page_id`, faulting it from disk on a miss into a CLOCK
-  /// victim (evicting its page, if it holds one). Returns an invalid
-  /// PageRef on I/O error or corruption (the frame stays unfilled), when
-  /// every frame is pinned, or when `page_id` is past the file's end
-  /// (the pool is then left untouched).
+  /// victim (evicting its page, if it holds one); waits while every
+  /// frame is pinned. `page_id` must be below the file's page count.
+  /// A page that fails its read (I/O error, CRC or page_seq mismatch)
+  /// aborts the process, naming the file and the page: a lookup has no
+  /// error channel, and answering "absent" for a key that is on disk
+  /// would be a wrong answer. Recover() is where a damaged run is
+  /// rejected cleanly.
   PageRef Pin(uint64_t page_id);
 
   /// Drops all cached frames (asserting none are pinned) and retargets
@@ -105,6 +112,9 @@ class BufferPool {
   friend class PageRef;
 
   mutable std::mutex mu_;
+  /// Signalled by an unpin that frees a frame while a Pin waits.
+  std::condition_variable unpinned_;
+  size_t waiters_ = 0;
   PageFile* file_;
   std::unique_ptr<Page[]> arena_;
   std::vector<Frame> frames_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <utility>
 
@@ -121,7 +120,6 @@ bool TieredIndex::DiskLookup(Key key, Value* value) const {
   const size_t page = CandidatePage(key);
   if (page == kNoPage) return false;
   tiered::PageRef ref = pool_->Pin(page);
-  if (!ref.valid()) return false;
   RecordPageRead(page);
   const KeyValue* entries = tiered::PageFile::PageEntries(ref.data());
   const uint32_t count = tiered::PageFile::PageCount(ref.data());
@@ -191,7 +189,6 @@ size_t TieredIndex::RangeScan(Key lo, Key hi, std::vector<KeyValue>* out) const 
     if (page == kNoPage) page = 0;  // lo precedes the first fence
     for (; page < fences_.size() && fences_[page] <= hi; ++page) {
       tiered::PageRef ref = pool_->Pin(page);
-      if (!ref.valid()) break;
       RecordPageRead(page);
       const KeyValue* entries = tiered::PageFile::PageEntries(ref.data());
       const uint32_t count = tiered::PageFile::PageCount(ref.data());
@@ -402,20 +399,6 @@ bool CollectTieredStats(const KvIndex* index, TieredStatsBlock* out) {
 
 namespace {
 
-bool ParseSizeValue(const std::string& value, size_t* out) {
-  char* end = nullptr;
-  unsigned long long n = std::strtoull(value.c_str(), &end, 10);
-  if (end == value.c_str() || n == 0) return false;
-  if (*end == 'K' || *end == 'k') {
-    n *= 1024, ++end;
-  } else if (*end == 'M' || *end == 'm') {
-    n *= 1024 * 1024, ++end;
-  }
-  if (*end != '\0') return false;
-  *out = static_cast<size_t>(n);
-  return true;
-}
-
 /// Spec builder for "Disk(<dir>[,frames=<N>][,merge=<N>])".
 /// The positional dir gets the build context's suffix appended, so
 /// Sharded4:Disk(d):X roots each shard's page run at d/shard-<i>.
@@ -432,18 +415,11 @@ std::unique_ptr<KvIndex> BuildTieredFromSpec(const SpecNode& node,
         return nullptr;
       }
       dir = option.value;
-    } else if (option.key == "frames") {
-      if (!ParseSizeValue(option.value, &options.frames)) {
-        error->pos = option.pos;
-        error->message = "bad frames value '" + option.value +
-                         "' (expected a positive integer)";
-        return nullptr;
-      }
-    } else if (option.key == "merge") {
-      if (!ParseSizeValue(option.value, &options.merge_threshold)) {
-        error->pos = option.pos;
-        error->message = "bad merge value '" + option.value +
-                         "' (expected a positive integer)";
+    } else if (option.key == "frames" || option.key == "merge") {
+      size_t* field = option.key == "frames" ? &options.frames
+                                             : &options.merge_threshold;
+      if (!ReadSpecPositiveCount(option.value, option.pos, option.key, field,
+                                 error)) {
         return nullptr;
       }
     } else {
@@ -488,7 +464,7 @@ void RegisterTieredDecorator() {
           BuildTieredFromSpec, /*wants_count=*/false,
           "Disk(<dir>[,frames=<N>][,merge=<N>]):<spec>   page the leaves "
           "to <dir> in 4 KiB pages behind a read-only buffer pool "
-          "(frames default 256, merge 8192)"});
+          "(frames default 256, merge 8192; decimal suffixes, 1k = 1000)"});
 }
 
 }  // namespace chameleon

@@ -42,7 +42,8 @@ struct TieredOptions {
 /// by binary search over the in-memory page fence keys. RangeScan
 /// merge-joins pooled disk pages with the delta's scan; LookupBatch is
 /// the delta's batched probe plus per-miss disk probes — bit-identical
-/// to per-key Lookup by construction.
+/// to per-key Lookup by construction. A disk page that cannot be read
+/// stops the process (BufferPool::Pin) rather than read as a miss.
 ///
 /// Write semantics (keys unique across tiers):
 ///   * a key is "live on disk" when it is in the page run and not
@@ -53,8 +54,10 @@ struct TieredOptions {
 ///     lands in the delta while the tombstone keeps the stale disk copy
 ///     dead until the next merge drops it.
 ///
-/// Thread model: concurrent readers are safe (the pool serializes frame
-/// traffic; fences and the delta are read-only between writes), writers
+/// Thread model: concurrent readers are safe, more of them than frames
+/// too (the pool serializes frame traffic and a reader waits for a
+/// frame when all are pinned; each reader holds one pin at a time;
+/// fences and the delta are read-only between writes), writers
 /// are externally serialized like every other single-writer index —
 /// SupportsConcurrentWrites() is false. The delta is private state, not
 /// one of Children(), so stack walks stop here and the delta's own

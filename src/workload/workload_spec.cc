@@ -1,171 +1,13 @@
 #include "src/workload/workload_spec.h"
 
-#include <cctype>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <utility>
 
+#include "src/api/spec_grammar.h"
+
 namespace chameleon {
 namespace {
-
-bool IsNameChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '-' || c == '_';
-}
-
-/// Scalar values stop at the grammar's structural characters; '%' and
-/// unit suffixes ride along with the number they follow.
-bool IsScalarChar(char c) {
-  return c != '(' && c != ')' && c != ',' && c != '=' &&
-         !std::isspace(static_cast<unsigned char>(c));
-}
-
-// --- Parse tree (internal; the public surface is WorkloadDesc) --------------
-
-struct Call;
-
-struct Arg {
-  std::string key;  // empty for positional arguments
-  std::string scalar;
-  std::unique_ptr<Call> call;  // non-null when the value is name(...)
-  size_t pos = 0;
-};
-
-struct Call {
-  std::string name;
-  std::vector<Arg> args;
-  size_t pos = 0;
-};
-
-/// Recursive-descent parser over the grammar in workload_spec.h, same
-/// idiom as the index-spec parser: `pos` always points at the next
-/// unconsumed character, every failure records its offset.
-struct Parser {
-  std::string_view spec;
-  size_t pos = 0;
-  WorkloadSpecError* error;
-
-  std::nullptr_t Fail(size_t at, std::string message) {
-    error->pos = at;
-    error->message = std::move(message);
-    return nullptr;
-  }
-
-  std::unique_ptr<Call> ParseCall() {
-    const size_t start = pos;
-    while (pos < spec.size() && IsNameChar(spec[pos])) ++pos;
-    if (pos == start) {
-      if (pos >= spec.size()) return Fail(pos, "expected a workload name");
-      return Fail(pos, std::string("unexpected character '") + spec[pos] +
-                           "' where a name should start");
-    }
-    auto call = std::make_unique<Call>();
-    call->pos = start;
-    call->name = std::string(spec.substr(start, pos - start));
-    if (pos < spec.size() && spec[pos] == '(') {
-      if (!ParseArgs(call.get())) return nullptr;
-    }
-    return call;
-  }
-
-  bool ParseArgs(Call* call) {
-    ++pos;  // consume '('
-    if (pos < spec.size() && spec[pos] == ')') {
-      ++pos;  // empty argument list: "read()"
-      return true;
-    }
-    while (true) {
-      Arg arg;
-      arg.pos = pos;
-      if (!ParseValue(&arg)) return false;
-      if (pos < spec.size() && spec[pos] == '=') {
-        if (arg.scalar.empty() || arg.call != nullptr) {
-          Fail(arg.pos, "expected an option key before '='");
-          return false;
-        }
-        arg.key = std::move(arg.scalar);
-        arg.scalar.clear();
-        ++pos;
-        const size_t value_pos = pos;
-        if (!ParseValue(&arg)) return false;
-        if (arg.scalar.empty() && arg.call == nullptr) {
-          Fail(value_pos, "missing value for option '" + arg.key + "'");
-          return false;
-        }
-      } else if (arg.scalar.empty() && arg.call == nullptr) {
-        Fail(pos, pos < spec.size()
-                      ? std::string("unexpected character '") + spec[pos] +
-                            "' in argument list"
-                      : std::string("unclosed '(' in argument list"));
-        return false;
-      }
-      call->args.push_back(std::move(arg));
-      if (pos >= spec.size()) {
-        Fail(pos, "unclosed '(' in argument list");
-        return false;
-      }
-      if (spec[pos] == ',') {
-        ++pos;
-        continue;
-      }
-      if (spec[pos] == ')') {
-        ++pos;
-        return true;
-      }
-      Fail(pos, std::string("expected ',' or ')' in argument list, got '") +
-                    spec[pos] + "'");
-      return false;
-    }
-  }
-
-  /// A value is either a nested call (name followed by '(') or a
-  /// scalar token. A bare name ("uniform") parses as a scalar; the
-  /// compiler decides whether it names a distribution.
-  bool ParseValue(Arg* arg) {
-    const size_t start = pos;
-    while (pos < spec.size() && IsNameChar(spec[pos])) ++pos;
-    if (pos > start && pos < spec.size() && spec[pos] == '(') {
-      auto call = std::make_unique<Call>();
-      call->pos = start;
-      call->name = std::string(spec.substr(start, pos - start));
-      if (!ParseArgs(call.get())) return false;
-      arg->call = std::move(call);
-      return true;
-    }
-    // Not a call: extend the token to a full scalar (numbers can carry
-    // '.', '%', suffixes — anything non-structural).
-    pos = start;
-    while (pos < spec.size() && IsScalarChar(spec[pos])) ++pos;
-    arg->scalar = std::string(spec.substr(start, pos - start));
-    return true;
-  }
-};
-
-// --- Number parsing ---------------------------------------------------------
-
-/// Parses "0.99", "5%", "1M", "20k", "1000000" into a double. Suffixes:
-/// % divides by 100; k/K, M, G multiply by 1e3/1e6/1e9.
-bool ParseNumber(const std::string& text, double* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  double v = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || errno != 0) return false;
-  if (*end == '\0') {
-    *out = v;
-    return true;
-  }
-  if (end[1] != '\0') return false;  // at most one suffix character
-  switch (*end) {
-    case '%': v /= 100.0; break;
-    case 'k': case 'K': v *= 1e3; break;
-    case 'M': v *= 1e6; break;
-    case 'G': v *= 1e9; break;
-    default: return false;
-  }
-  *out = v;
-  return true;
-}
 
 std::string FormatNumber(double v) {
   char buf[32];
@@ -176,7 +18,7 @@ std::string FormatNumber(double v) {
 // --- Compiler ---------------------------------------------------------------
 
 struct Compiler {
-  WorkloadSpecError* error;
+  SpecError* error;
 
   bool Fail(size_t at, std::string message) {
     error->pos = at;
@@ -184,36 +26,25 @@ struct Compiler {
     return false;
   }
 
-  bool Number(const Arg& arg, const char* what, double* out) {
-    if (arg.call != nullptr) {
-      return Fail(arg.pos, std::string("expected a number for ") + what);
-    }
-    if (!ParseNumber(arg.scalar, out)) {
-      return Fail(arg.pos, "bad number \"" + arg.scalar + "\" for " + what);
-    }
-    return true;
+  // The grammar's typed readers over one argument. A nested call has
+  // no scalar text, so it fails as "expected a number".
+  bool Number(const SpecArg& a, const char* what, double* out) {
+    return ReadSpecNumber(a.scalar, a.pos, what, out, error);
+  }
+  bool Fraction(const SpecArg& a, const char* what, double* out) {
+    return ReadSpecFraction(a.scalar, a.pos, what, out, error);
+  }
+  bool Count(const SpecArg& a, const char* what, size_t* out) {
+    return ReadSpecCount(a.scalar, a.pos, what, out, error);
+  }
+  bool PositiveCount(const SpecArg& a, const char* what, size_t* out) {
+    return ReadSpecPositiveCount(a.scalar, a.pos, what, out, error);
   }
 
-  bool Fraction(const Arg& arg, const char* what, double* out) {
-    if (!Number(arg, what, out)) return false;
-    if (*out < 0.0 || *out > 1.0) {
-      return Fail(arg.pos, std::string(what) + " must be in [0, 1]");
-    }
-    return true;
-  }
-
-  bool Count(const Arg& arg, const char* what, uint64_t* out) {
-    double v = 0.0;
-    if (!Number(arg, what, &v)) return false;
-    if (v < 0.0) return Fail(arg.pos, std::string(what) + " must be >= 0");
-    *out = static_cast<uint64_t>(v);
-    return true;
-  }
-
-  bool CompileDist(const Arg& arg, DistDesc* dist) {
+  bool CompileDist(const SpecArg& arg, DistDesc* dist) {
     // Value is either a bare name ("uniform") or a call ("zipf(0.99)").
     std::string name;
-    const Call* call = nullptr;
+    const SpecCall* call = nullptr;
     size_t at = arg.pos;
     if (arg.call != nullptr) {
       call = arg.call.get();
@@ -234,7 +65,7 @@ struct Compiler {
                                   : DistDesc::Kind::kLatest;
       dist->theta = 0.99;
       if (call != nullptr) {
-        for (const Arg& a : call->args) {
+        for (const SpecArg& a : call->args) {
           if (a.key.empty() || a.key == "theta") {
             if (!Number(a, "theta", &dist->theta)) return false;
           } else {
@@ -252,17 +83,16 @@ struct Compiler {
       dist->period = 100'000;
       dist->hot = 0.9;
       if (call != nullptr) {
-        for (const Arg& a : call->args) {
+        for (const SpecArg& a : call->args) {
           if (a.key == "width") {
             if (!Fraction(a, "width", &dist->width)) return false;
             if (dist->width <= 0.0) {
               return Fail(a.pos, "width must be > 0");
             }
           } else if (a.key == "period") {
-            if (!Count(a, "period", &dist->period)) return false;
-            if (dist->period == 0) {
-              return Fail(a.pos, "period must be > 0");
-            }
+            size_t period = 0;
+            if (!PositiveCount(a, "period", &period)) return false;
+            dist->period = period;
           } else if (a.key == "hot") {
             if (!Fraction(a, "hot", &dist->hot)) return false;
           } else {
@@ -283,7 +113,7 @@ struct Compiler {
 
   /// Shared handling for dist=/zipf= arguments; returns true when the
   /// argument was consumed as a distribution.
-  bool MaybeDistArg(const Arg& arg, DistDesc* dist, bool* consumed) {
+  bool MaybeDistArg(const SpecArg& arg, DistDesc* dist, bool* consumed) {
     *consumed = false;
     if (arg.key == "dist" || (arg.key.empty() &&
                               (arg.call != nullptr || arg.scalar == "uniform" ||
@@ -301,12 +131,12 @@ struct Compiler {
     return true;
   }
 
-  bool Compile(const Call& call, WorkloadDesc* desc) {
+  bool Compile(const SpecCall& call, WorkloadDesc* desc) {
     const std::string& name = call.name;
     if (name == "read") {
       desc->family = WorkloadDesc::Family::kRead;
       desc->dist.kind = DistDesc::Kind::kUniform;
-      for (const Arg& arg : call.args) {
+      for (const SpecArg& arg : call.args) {
         bool consumed = false;
         if (!MaybeDistArg(arg, &desc->dist, &consumed)) return false;
         if (consumed) continue;
@@ -320,7 +150,7 @@ struct Compiler {
       desc->family = WorkloadDesc::Family::kMixed;
       desc->dist.kind = DistDesc::Kind::kUniform;
       desc->write_ratio = 0.2;
-      for (const Arg& arg : call.args) {
+      for (const SpecArg& arg : call.args) {
         bool consumed = false;
         if (!MaybeDistArg(arg, &desc->dist, &consumed)) return false;
         if (consumed) continue;
@@ -338,7 +168,7 @@ struct Compiler {
     if (name == "insdel") {
       desc->family = WorkloadDesc::Family::kInsDel;
       desc->update_ratio = 0.5;
-      for (const Arg& arg : call.args) {
+      for (const SpecArg& arg : call.args) {
         if (arg.key == "u" || arg.key.empty()) {
           if (!Fraction(arg, "update ratio u", &desc->update_ratio)) {
             return false;
@@ -351,14 +181,11 @@ struct Compiler {
     }
     if (name == "batched") {
       desc->family = WorkloadDesc::Family::kBatched;
-      for (const Arg& arg : call.args) {
-        uint64_t v = 0;
+      for (const SpecArg& arg : call.args) {
         if (arg.key == "pool") {
-          if (!Count(arg, "pool", &v)) return false;
-          desc->batched_pool = static_cast<size_t>(v);
+          if (!Count(arg, "pool", &desc->batched_pool)) return false;
         } else if (arg.key == "queries") {
-          if (!Count(arg, "queries", &v)) return false;
-          desc->batched_queries = static_cast<size_t>(v);
+          if (!Count(arg, "queries", &desc->batched_queries)) return false;
         } else {
           return Fail(arg.pos, "unknown batched option '" +
                                    (arg.key.empty() ? arg.scalar : arg.key) +
@@ -387,15 +214,12 @@ struct Compiler {
         case 'e': desc->mix.scan = 0.95; desc->mix.insert = 0.05; break;
         case 'f': desc->mix.read = 0.5; desc->mix.rmw = 0.5; break;
       }
-      for (const Arg& arg : call.args) {
+      for (const SpecArg& arg : call.args) {
         bool consumed = false;
         if (!MaybeDistArg(arg, &desc->dist, &consumed)) return false;
         if (consumed) continue;
         if (arg.key == "scan") {
-          uint64_t v = 0;
-          if (!Count(arg, "scan", &v)) return false;
-          if (v == 0) return Fail(arg.pos, "scan must be > 0");
-          desc->scan_max = static_cast<size_t>(v);
+          if (!PositiveCount(arg, "scan", &desc->scan_max)) return false;
         } else {
           return Fail(arg.pos, "unknown " + name + " option '" +
                                    (arg.key.empty() ? arg.scalar : arg.key) +
@@ -491,17 +315,18 @@ std::string WorkloadDesc::Canonical() const {
 
 bool ParseWorkloadSpec(std::string_view spec, WorkloadDesc* desc,
                        WorkloadSpecError* error) {
-  Parser parser{spec, 0, error};
-  std::unique_ptr<Call> call = parser.ParseCall();
+  size_t pos = 0;
+  std::unique_ptr<SpecCall> call =
+      ParseSpecCall(spec, &pos, "a workload name", error);
   if (call == nullptr) return false;
-  if (parser.pos != spec.size()) {
-    parser.Fail(parser.pos, std::string("unexpected character '") +
-                                spec[parser.pos] + "' after workload spec");
+  if (pos != spec.size()) {
+    error->pos = pos;
+    error->message = std::string("unexpected character '") + spec[pos] +
+                     "' after workload spec";
     return false;
   }
   WorkloadDesc out;
-  Compiler compiler{error};
-  if (!compiler.Compile(*call, &out)) return false;
+  if (!Compiler{error}.Compile(*call, &out)) return false;
   *desc = std::move(out);
   return true;
 }

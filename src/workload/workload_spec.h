@@ -8,6 +8,7 @@
 #include <string_view>
 #include <vector>
 
+#include "src/api/spec_grammar.h"
 #include "src/workload/op.h"
 #include "src/workload/op_source.h"
 #include "src/workload/workload.h"
@@ -15,21 +16,14 @@
 namespace chameleon {
 
 // Composable workload specs — the one way every caller and --workload
-// names an operation stream, mirroring the index-spec grammar
-// (src/api/index_spec.h) in idiom: a tiny recursive-descent parser with
-// position-accurate errors, a canonical re-serialization every JSON
-// blob echoes, and a registry-free compile step into a semantic
-// descriptor the OpSource factory consumes.
-//
-//   workload := name args?
-//   args     := "(" [ arg ("," arg)* ] ")"
-//   arg      := [ key "=" ] value
-//   value    := call | scalar
-//   call     := name "(" [ arg ("," arg)* ] ")"   -- nested: zipf(0.99),
-//                                                    hotspot(width=5%,...)
-//   name     := (alnum | "-" | "_")+
-//   scalar   := number with optional suffix  % (/100) | k | M | G
-//               (1M = 1000000, 5% = 0.05), or a bare word (uniform)
+// names an operation stream. A workload spec is one call in the shared
+// spec grammar (src/api/spec_grammar.h), the grammar index specs use
+// too, with nested calls as values: zipf(0.99),
+// hotspot(width=5%,...). A registry-free compile step turns it into a
+// semantic descriptor the OpSource factory consumes, and a canonical
+// re-serialization every JSON blob echoes. Numbers go through the
+// grammar's one number reader (5% = 0.05, 20k = 20000, 1M = 1000000);
+// fractions must lie in [0, 1], counts are whole and unsigned.
 //
 // Workload families:
 //   read[(dist=D | zipf=T)]        point lookups of present keys
@@ -62,13 +56,9 @@ namespace chameleon {
 // self-describing: "ycsb-a" canonicalizes to
 // "ycsb-a(dist=zipf(theta=0.99))".
 
-/// A parse or compile failure, with the offset of the offending
-/// character in the spec text.
-struct WorkloadSpecError {
-  std::string message;
-  size_t pos = 0;
-
-  /// One-line rendering: "workload spec error at position <pos>: <msg>".
+/// A parse or compile failure: a SpecError (message and offset) that
+/// renders as "workload spec error at position <pos>: <msg>".
+struct WorkloadSpecError : SpecError {
   std::string Render() const;
 };
 

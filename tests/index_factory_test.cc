@@ -139,6 +139,10 @@ TEST(IndexSpecParserTest, BadTokensFailWithAccuratePositions) {
            Case{"Durable(=x):Chameleon", 8, "expected an option key"},
            Case{"Durable(fsync=):Chameleon", 14,
                 "missing value for option 'fsync'"},
+           Case{"Sharded99999999999999999999999:Chameleon", 7,
+                "count must be a whole number without a sign below 2^64"},
+           Case{"Durable(d,fsync=always(1)):Chameleon", 16,
+                "plain values, not calls"},
        }) {
     SpecError error;
     EXPECT_EQ(ParseIndexSpec(c.spec, &error), nullptr) << c.spec;
@@ -170,6 +174,15 @@ TEST(IndexSpecParserTest, BuildErrorsNameTheProblem) {
            Case{"Chameleon(x)", "takes no (...) options"},
            Case{"Chameleon4", "unknown index 'Chameleon4'"},
            Case{"RMI", "unknown index 'RMI'"},
+           Case{"Durable(d,n=-1):Chameleon",
+                "position 10: n must be a whole number without a sign"},
+           Case{"Durable(d,n=0):Chameleon", "position 10: n must be > 0"},
+           Case{"Disk(d,frames=-1):Chameleon",
+                "position 7: frames must be a whole number without a sign"},
+           Case{"Disk(d,merge=nan):Chameleon",
+                "position 7: bad number \"nan\" for merge"},
+           Case{"Sharded257:Chameleon",
+                "position 7: shard count 257 exceeds the ceiling of 256"},
        }) {
     std::string error;
     EXPECT_EQ(MakeIndex(c.spec, &error), nullptr) << c.spec;
@@ -206,6 +219,10 @@ TEST(IndexSpecParserTest, CanonicalAdapterStackValidatesAdapterOnlyChains) {
   EXPECT_NE(error.find("needs a shard count"), std::string::npos) << error;
   EXPECT_EQ(CanonicalAdapterStack("Durable4(d)", &error), "");
   EXPECT_NE(error.find("not a registered adapter"), std::string::npos)
+      << error;
+  EXPECT_EQ(CanonicalAdapterStack("Sharded257", &error), "");
+  EXPECT_NE(error.find("position 7: shard count 257 exceeds the ceiling"),
+            std::string::npos)
       << error;
 }
 

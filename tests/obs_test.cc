@@ -532,6 +532,7 @@ TEST(OptionsTest, UnknownFlagsAndBadValuesExitTwo) {
       {"--scale", "unknown flag"},
       {"stray", "unknown flag"},
       {"--mixes=a", "unknown flag"},  // another binary's flag
+      {"--shards=4", "unknown flag"},  // Sharded4 is named by --spec only
       {"--scale=2k", "bad value in \"--scale=2k\""},
       {"--seed=-1", "bad value"},
       {"--rate=fast", "bad value"},
@@ -552,7 +553,7 @@ TEST(OptionsTest, UnknownFlagsAndBadValuesExitTwo) {
 
 TEST(OptionsTest, ShardsComeFromTheCanonicalSpec) {
   EXPECT_EQ(ParseFlags({}).shards, 1u);
-  EXPECT_EQ(ParseFlags({"--shards=4"}).shards, 4u);
+  EXPECT_EQ(ParseFlags({"--spec=Sharded4"}).shards, 4u);
   const bench::Options opt = ParseFlags({"--spec=Sharded2"});
   EXPECT_EQ(opt.spec, "Sharded2");
   EXPECT_EQ(opt.shards, 2u);

@@ -4,7 +4,9 @@
 // (The full KvIndex contract over Disk(...) stacks is covered by the
 // conformance suite; these tests pin the tiered-specific lifecycle.)
 
+#include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -321,6 +323,75 @@ TEST_F(TieredIndexTest, ConcurrentReadersRaceALiveHeatmapPoller) {
 #endif
 }
 
+TEST_F(TieredIndexTest, FewerFramesThanReadersMatchesTheOracle) {
+  // Four readers through two frames: a lookup or a scan page often
+  // finds both frames pinned by other readers. It must wait for one,
+  // never report a present key absent or end a scan early, so every
+  // answer is compared exactly with a std::map oracle.
+  std::unique_ptr<KvIndex> index = MakeTiered(",frames=2");
+  const std::vector<KeyValue> data = Load(8'000);
+  index->BulkLoad(data);
+  std::map<Key, Value> oracle;
+  for (const KeyValue& kv : data) oracle[kv.key] = kv.value;
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&, t] {
+      Rng rng(200 + t);
+      std::vector<KeyValue> scanned;
+      for (int i = 0; i < 2'000; ++i) {
+        const size_t at = rng.NextBounded(data.size());
+        // Every other probe is one past a loaded key: mostly absent.
+        const Key k = data[at].key + (i & 1);
+        const auto it = oracle.find(k);
+        Value v = 0;
+        const bool got = index->Lookup(k, &v);
+        wrong += got != (it != oracle.end()) || (got && v != it->second);
+        if (i % 16 != 0) continue;
+        // A scan over about three pages.
+        const Key hi = data[std::min(at + 600, data.size() - 1)].key;
+        scanned.clear();
+        index->RangeScan(k, hi, &scanned);
+        auto expect = oracle.lower_bound(k);
+        bool same = true;
+        for (const KeyValue& kv : scanned) {
+          same = same && expect != oracle.end() && kv.key == expect->first &&
+                 kv.value == expect->second;
+          if (expect != oracle.end()) ++expect;
+        }
+        wrong += !same || expect != oracle.upper_bound(hi);
+      }
+    });
+  }
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(wrong.load(), 0);
+}
+
+TEST_F(TieredIndexTest, CorruptPageStopsTheProcessInsteadOfMissing) {
+  // A data page that fails its CRC under a live index: answering
+  // "absent" for its keys would be a wrong answer, so lookups and
+  // scans that reach it stop the process, naming the page.
+  std::unique_ptr<KvIndex> index = MakeTiered(",frames=4");
+  const std::vector<KeyValue> data = Load(5'000);
+  index->BulkLoad(data);
+  {
+    std::FILE* raw = std::fopen((dir_ + "/main.pages").c_str(), "r+b");
+    ASSERT_NE(raw, nullptr);
+    std::fseek(raw, 2 * 4096 + 200, SEEK_SET);  // a data byte of page 1
+    const int byte = std::fgetc(raw);
+    std::fseek(raw, 2 * 4096 + 200, SEEK_SET);
+    std::fputc(byte ^ 0xFF, raw);
+    std::fclose(raw);
+  }
+  const Key on_page_1 = data[tiered::kEntriesPerPage + 10].key;
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(index->Lookup(on_page_1, nullptr),
+               "page 1 of .*main\\.pages is corrupt");
+  std::vector<KeyValue> out;
+  EXPECT_DEATH(index->RangeScan(data.front().key, data.back().key, &out),
+               "page 1 of .*main\\.pages is corrupt");
+}
+
 TEST_F(TieredIndexTest, SpecOptionsAndErrors) {
   std::string error;
   // Unknown option, bad values, missing dir: position-accurate errors.
@@ -354,6 +425,12 @@ TEST_F(TieredIndexTest, SpecOptionsAndErrors) {
   auto* tiered = dynamic_cast<TieredIndex*>(index.get());
   ASSERT_NE(tiered, nullptr);
   EXPECT_EQ(tiered->frame_budget(), 32u);
+
+  // Suffixes are decimal, as in workload specs: 1M is 10^6 frames. The
+  // pool is allocated at BulkLoad, so this builds no 4 GB arena.
+  index = MakeIndex("Disk(" + dir_ + ",frames=1M):Chameleon", &error);
+  ASSERT_NE(index, nullptr) << error;
+  EXPECT_EQ(dynamic_cast<TieredIndex&>(*index).frame_budget(), 1'000'000u);
 }
 
 TEST_F(TieredIndexTest, CollectTieredStatsWalksAdapterStacks) {

@@ -204,6 +204,29 @@ TEST(WorkloadSpecTest, RangeChecks) {
             std::string::npos);
   EXPECT_NE(ParseErr("ycsb-e(scan=0)").message.find("scan must be > 0"),
             std::string::npos);
+  // Malformed numbers are rejected at the argument that holds them.
+  struct Case {
+    const char* spec;
+    size_t pos;
+    const char* message_part;
+  };
+  for (const Case& c : {
+           Case{"mixed(w=nan)", 6, "bad number \"nan\" for write ratio w"},
+           Case{"insdel(u=nan)", 7, "bad number \"nan\" for update ratio u"},
+           Case{"read(dist=hotspot(width=nan))", 18,
+                "bad number \"nan\" for width"},
+           Case{"read(zipf=inf)", 5, "bad number \"inf\""},
+           Case{"read(zipf=0x1p-1)", 5, "bad number \"0x1p-1\""},
+           Case{"batched(pool=1e300)", 8,
+                "pool must be a whole number without a sign below 2^64"},
+           Case{"batched(queries=-1)", 8, "queries must be a whole number"},
+           Case{"ycsb-e(scan=2.5)", 7, "scan must be a whole number"},
+       }) {
+    const WorkloadSpecError e = ParseErr(c.spec);
+    EXPECT_EQ(e.pos, c.pos) << c.spec << ": " << e.Render();
+    EXPECT_NE(e.message.find(c.message_part), std::string::npos)
+        << c.spec << ": " << e.Render();
+  }
 }
 
 TEST(WorkloadSpecTest, UnknownDistribution) {

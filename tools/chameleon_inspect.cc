@@ -12,7 +12,7 @@
 //                     [--kernels]
 //
 //   --index=NAME   leaf index to build (default Chameleon); the shared
-//                  --spec/--shards adapter stack wraps it like any bench
+//                  --spec adapter stack wraps it like any bench
 //   --dataset=NAME UDEN | OSMC | LOGN | FACE (default UDEN)
 //   --sigma=S      use the Fig. 9 clustered-skew generator with cluster
 //                  sigma S instead of --dataset
