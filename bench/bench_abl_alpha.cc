@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
       const std::vector<Operation> ops = MaterializeWorkload(
           ParseWorkloadOrDie("read"), keys, opt.seed + 1, opt.ops);
       ns[adaptive] =
-          Replay(&index, ops, ReadReplayOptions(opt), report.lat()).MeanNs();
+          Replay(&index, ops, ReplayOptionsFor(opt), report.lat()).MeanNs();
       err[adaptive] = index.Stats().max_error;
     }
     std::printf("%-26s %12.1f %12.0f %12.1f %12.0f\n", label, ns[0], err[0],

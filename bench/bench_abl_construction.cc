@@ -28,7 +28,7 @@ void Report(const char* label, ChameleonIndex* index,
   const std::vector<Operation> ops = MaterializeWorkload(
       ParseWorkloadOrDie("read"), keys, opt.seed + 1, opt.ops);
   const double lookup_ns =
-      Replay(index, ops, ReadReplayOptions(opt), report->lat()).MeanNs();
+      Replay(index, ops, ReplayOptionsFor(opt), report->lat()).MeanNs();
   const IndexStats stats = index->Stats();
   std::printf("%-24s %10.1f %10.1f %8.2f %7d %9.0f %10zu\n", label, build_ms,
               lookup_ns, ToMiB(index->SizeBytes()), stats.max_height,

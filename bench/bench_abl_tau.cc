@@ -39,12 +39,12 @@ int main(int argc, char** argv) {
     const std::vector<Operation> reads =
         Drain(*MakeOpSource(ParseWorkloadOrDie("read"), gen, keys), opt.ops);
     const double lookup_ns =
-        Replay(&index, reads, ReadReplayOptions(opt), report.lat()).MeanNs();
+        Replay(&index, reads, ReplayOptionsFor(opt), report.lat()).MeanNs();
     const std::vector<Operation> inserts = Drain(
         *MakeOpSource(ParseWorkloadOrDie("insdel(u=1)"), gen, keys),
         opt.ops / 4);
     const double insert_ns =
-        Replay(&index, inserts, WriteReplayOptions(opt), report.lat())
+        Replay(&index, inserts, ReplayOptionsFor(opt), report.lat())
             .MeanNs();
     const IndexStats stats = index.Stats();
     std::printf("%6.2f %12.1f %12.1f %10.2f %10.0f %10.2f\n", tau, lookup_ns,

@@ -177,12 +177,12 @@ int main(int argc, char** argv) {
   const WorkloadDesc mixed = ParseWorkloadOrDie("mixed(w=0.5)");
 
   // --- Section 1: write-path overhead on the Fig. 11 mixed workload ---------
-  // Replays honor --wthreads/--rthreads (WriteReplayOptions): with W > 1
-  // the same mixed stream runs on W key-partitioned writer threads, so
+  // Replays honor --rthreads (ReplayOptionsFor): with R > 1 the same
+  // mixed stream runs on R key-partitioned writer threads, so
   // this section doubles as the multi-writer WAL overhead measurement
   // (group commit under real contention) and the phase-sum additivity
   // check below covers the concurrent path too.
-  const size_t write_threads = WriteThreads(opt);
+  const size_t write_threads = opt.rthreads;
   std::printf("=== durability: write-path overhead (FACE, 50%% writes, "
               "%zu ops, %zu write thread%s) ===\n",
               opt.ops, write_threads, write_threads == 1 ? "" : "s");
@@ -195,7 +195,7 @@ int main(int argc, char** argv) {
     std::unique_ptr<KvIndex> warm = MakeIndex("Chameleon");
     warm->BulkLoad(data);
     Replay(warm.get(), MaterializeWorkload(mixed, keys, opt.seed + 1, opt.ops),
-           WriteReplayOptions(opt));
+           ReplayOptionsFor(opt));
   }
 
   double baseline_mops = 0.0;
@@ -205,7 +205,7 @@ int main(int argc, char** argv) {
     const std::vector<Operation> ops =
         MaterializeWorkload(mixed, keys, opt.seed + 1, opt.ops);
     baseline_mops =
-        SectionMops(Replay(index.get(), ops, WriteReplayOptions(opt),
+        SectionMops(Replay(index.get(), ops, ReplayOptionsFor(opt),
                            report.lat()),
                     write_threads);
     std::printf("%-22s %12.3f %9s\n", "Chameleon (volatile)", baseline_mops,
@@ -244,7 +244,7 @@ int main(int argc, char** argv) {
     const std::vector<Operation> ops =
         MaterializeWorkload(mixed, keys, opt.seed + 1, opt.ops);
     const double mops =
-        SectionMops(Replay(index.get(), ops, WriteReplayOptions(opt),
+        SectionMops(Replay(index.get(), ops, ReplayOptionsFor(opt),
                            report.lat()),
                     write_threads);
     const double overhead =

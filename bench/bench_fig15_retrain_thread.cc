@@ -14,8 +14,8 @@
 // Query-Lock overhead while the retrainer is live. See EXPERIMENTS.md
 // for the measured numbers and discussion.
 //
-// Inserts always replay on one writer thread, so fig15 ignores
-// --wthreads; --rthreads fans out only the read segments.
+// Inserts always replay on one writer thread; --rthreads fans out only
+// the read segments.
 
 #include <chrono>
 #include <cstdio>
@@ -39,7 +39,7 @@ void RunTrace(ChameleonIndex* index, const std::vector<Key>& keys,
   const WorkloadDesc insert_desc = ParseWorkloadOrDie("insdel(u=1)");
   const WorkloadDesc read_desc = ParseWorkloadOrDie("read");
   obs::LatencyHistogram* hist = report->lat();
-  ReplayOptions writer = WriteReplayOptions(opt);
+  ReplayOptions writer = ReplayOptionsFor(opt);
   writer.threads = 1;
   std::vector<double> read_ns, write_ns;
   for (size_t s = 0; s < segments; ++s) {
@@ -55,7 +55,7 @@ void RunTrace(ChameleonIndex* index, const std::vector<Key>& keys,
     const std::vector<Operation> reads =
         Drain(*MakeOpSource(read_desc, gen, keys), reads_per_seg);
     read_ns.push_back(
-        Replay(index, reads, ReadReplayOptions(opt), hist).MeanNs());
+        Replay(index, reads, ReplayOptionsFor(opt), hist).MeanNs());
     report->AddRow()
         .Str("config", label)
         .Num("segment", static_cast<double>(s))

@@ -114,13 +114,13 @@ int main(int argc, char** argv) {
       const std::vector<Operation> reads = Drain(
           *MakeOpSource(ParseWorkloadOrDie("read"), gen, keys), opt.ops);
       const double lookup_ns =
-          Replay(index.get(), reads, ReadReplayOptions(opt), report.lat())
+          Replay(index.get(), reads, ReplayOptionsFor(opt), report.lat())
               .MeanNs();
       const std::vector<Operation> inserts = Drain(
           *MakeOpSource(ParseWorkloadOrDie("insdel(u=1)"), gen, keys),
           opt.ops / 4);
       const double insert_ns =
-          Replay(index.get(), inserts, WriteReplayOptions(opt), report.lat())
+          Replay(index.get(), inserts, ReplayOptionsFor(opt), report.lat())
               .MeanNs();
       report.AddRow()
           .Str("index", name)

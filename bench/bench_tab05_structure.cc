@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
         Replay(index.get(),
                MaterializeWorkload(ParseWorkloadOrDie("read"), keys,
                                    opt.seed + 1, opt.ops),
-               ReadReplayOptions(opt), report.lat());
+               ReplayOptionsFor(opt), report.lat());
       }
       report.AddRow()
           .Str("dataset", DatasetName(kind))

@@ -86,7 +86,7 @@ int main(int argc, char** argv) {
     TieredStatsBlock warm;
     CollectTieredStats(index.get(), &warm);
     const ReplayResult result =
-        Replay(index.get(), ops, ReadReplayOptions(opt), report.lat());
+        Replay(index.get(), ops, ReplayOptionsFor(opt), report.lat());
     TieredStatsBlock stats;
     CollectTieredStats(index.get(), &stats);
     const uint64_t hits = stats.pool.hits - warm.pool.hits;

@@ -138,20 +138,15 @@ inline Flag SwitchFlag(std::string_view name, bool* field) {
 ///                  Sharded<N> layers, 1 when it has none.
 ///   --rthreads=R   foreground replay threads (driver layer). Read-only
 ///                  replays fan out over contiguous chunks; write-bearing
-///                  replays use R too (effective write threads =
-///                  max(--wthreads, --rthreads)) when the composed stack
+///                  replays run on R threads too when the composed stack
 ///                  supports concurrent writes — the driver partitions
 ///                  the stream by key ownership so results stay
 ///                  oracle-equivalent to a serial replay. Stacks that
 ///                  do not support concurrent writes fail loudly
 ///                  (RequireConcurrentWritesOrDie) or are skipped by
 ///                  sweep benches with a notice — never silently
-///                  single-threaded.
-///   --wthreads=W   explicit write-side thread count for write-bearing
-///                  replays (default 1). Effective write threads =
-///                  max(W, R); keeping the two flags separate lets a
-///                  bench scale its read phases without forcing its
-///                  write phases multi-threaded.
+///                  single-threaded. (fig15 keeps its inserts on one
+///                  thread and fans out only its reads.)
 ///   --warmup=N     leading ops replayed untimed before measurement
 ///   --series=PATH  run the obs::MetricsSampler for the duration of the
 ///                  bench and flush its time series (counters, histogram
@@ -201,7 +196,6 @@ struct Options {
   /// Product of the --spec stack's Sharded<N> layers (1 without any).
   size_t shards = 1;
   size_t rthreads = 1;
-  size_t wthreads = 1;
   size_t warmup = 0;
   size_t sample_ms = 100;
   /// Canonicalized adapter stack every swept index is wrapped in;
@@ -239,7 +233,6 @@ struct Options {
         NumFlag("--threads=", &opt.threads),
         NumFlag("--batch=", &opt.batch),
         NumFlag("--rthreads=", &opt.rthreads),
-        NumFlag("--wthreads=", &opt.wthreads),
         NumFlag("--warmup=", &opt.warmup),
         NumFlag("--sample-ms=", &opt.sample_ms),
         StrFlag("--json=", &opt.json_path),
@@ -286,7 +279,7 @@ struct Options {
     if (forward_unknown) *argc = kept;
     // Counts where 0 means the smallest useful value.
     for (size_t* n :
-         {&opt.batch, &opt.rthreads, &opt.wthreads, &opt.sample_ms}) {
+         {&opt.batch, &opt.rthreads, &opt.sample_ms}) {
       *n = std::max<size_t>(*n, 1);
     }
     if (!opt.spec.empty()) {
@@ -368,30 +361,14 @@ inline std::vector<std::string> SweptIndexes(const std::string& index,
   return {index};
 }
 
-/// Replay options for this bench's read-only replays: R = --rthreads
-/// driver threads, --batch lookup batching, --warmup untimed lead-in.
-inline ReplayOptions ReadReplayOptions(const Options& opt) {
+/// Replay options for this bench's replays: R = --rthreads driver
+/// threads (a read-only stream fans out over contiguous chunks; a
+/// write-bearing one is partitioned by key ownership and puts the stack
+/// in concurrent-write mode when R > 1), --batch lookup batching (also
+/// within each thread's owned stream), --warmup untimed lead-in.
+inline ReplayOptions ReplayOptionsFor(const Options& opt) {
   ReplayOptions ro;
   ro.threads = opt.rthreads;
-  ro.batch = opt.batch;
-  ro.warmup = opt.warmup;
-  return ro;
-}
-
-/// Effective driver threads for a write-bearing replay: a mixed stream
-/// is replayed on max(--wthreads, --rthreads) threads, so either flag
-/// alone scales the whole replay and neither silently caps the other.
-inline size_t WriteThreads(const Options& opt) {
-  return std::max(opt.wthreads, opt.rthreads);
-}
-
-/// Replay options for write-bearing replays: WriteThreads(opt) driver
-/// threads (the driver partitions by key ownership and enables the
-/// stack's concurrent-write mode when > 1), --batch still applies to
-/// lookup runs within each thread's owned stream.
-inline ReplayOptions WriteReplayOptions(const Options& opt) {
-  ReplayOptions ro;
-  ro.threads = WriteThreads(opt);
   ro.batch = opt.batch;
   ro.warmup = opt.warmup;
   return ro;
@@ -403,7 +380,7 @@ inline ReplayOptions WriteReplayOptions(const Options& opt) {
 /// printed notice so the supported rows still run under the requested
 /// threading — and the run fails loudly only if *nothing* supported it.
 inline bool LacksConcurrentWrites(const KvIndex& index, const Options& opt) {
-  return WriteThreads(opt) > 1 && !index.SupportsConcurrentWrites();
+  return opt.rthreads > 1 && !index.SupportsConcurrentWrites();
 }
 
 /// Capability gate for single-stack tools: fails loudly (exit 2) when a
@@ -421,10 +398,10 @@ inline void RequireConcurrentWritesOrDie(const KvIndex& index,
   std::fprintf(stderr,
                "ERROR: %s replays a write-bearing stream on %zu threads, "
                "but \"%.*s\" does not support concurrent writes\n  %s\n  "
-               "Drop --rthreads/--wthreads, or pick a stack whose "
+               "Drop --rthreads, or pick a stack whose "
                "SupportsConcurrentWrites() is true (e.g. Chameleon, "
                "including under Durable/Sharded adapters).\n",
-               bench, WriteThreads(opt),
+               bench, opt.rthreads,
                static_cast<int>(index.Name().size()), index.Name().data(),
                detail);
   std::exit(2);
@@ -509,7 +486,7 @@ inline void WriteCountersJson(FILE* f) {
 ///   {
 ///     "bench": "...", "scale": N, "ops": N, "seed": N,
 ///     "threads": N, "batch": N, "shards": N, "rthreads": N,
-///     "wthreads": N, "sample_ms": N,
+///     "sample_ms": N,
 ///     "spec": "Sharded4:Durable(...):<index>",  // canonical adapter
 ///                                               // stack per swept index
 ///     "workload": "<canonical spec>",    // only when one was driven
@@ -601,13 +578,12 @@ class JsonReport {
                  "  \"batch\": %zu,\n"
                  "  \"shards\": %zu,\n"
                  "  \"rthreads\": %zu,\n"
-                 "  \"wthreads\": %zu,\n"
                  "  \"sample_ms\": %zu,\n"
                  "  \"spec\": \"%s\",\n",
                  JsonEscape(bench_).c_str(), opt_.scale, opt_.ops,
                  static_cast<unsigned long long>(opt_.seed),
                  GlobalPool().num_threads(), opt_.batch, opt_.shards,
-                 opt_.rthreads, opt_.wthreads, opt_.sample_ms,
+                 opt_.rthreads, opt_.sample_ms,
                  JsonEscape(SpecPattern(opt_)).c_str());
     // Canonical workload spec (set by benches through SetWorkload, or
     // from --workload): fully self-describing — every default filled in

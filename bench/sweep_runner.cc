@@ -294,12 +294,6 @@ int CellWidth(const Sweep& sweep, const Point& point) {
                   static_cast<int>(point.label.size()) + 1);
 }
 
-/// Write-bearing points replay on WriteThreads(opt) threads with
-/// key-ownership partitioning, read-only ones on --rthreads in chunks.
-ReplayOptions PointReplay(const Point& point, const Options& opt) {
-  return point.writes ? WriteReplayOptions(opt) : ReadReplayOptions(opt);
-}
-
 /// Ops drawn for `desc` over `loaded` keys: a delete-heavy insdel stream
 /// is capped at 3/4 of the loaded keys so it cannot drain them.
 size_t OpsFor(const WorkloadDesc& desc, size_t loaded, const Options& opt) {
@@ -472,7 +466,7 @@ bool RunRow(const Sweep& sweep, const Options& opt, double rate,
                    RunOpenLoop(stack.get(), point.ops, olo));
       continue;
     }
-    const ReplayOptions ro = PointReplay(point, opt);
+    const ReplayOptions ro = ReplayOptionsFor(opt);
     const ReplayResult result =
         Replay(stack.get(), point.ops, ro, report.lat());
     const Cell cell{dataset, index, point, *stack, result, ro.threads};
@@ -549,7 +543,7 @@ int Run(const Sweep& sweep, const Options& opt, const ScenarioFlags& flags) {
       for (Point& p : points) {
         std::unique_ptr<KvIndex> ref = MakeBenchIndex(sweep.reference, opt);
         ref->BulkLoad(*p.data);
-        p.ref_ns = Replay(ref.get(), p.ops, PointReplay(p, opt)).MeanNs();
+        p.ref_ns = Replay(ref.get(), p.ops, ReplayOptionsFor(opt)).MeanNs();
       }
     }
     if (kind != nullptr) std::printf("\n--- dataset %s ---", dataset.c_str());
@@ -573,7 +567,7 @@ int Run(const Sweep& sweep, const Options& opt, const ScenarioFlags& flags) {
                  "ERROR: %s: nothing was measured: no swept index supports "
                  "concurrent writes under --spec \"%s\" with %zu write "
                  "threads requested, or no sweep point fits --scale=%zu\n",
-                 bench.c_str(), opt.spec.c_str(), WriteThreads(opt),
+                 bench.c_str(), opt.spec.c_str(), opt.rthreads,
                  opt.scale);
     return 2;
   }

@@ -42,6 +42,32 @@ Key ChildLowerBound(Key lk, Key uk, size_t fanout, size_t idx) {
   return lk + static_cast<Key>(width * static_cast<double>(idx));
 }
 
+/// Cuts sorted `data` into the `fanout` children of [lk, uk) by the
+/// exact query-time child function (Eq. 1), so build and lookup can
+/// never disagree about a boundary key. Calls
+/// `child(c, child_lo, child_hi, child_data)` for each child in order.
+template <typename Fn>
+void PartitionEq1(std::span<const KeyValue> data, Key lk, Key uk,
+                  size_t fanout, Fn&& child) {
+  size_t begin = 0;
+  for (size_t c = 0; c < fanout; ++c) {
+    const Key child_lo = ChildLowerBound(lk, uk, fanout, c);
+    const Key child_hi =
+        c + 1 == fanout ? uk : ChildLowerBound(lk, uk, fanout, c + 1);
+    size_t end = begin;
+    if (c + 1 == fanout) {
+      end = data.size();
+    } else {
+      while (end < data.size() &&
+             LinearChildIndex(lk, uk, fanout, data[end].key) == c) {
+        ++end;
+      }
+    }
+    child(c, child_lo, child_hi, data.subspan(begin, end - begin));
+    begin = end;
+  }
+}
+
 std::vector<Key> KeysOf(std::span<const KeyValue> data) {
   std::vector<Key> keys;
   keys.reserve(data.size());
@@ -57,6 +83,14 @@ size_t ChameleonIndex::SubNode::ChildIndex(Key key) const {
 
 size_t ChameleonIndex::FrameNode::ChildIndex(Key key) const {
   return Eq1ChildIndex(lk, uk, slope, fanout(), key);
+}
+
+template <typename Node>
+inline Node* ChameleonIndex::Descend(Node* node, Key key) {
+  while (!node->is_leaf()) {
+    node = &node->children[node->ChildIndex(key)];
+  }
+  return node;
 }
 
 ChameleonIndex::ChameleonIndex() : ChameleonIndex(ChameleonConfig{}) {}
@@ -168,26 +202,12 @@ void ChameleonIndex::BuildSubtreeInto(SubNode* node,
 
   node->children.resize(fanout);
   node->slope = Eq1Slope(lk, uk, fanout);
-  // Partition by the exact query-time child function (Eq. 1) so build
-  // and lookup can never disagree about a boundary key.
-  size_t begin = 0;
-  for (size_t c = 0; c < fanout; ++c) {
-    const Key child_lo = ChildLowerBound(lk, uk, fanout, c);
-    const Key child_hi =
-        c + 1 == fanout ? uk : ChildLowerBound(lk, uk, fanout, c + 1);
-    size_t end = begin;
-    if (c + 1 == fanout) {
-      end = data.size();
-    } else {
-      while (end < data.size() &&
-             LinearChildIndex(lk, uk, fanout, data[end].key) == c) {
-        ++end;
-      }
-    }
-    BuildSubtreeInto(&node->children[c], data.subspan(begin, end - begin),
-                     child_lo, child_hi, depth + 1, deferred);
-    begin = end;
-  }
+  PartitionEq1(data, lk, uk, fanout,
+               [&](size_t c, Key child_lo, Key child_hi,
+                   std::span<const KeyValue> child_data) {
+                 BuildSubtreeInto(&node->children[c], child_data, child_lo,
+                                  child_hi, depth + 1, deferred);
+               });
 }
 
 void ChameleonIndex::BuildFrameNode(FrameNode* node,
@@ -205,23 +225,8 @@ void ChameleonIndex::BuildFrameNode(FrameNode* node,
     node->children.resize(fanout);
   }
 
-  size_t begin = 0;
-  for (size_t c = 0; c < fanout; ++c) {
-    const Key child_lo = ChildLowerBound(node->lk, node->uk, fanout, c);
-    const Key child_hi =
-        c + 1 == fanout ? node->uk
-                        : ChildLowerBound(node->lk, node->uk, fanout, c + 1);
-    size_t end = begin;
-    if (c + 1 == fanout) {
-      end = data.size();
-    } else {
-      while (end < data.size() &&
-             LinearChildIndex(node->lk, node->uk, fanout, data[end].key) ==
-                 c) {
-        ++end;
-      }
-    }
-    std::span<const KeyValue> child_data = data.subspan(begin, end - begin);
+  const auto build_child = [&](size_t c, Key child_lo, Key child_hi,
+                               std::span<const KeyValue> child_data) {
     if (units_level) {
       auto unit = std::make_unique<Unit>();
       unit->lk = child_lo;
@@ -241,8 +246,8 @@ void ChameleonIndex::BuildFrameNode(FrameNode* node,
           FrameFanoutFor(child, level + 1, child_data.size());
       BuildFrameNode(&child, child_data, level + 1, child_fanout, unit_tasks);
     }
-    begin = end;
-  }
+  };
+  PartitionEq1(data, node->lk, node->uk, fanout, build_child);
 }
 
 void ChameleonIndex::BuildFrame(std::span<const KeyValue> data) {
@@ -343,11 +348,7 @@ bool ChameleonIndex::Lookup(Key key, Value* value) const {
   CHAMELEON_HEAT_HIT(unit->heat_reads);
   const bool locked = locks_enabled_.load(std::memory_order_acquire);
   if (locked) unit->lock.LockShared();
-  const SubNode* node = &unit->root;
-  while (!node->is_leaf()) {
-    node = &node->children[node->ChildIndex(key)];
-  }
-  const bool found = node->leaf->Lookup(key, value);
+  const bool found = Descend(&unit->root, key)->leaf->Lookup(key, value);
   if (locked) unit->lock.UnlockShared();
   return found;
 }
@@ -378,11 +379,7 @@ void ChameleonIndex::LookupBatch(std::span<const Key> keys, Value* values,
       Unit* unit = FindUnit(key);
       CHAMELEON_HEAT_HIT(unit->heat_reads);
       if (locked) unit->lock.LockShared();
-      const SubNode* node = &unit->root;
-      while (!node->is_leaf()) {
-        node = &node->children[node->ChildIndex(key)];
-      }
-      const EbhLeaf* leaf = &*node->leaf;
+      const EbhLeaf* leaf = &*Descend(&unit->root, key)->leaf;
       const size_t base = leaf->HashSlot(key);
       // Prefetch the whole clamped probe window, not just the home
       // slot: stage 2's SIMD window probe touches up to three key
@@ -398,10 +395,12 @@ void ChameleonIndex::LookupBatch(std::span<const Key> keys, Value* values,
   }
 }
 
-bool ChameleonIndex::Insert(Key key, Value value) {
-  CHAMELEON_STAT_INC(kInserts);
-  Unit* unit = FindUnit(key);
-  CHAMELEON_HEAT_HIT(unit->heat_writes);
+inline bool ChameleonIndex::Apply(SubNode* root, const PendingOp& op) {
+  EbhLeaf& leaf = *Descend(root, op.key)->leaf;
+  return op.is_insert ? leaf.Insert(op.key, op.value) : leaf.Erase(op.key);
+}
+
+bool ChameleonIndex::Write(Unit* unit, const PendingOp& op) {
   const bool locked = locks_enabled_.load(std::memory_order_acquire);
   if (locked) {
     // Attribute time spent blocked on the retrainer's exclusive hold of
@@ -413,50 +412,33 @@ bool ChameleonIndex::Insert(Key key, Value value) {
       unit->heat_write_waits.fetch_add(spins, std::memory_order_relaxed);
     }
   }
-  SubNode* node = &unit->root;
-  while (!node->is_leaf()) {
-    node = &node->children[node->ChildIndex(key)];
-  }
-  const bool inserted = node->leaf->Insert(key, value);
-  if (inserted && locked && unit->rebuilding) {
-    unit->pending_log.push_back({true, key, value});
-  }
+  const bool changed = Apply(&unit->root, op);
+  if (changed && locked && unit->rebuilding) unit->pending_log.push_back(op);
   if (locked) unit->lock.UnlockWrite();
-  if (!inserted) return false;
+  if (!changed) return false;
   unit->inserts_since_build.fetch_add(1, std::memory_order_relaxed);
-  size_.fetch_add(1, std::memory_order_relaxed);
+  if (op.is_insert) {
+    size_.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    size_.fetch_sub(1, std::memory_order_relaxed);
+  }
   updates_since_build_.fetch_add(1, std::memory_order_relaxed);
   MaybeFullReconstruct();
   return true;
+}
+
+bool ChameleonIndex::Insert(Key key, Value value) {
+  CHAMELEON_STAT_INC(kInserts);
+  Unit* unit = FindUnit(key);
+  CHAMELEON_HEAT_HIT(unit->heat_writes);
+  return Write(unit, {true, key, value});
 }
 
 bool ChameleonIndex::Erase(Key key) {
   CHAMELEON_STAT_INC(kErases);
   Unit* unit = FindUnit(key);
   CHAMELEON_HEAT_HIT(unit->heat_writes);
-  const bool locked = locks_enabled_.load(std::memory_order_acquire);
-  if (locked) {
-    CHAMELEON_PHASE_SPAN(kRetrainBlock);
-    const uint64_t spins = unit->lock.LockWrite();
-    if (spins > 0) {
-      unit->heat_write_waits.fetch_add(spins, std::memory_order_relaxed);
-    }
-  }
-  SubNode* node = &unit->root;
-  while (!node->is_leaf()) {
-    node = &node->children[node->ChildIndex(key)];
-  }
-  const bool erased = node->leaf->Erase(key);
-  if (erased && locked && unit->rebuilding) {
-    unit->pending_log.push_back({false, key, 0});
-  }
-  if (locked) unit->lock.UnlockWrite();
-  if (!erased) return false;
-  unit->inserts_since_build.fetch_add(1, std::memory_order_relaxed);
-  size_.fetch_sub(1, std::memory_order_relaxed);
-  updates_since_build_.fetch_add(1, std::memory_order_relaxed);
-  MaybeFullReconstruct();
-  return true;
+  return Write(unit, {false, key, 0});
 }
 
 // --- Scans ------------------------------------------------------------------
@@ -584,19 +566,10 @@ size_t ChameleonIndex::RetrainOnce() {
       continue;
     }
     std::vector<KeyValue> pairs;
-    {
-      struct Collector {
-        std::vector<KeyValue>* out;
-        void Walk(const SubNode* node) {
-          if (node->is_leaf()) {
-            node->leaf->CollectUnsorted(out);
-            return;
-          }
-          for (const SubNode& c : node->children) Walk(&c);
-        }
-      } collector{&pairs};
-      collector.Walk(&unit.root);
-    }
+    VisitPreOrder(std::as_const(unit.root), 0,
+                  [&pairs](const SubNode& node, int) {
+                    if (node.is_leaf()) node.leaf->CollectUnsorted(&pairs);
+                  });
     unit.rebuilding = true;
     unit.pending_log.clear();
     unit.lock.UnlockExclusive();
@@ -619,20 +592,12 @@ size_t ChameleonIndex::RetrainOnce() {
                              });
 
     // Phase 3 (brief Retraining-Lock): replay updates that raced with
-    // the rebuild, then swap.
+    // the rebuild through the foreground writes' Apply, then swap.
     unit.lock.LockExclusive();
     size_t net = pairs.size();
     CHAMELEON_STAT_ADD(kRetrainReplayedOps, unit.pending_log.size());
     for (const PendingOp& op : unit.pending_log) {
-      SubNode* node = &fresh;
-      while (!node->is_leaf()) {
-        node = &node->children[node->ChildIndex(op.key)];
-      }
-      if (op.is_insert) {
-        net += node->leaf->Insert(op.key, op.value);
-      } else {
-        net -= node->leaf->Erase(op.key);
-      }
+      if (Apply(&fresh, op)) net = op.is_insert ? net + 1 : net - 1;
     }
     unit.root = std::move(fresh);
     unit.built_keys = net;
@@ -713,96 +678,66 @@ void ChameleonIndex::StopRetrainer() {
 
 size_t ChameleonIndex::total_shifts() const {
   size_t shifts = 0;
-  struct Walker {
-    size_t* shifts;
-    void Walk(const SubNode* node) {
-      if (node->is_leaf()) {
-        *shifts += node->leaf->total_shifts();
-        return;
-      }
-      for (const SubNode& c : node->children) Walk(&c);
-    }
-  } walker{&shifts};
-  for (const auto& unit : units_) walker.Walk(&unit->root);
+  for (const auto& unit : units_) {
+    VisitPreOrder(std::as_const(unit->root), 0,
+                  [&shifts](const SubNode& node, int) {
+                    if (node.is_leaf()) shifts += node.leaf->total_shifts();
+                  });
+  }
   return shifts;
 }
 
 size_t ChameleonIndex::SizeBytes() const {
-  struct Walker {
-    size_t bytes = 0;
-    void Walk(const SubNode* node) {
-      bytes += node->children.capacity() * sizeof(SubNode);
-      if (node->is_leaf()) {
-        bytes += node->leaf->SizeBytes() - sizeof(EbhLeaf) + 0;
-        return;
-      }
-      for (const SubNode& c : node->children) Walk(&c);
-    }
-  } walker;
   size_t frame_bytes = 0;
-  struct FrameSizer {
-    size_t bytes = 0;
-    void Walk(const FrameNode* node) {
-      bytes += sizeof(FrameNode) + node->children.capacity() * sizeof(FrameNode);
-      for (const FrameNode& c : node->children) Walk(&c);
-    }
-  } frame_sizer;
-  frame_sizer.Walk(&frame_root_);
-  frame_bytes = frame_sizer.bytes;
+  VisitPreOrder(frame_root_, 0, [&frame_bytes](const FrameNode& node, int) {
+    frame_bytes +=
+        sizeof(FrameNode) + node.children.capacity() * sizeof(FrameNode);
+  });
+  size_t unit_bytes = 0;
   for (const auto& unit : units_) {
-    walker.bytes += sizeof(Unit);
-    walker.Walk(&unit->root);
+    unit_bytes += sizeof(Unit);
+    VisitPreOrder(std::as_const(unit->root), 0,
+                  [&unit_bytes](const SubNode& node, int) {
+                    unit_bytes +=
+                        node.children.capacity() * sizeof(SubNode);
+                    if (node.is_leaf()) {
+                      unit_bytes += node.leaf->SizeBytes() - sizeof(EbhLeaf);
+                    }
+                  });
   }
-  return sizeof(ChameleonIndex) + frame_bytes + walker.bytes +
+  return sizeof(ChameleonIndex) + frame_bytes + unit_bytes +
          units_.capacity() * sizeof(void*);
 }
 
 IndexStats ChameleonIndex::Stats() const {
-  IndexStats stats;
-  // Frame node count + depth bookkeeping.
-  struct FrameCounter {
-    size_t nodes = 0;
-    void Walk(const FrameNode* node) {
-      ++nodes;
-      for (const FrameNode& c : node->children) Walk(&c);
-    }
-  } frame_counter;
-  frame_counter.Walk(&frame_root_);
+  size_t nodes = 0;
+  VisitPreOrder(frame_root_, 0, [&nodes](const FrameNode&, int) { ++nodes; });
 
-  struct SubWalker {
-    size_t nodes = 0;
-    int max_depth = 0;  // depth of deepest leaf, counting unit root depth
-    double weighted_depth = 0.0;
-    double err_sum = 0.0;
-    double err_max = 0.0;
-    size_t keys = 0;
-    void Walk(const SubNode* node, int depth) {
-      ++nodes;
-      if (node->is_leaf()) {
-        max_depth = std::max(max_depth, depth);
-        weighted_depth +=
-            static_cast<double>(node->leaf->num_keys()) * depth;
-        keys += node->leaf->num_keys();
-        node->leaf->AccumulateError(&err_sum, &err_max);
-        return;
-      }
-      for (const SubNode& c : node->children) Walk(&c, depth + 1);
-    }
-  } sub_walker;
-
+  int max_depth = 0;  // depth of deepest leaf, counting unit root depth
+  double weighted_depth = 0.0;
+  double err_sum = 0.0;
+  double err_max = 0.0;
+  size_t keys = 0;
   // Unit roots sit at level h; their subtrees extend below.
   for (const auto& unit : units_) {
-    sub_walker.Walk(&unit->root, h_);
+    VisitPreOrder(std::as_const(unit->root), h_,
+                  [&](const SubNode& node, int depth) {
+                    ++nodes;
+                    if (!node.is_leaf()) return;
+                    max_depth = std::max(max_depth, depth);
+                    weighted_depth +=
+                        static_cast<double>(node.leaf->num_keys()) * depth;
+                    keys += node.leaf->num_keys();
+                    node.leaf->AccumulateError(&err_sum, &err_max);
+                  });
   }
 
-  stats.num_nodes = frame_counter.nodes + sub_walker.nodes;
-  stats.max_height = sub_walker.max_depth;
-  stats.avg_height = sub_walker.keys > 0
-                         ? sub_walker.weighted_depth / sub_walker.keys
-                         : sub_walker.max_depth;
-  stats.max_error = sub_walker.err_max;
-  stats.avg_error =
-      sub_walker.keys > 0 ? sub_walker.err_sum / sub_walker.keys : 0.0;
+  IndexStats stats;
+  stats.num_nodes = nodes;
+  stats.max_height = max_depth;
+  stats.avg_height = keys > 0 ? weighted_depth / keys : max_depth;
+  stats.max_error = err_max;
+  stats.avg_error = keys > 0 ? err_sum / keys : 0.0;
   return stats;
 }
 

@@ -71,8 +71,13 @@ struct ChameleonConfig {
 /// Thread model (Sec. V, extended for the sharded serving engine and
 /// the multi-writer serving path — DESIGN.md §13): any number of
 /// *reader* threads may issue Lookup/LookupBatch/RangeScan concurrently
-/// with each other and with the retraining thread. Writers come in two
-/// modes:
+/// with each other and with the retraining thread. Insert and Erase are
+/// thin wrappers over one write routine (Write), which takes the
+/// Writer-Lock (IntervalLock bit 30) on the one unit it mutates whenever
+/// locks are on, applies the update through Apply, logs it while that
+/// unit is being rebuilt, and does the size/update bookkeeping; the
+/// retrainer's phase 3 replays the log through the same Apply. Locks
+/// are on in two cases:
 ///
 ///  * Default (single-writer): at most one thread issues Insert/Erase,
 ///    never concurrently with readers. No interval locks are taken
@@ -80,15 +85,14 @@ struct ChameleonConfig {
 ///    zero atomic RMWs on the query path.
 ///  * Multi-writer (after EnableConcurrentWrites()): any number of
 ///    threads may issue Insert/Erase concurrently with each other, with
-///    readers, and with the retrainer. Each writer takes the
-///    Writer-Lock (IntervalLock bit 30) on the single interval it
-///    mutates — writers on different h-level units proceed in parallel;
-///    two writers (or a writer and a reader) on the same unit
-///    serialize. Global bookkeeping (size_, updates_since_build_) is
-///    relaxed atomics. Concurrent Insert/Erase of the *same key* from
-///    two threads is linearized by the unit's writer lock; callers that
-///    need a deterministic final state (the workload driver's oracle
-///    mode) partition keys across writers instead.
+///    readers, and with the retrainer. Writers on different h-level
+///    units proceed in parallel; two writers (or a writer and a reader)
+///    on the same unit serialize on its Writer-Lock. Global bookkeeping
+///    (size_, updates_since_build_) is relaxed atomics. Concurrent
+///    Insert/Erase of the *same key* from two threads is linearized by
+///    the unit's writer lock; callers that need a deterministic final
+///    state (the workload driver's oracle mode) partition keys across
+///    writers instead.
 ///
 /// Readers take the Query-Lock (shared) on the one interval they touch;
 /// the retrainer takes the Retraining-Lock (exclusive) on the one
@@ -234,8 +238,9 @@ class ChameleonIndex final : public KvIndex {
     size_t ChildIndex(Key key) const;
   };
 
-  /// A logged update applied while a unit's replacement subtree was
-  /// being built aside; replayed during the swap.
+  /// One write: what Write applies to a live unit and, when it lands
+  /// while the unit's replacement subtree is built aside, what the
+  /// pending log keeps for the swap to replay.
   struct PendingOp {
     bool is_insert;
     Key key;
@@ -307,6 +312,26 @@ class ChameleonIndex final : public KvIndex {
                         Key uk, int depth,
                         std::vector<DeferredLeaf>* deferred);
   Unit* FindUnit(Key key) const;
+  /// The one point descent below a unit: follows Eq. 1 from `node` to
+  /// the leaf owning `key` (SubNode or const SubNode).
+  template <typename Node>
+  static Node* Descend(Node* node, Key key);
+  /// Applies `op` to the subtree under `root`; true when the leaf
+  /// changed. Foreground writes and the retrainer's replay share it.
+  static bool Apply(SubNode* root, const PendingOp& op);
+  /// The one write routine behind Insert and Erase: Writer-Lock when
+  /// locks are on, Apply, pending-log append while the unit rebuilds,
+  /// unlock, then the size/update bookkeeping and MaybeFullReconstruct.
+  bool Write(Unit* unit, const PendingOp& op);
+  /// The one tree walk: fn(node, depth) on `node`, then on each child
+  /// subtree at depth + 1, pre-order and left to right. Serves SubNode
+  /// and FrameNode trees, const or not; a callback may size a node's
+  /// children before they are visited (the snapshot reader does).
+  template <typename Node, typename Fn>
+  static void VisitPreOrder(Node& node, int depth, Fn&& fn) {
+    fn(node, depth);
+    for (auto& child : node.children) VisitPreOrder(child, depth + 1, fn);
+  }
   /// One {lo, hi, reads, writes} entry per unit, in key order, with the
   /// two counts taken from `counts(unit)`. Shared walk behind
   /// HeatmapSnapshot and WriteContentionSnapshot: try-locks heatmap_mu_

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/obs/stats.h"
@@ -38,6 +39,41 @@ bool ReadVec(std::FILE* f, std::vector<T>* v) {
   if (!ReadVal(f, &n)) return false;
   v->resize(n);
   return n == 0 || std::fread(v->data(), sizeof(T), n, f) == n;
+}
+
+// Every frame and subtree node record starts with the same header:
+// {lk, uk, slope, terminal flag (u8)}, then the child count (u64) for a
+// non-terminal node. A terminal node's payload follows its header (unit
+// range for a frame node, the EBH leaf for a subtree node); children
+// follow in pre-order.
+template <typename Node>
+bool WriteNodeHeader(std::FILE* f, const Node& node, bool terminal) {
+  return WriteVal(f, node.lk) && WriteVal(f, node.uk) &&
+         WriteVal(f, node.slope) &&
+         WriteVal(f, static_cast<uint8_t>(terminal ? 1 : 0)) &&
+         (terminal ||
+          WriteVal(f, static_cast<uint64_t>(node.children.size())));
+}
+
+/// Reads a header written by WriteNodeHeader into `node`: a terminal
+/// node's children are cleared, a non-terminal node gets its count of
+/// default children for the walk to fill.
+template <typename Node>
+bool ReadNodeHeader(std::FILE* f, Node* node, bool* terminal) {
+  uint8_t flag = 0;
+  if (!(ReadVal(f, &node->lk) && ReadVal(f, &node->uk) &&
+        ReadVal(f, &node->slope) && ReadVal(f, &flag))) {
+    return false;
+  }
+  *terminal = flag != 0;
+  if (*terminal) {
+    node->children.clear();
+    return true;
+  }
+  uint64_t n = 0;
+  if (!ReadVal(f, &n)) return false;
+  node->children.assign(n, Node{});
+  return true;
 }
 
 struct FileCloser {
@@ -98,55 +134,30 @@ bool ChameleonIndex::SaveToLocked(std::FILE* fp) const {
     ok = ok && WriteVec(fp, row);
   }
 
-  // Frame tree.
-  struct FrameWriter {
-    std::FILE* fp;
-    bool ok = true;
-    void Walk(const FrameNode& node) {
-      ok = ok && WriteVal(fp, node.lk) && WriteVal(fp, node.uk) &&
-           WriteVal(fp, node.slope);
-      const uint8_t is_units = node.children.empty() ? 1 : 0;
-      ok = ok && WriteVal(fp, is_units);
-      if (is_units) {
-        ok = ok && WriteVal(fp, static_cast<uint64_t>(node.unit_begin)) &&
-             WriteVal(fp, static_cast<uint64_t>(node.unit_fanout));
-        return;
-      }
-      ok = ok && WriteVal(fp, static_cast<uint64_t>(node.children.size()));
-      for (const FrameNode& c : node.children) Walk(c);
+  // Frame tree, then the units and their subtrees, each pre-order.
+  VisitPreOrder(frame_root_, 0, [&](const FrameNode& node, int) {
+    const bool is_units = node.children.empty();
+    ok = ok && WriteNodeHeader(fp, node, is_units);
+    if (is_units) {
+      ok = ok && WriteVal(fp, static_cast<uint64_t>(node.unit_begin)) &&
+           WriteVal(fp, static_cast<uint64_t>(node.unit_fanout));
     }
-  } frame_writer{fp};
-  if (ok) frame_writer.Walk(frame_root_);
-  ok = ok && frame_writer.ok;
-
-  // Units and their subtrees.
-  struct SubWriter {
-    std::FILE* fp;
-    bool ok = true;
-    void Walk(const SubNode& node) {
-      ok = ok && WriteVal(fp, node.lk) && WriteVal(fp, node.uk) &&
-           WriteVal(fp, node.slope);
-      const uint8_t is_leaf = node.is_leaf() ? 1 : 0;
-      ok = ok && WriteVal(fp, is_leaf);
-      if (is_leaf) {
+  });
+  ok = ok && WriteVal(fp, static_cast<uint64_t>(units_.size()));
+  for (const auto& unit : units_) {
+    ok = ok && WriteVal(fp, unit->lk) && WriteVal(fp, unit->uk) &&
+         WriteVal(fp, static_cast<uint64_t>(unit->built_keys));
+    VisitPreOrder(std::as_const(unit->root), 0, [&](const SubNode& node, int) {
+      ok = ok && WriteNodeHeader(fp, node, node.is_leaf());
+      if (node.is_leaf()) {
         const EbhLeaf& leaf = *node.leaf;
         ok = ok && WriteVal(fp, leaf.lk()) && WriteVal(fp, leaf.uk()) &&
              WriteVal(fp, leaf.tau()) && WriteVal(fp, leaf.alpha()) &&
              WriteVal(fp, static_cast<uint64_t>(leaf.conflict_degree())) &&
              WriteVal(fp, static_cast<uint64_t>(leaf.num_keys())) &&
              WriteVec(fp, leaf.raw_keys()) && WriteVec(fp, leaf.raw_values());
-        return;
       }
-      ok = ok && WriteVal(fp, static_cast<uint64_t>(node.children.size()));
-      for (const SubNode& c : node.children) Walk(c);
-    }
-  } sub_writer{fp};
-  ok = ok && WriteVal(fp, static_cast<uint64_t>(units_.size()));
-  for (const auto& unit : units_) {
-    ok = ok && WriteVal(fp, unit->lk) && WriteVal(fp, unit->uk) &&
-         WriteVal(fp, static_cast<uint64_t>(unit->built_keys));
-    if (ok) sub_writer.Walk(unit->root);
-    ok = ok && sub_writer.ok;
+    });
   }
   return ok;
 }
@@ -183,74 +194,42 @@ bool ChameleonIndex::LoadFrom(std::FILE* fp) {
     if (!ReadVec(fp, &row)) return false;
   }
 
-  struct FrameReader {
-    std::FILE* fp;
-    bool ok = true;
-    void Walk(FrameNode* node) {
-      uint8_t is_units = 0;
-      ok = ok && ReadVal(fp, &node->lk) && ReadVal(fp, &node->uk) &&
-           ReadVal(fp, &node->slope) && ReadVal(fp, &is_units);
-      if (!ok) return;
-      if (is_units) {
-        uint64_t begin = 0, fanout = 0;
-        ok = ok && ReadVal(fp, &begin) && ReadVal(fp, &fanout);
-        node->unit_begin = begin;
-        node->unit_fanout = fanout;
-        node->children.clear();
-        return;
-      }
-      uint64_t n = 0;
-      ok = ok && ReadVal(fp, &n);
-      if (!ok) return;
-      node->children.assign(n, FrameNode{});
-      for (FrameNode& c : node->children) {
-        Walk(&c);
-        if (!ok) return;
-      }
-    }
-  } frame_reader{fp};
+  // A failed read stops the walk: `ok` turns false, the callback stops
+  // reading and sizes no further children.
+  bool ok = true;
   frame_root_ = FrameNode{};
-  frame_reader.Walk(&frame_root_);
-  if (!frame_reader.ok) return false;
+  VisitPreOrder(frame_root_, 0, [&](FrameNode& node, int) {
+    bool is_units = false;
+    ok = ok && ReadNodeHeader(fp, &node, &is_units);
+    if (!ok || !is_units) return;
+    uint64_t begin = 0, fanout = 0;
+    ok = ReadVal(fp, &begin) && ReadVal(fp, &fanout);
+    node.unit_begin = begin;
+    node.unit_fanout = fanout;
+  });
+  if (!ok) return false;
 
-  struct SubReader {
-    std::FILE* fp;
-    bool ok = true;
-    void Walk(SubNode* node) {
-      uint8_t is_leaf = 0;
-      ok = ok && ReadVal(fp, &node->lk) && ReadVal(fp, &node->uk) &&
-           ReadVal(fp, &node->slope) && ReadVal(fp, &is_leaf);
-      if (!ok) return;
-      if (is_leaf) {
-        Key lk = 0, uk = 0;
-        double tau = 0, alpha = 0;
-        uint64_t cd = 0, num_keys = 0;
-        std::vector<Key> keys;
-        std::vector<Value> values;
-        ok = ok && ReadVal(fp, &lk) && ReadVal(fp, &uk) &&
-             ReadVal(fp, &tau) && ReadVal(fp, &alpha) && ReadVal(fp, &cd) &&
-             ReadVal(fp, &num_keys) && ReadVec(fp, &keys) &&
-             ReadVec(fp, &values);
-        if (!ok || keys.size() != values.size()) {
-          ok = false;
-          return;
-        }
-        node->leaf = EbhLeaf::FromRaw(lk, uk, tau, alpha, cd, num_keys,
-                                      std::move(keys), std::move(values));
-        node->children.clear();
-        return;
-      }
-      uint64_t n = 0;
-      ok = ok && ReadVal(fp, &n);
-      if (!ok) return;
-      node->leaf.reset();
-      node->children.assign(n, SubNode{});
-      for (SubNode& c : node->children) {
-        Walk(&c);
-        if (!ok) return;
-      }
+  const auto read_sub = [&](SubNode& node, int) {
+    bool is_leaf = false;
+    ok = ok && ReadNodeHeader(fp, &node, &is_leaf);
+    if (!ok) return;
+    if (!is_leaf) {
+      node.leaf.reset();
+      return;
     }
-  } sub_reader{fp};
+    Key lk = 0, uk = 0;
+    double tau = 0, alpha = 0;
+    uint64_t cd = 0, num_keys = 0;
+    std::vector<Key> keys;
+    std::vector<Value> values;
+    ok = ReadVal(fp, &lk) && ReadVal(fp, &uk) && ReadVal(fp, &tau) &&
+         ReadVal(fp, &alpha) && ReadVal(fp, &cd) && ReadVal(fp, &num_keys) &&
+         ReadVec(fp, &keys) && ReadVec(fp, &values) &&
+         keys.size() == values.size();
+    if (!ok) return;
+    node.leaf = EbhLeaf::FromRaw(lk, uk, tau, alpha, cd, num_keys,
+                                 std::move(keys), std::move(values));
+  };
 
   uint64_t num_units = 0;
   if (!ReadVal(fp, &num_units)) return false;
@@ -267,8 +246,8 @@ bool ChameleonIndex::LoadFrom(std::FILE* fp) {
       return false;
     }
     unit->built_keys = built;
-    sub_reader.Walk(&unit->root);
-    if (!sub_reader.ok) return false;
+    VisitPreOrder(unit->root, 0, read_sub);
+    if (!ok) return false;
     units_.push_back(std::move(unit));
   }
 

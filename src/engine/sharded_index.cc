@@ -40,11 +40,13 @@ std::unique_ptr<KvIndex> BuildShardedFromSpec(const SpecNode& node,
     return nullptr;
   }
   // The spec layer rejects a count outside [1, kMaxShards] before
-  // building.
+  // building. One shard is the inner stack itself: same name, answers,
+  // footprint and directory layout.
+  if (node.count == 1) return BuildIndexSpec(*node.inner, ctx, error);
   std::vector<std::unique_ptr<KvIndex>> shards;
   for (size_t i = 0; i < node.count; ++i) {
     SpecBuildContext shard_ctx = ctx;
-    if (node.count > 1) shard_ctx.dir_suffix += "/shard-" + std::to_string(i);
+    shard_ctx.dir_suffix += "/shard-" + std::to_string(i);
     std::unique_ptr<KvIndex> shard =
         BuildIndexSpec(*node.inner, shard_ctx, error);
     if (shard == nullptr) return nullptr;
@@ -55,7 +57,7 @@ std::unique_ptr<KvIndex> BuildShardedFromSpec(const SpecNode& node,
   // suffixes sit below it). Volatile shards persist nothing.
   std::string meta_path;
   const std::vector<std::string> roots = DurableDirsOf(*node.inner);
-  if (node.count > 1 && !roots.empty()) {
+  if (!roots.empty()) {
     meta_path = roots.front() + ctx.dir_suffix + "/shards.meta";
   }
   return std::make_unique<ShardedIndex>(std::move(shards),
@@ -76,13 +78,10 @@ void RegisterShardedDecorator() {
 
 ShardedIndex::ShardedIndex(std::vector<std::unique_ptr<KvIndex>> shards,
                            std::string meta_path)
-    : name_(shards.front()->Name()),
+    : name_(std::string(shards.front()->Name()) + "/shards=" +
+            std::to_string(shards.size())),
       shards_(std::move(shards)),
-      meta_path_(std::move(meta_path)) {
-  if (shards_.size() > 1) {
-    name_ += "/shards=" + std::to_string(shards_.size());
-  }
-}
+      meta_path_(std::move(meta_path)) {}
 
 size_t ShardedIndex::ShardFor(Key key) const {
   if (lower_.empty()) return 0;
@@ -121,10 +120,7 @@ bool ShardedIndex::SaveShardMeta() const {
       written && std::fflush(f) == 0 && ::fsync(::fileno(f)) == 0;
   std::fclose(f);
   if (!flushed) return false;
-  std::filesystem::rename(tmp, meta_path_, ec);
-  if (ec) return false;
-  SyncDirOf(meta_path_);
-  return true;
+  return RenameDurably(tmp, meta_path_);
 }
 
 bool ShardedIndex::LoadShardMeta() {
@@ -160,11 +156,6 @@ bool ShardedIndex::LoadShardMeta() {
 
 void ShardedIndex::BulkLoad(std::span<const KeyValue> data) {
   const size_t n_shards = shards_.size();
-  if (n_shards == 1) {
-    shards_[0]->BulkLoad(data);
-    return;
-  }
-
   // Quantile boundaries: shard i owns data[i*n/N .. (i+1)*n/N). Using
   // rank (not key-space) cut points keeps the initial shards balanced
   // under arbitrary skew. With n < N the trailing shards stay empty
@@ -214,7 +205,6 @@ void ShardedIndex::BulkLoad(std::span<const KeyValue> data) {
 }
 
 bool ShardedIndex::Recover() {
-  if (shards_.size() == 1) return shards_[0]->Recover();
   if (meta_path_.empty() || !LoadShardMeta()) return false;
 
   // Shards own disjoint key ranges and private WAL+snapshot stacks, so
@@ -243,10 +233,6 @@ bool ShardedIndex::Lookup(Key key, Value* value) const {
 
 void ShardedIndex::LookupBatch(std::span<const Key> keys, Value* values,
                                bool* found) const {
-  if (shards_.size() == 1) {
-    shards_[0]->LookupBatch(keys, values, found);
-    return;
-  }
   // Scatter/gather: per-shard key groups preserve the caller's relative
   // order, each shard probes its group through its own (possibly
   // pipelined) LookupBatch, and hits are written back to the original
@@ -292,7 +278,6 @@ bool ShardedIndex::Erase(Key key) {
 
 size_t ShardedIndex::RangeScan(Key lo, Key hi,
                                std::vector<KeyValue>* out) const {
-  if (shards_.size() == 1) return shards_[0]->RangeScan(lo, hi, out);
   // Shards partition the key space in ascending order, so appending
   // per-shard results in shard order stitches a sorted scan. Only
   // shards whose range intersects [lo, hi] are visited.
@@ -312,7 +297,6 @@ size_t ShardedIndex::size() const {
 }
 
 size_t ShardedIndex::SizeBytes() const {
-  if (shards_.size() == 1) return shards_[0]->SizeBytes();
   size_t total = sizeof(ShardedIndex) +
                  shards_.capacity() * sizeof(void*) +
                  lower_.capacity() * sizeof(Key);
@@ -321,7 +305,6 @@ size_t ShardedIndex::SizeBytes() const {
 }
 
 IndexStats ShardedIndex::Stats() const {
-  if (shards_.size() == 1) return shards_[0]->Stats();
   IndexStats merged;
   double weighted_height = 0.0;
   double weighted_error = 0.0;

@@ -35,11 +35,11 @@ inline constexpr size_t kMaxShards = 256;
 /// replay their own WALs in parallel. Shards own disjoint key ranges, so
 /// per-shard recovery needs no cross-shard ordering.
 ///
-/// With shards == 1 every call is a direct pass-through to the single
-/// inner index — bit-identical results, Stats() and SizeBytes(), and an
-/// unmodified directory layout — so a sharded deployment can always be
-/// collapsed for apples-to-apples comparison against the historical
-/// single-index baselines.
+/// `Sharded1:<spec>` builds <spec> itself, with no adapter around it —
+/// same name, results, Stats(), SizeBytes() and directory layout — so a
+/// sharded deployment can always be collapsed for apples-to-apples
+/// comparison against the historical single-index baselines. A
+/// ShardedIndex therefore always has at least two shards.
 ///
 /// Thread model: BulkLoad builds shards in parallel (each shard build
 /// fans its heavy work out on the global ThreadPool; see the .cc).
@@ -54,7 +54,7 @@ inline constexpr size_t kMaxShards = 256;
 /// shard-level write parallelism for free.
 class ShardedIndex final : public KvIndex {
  public:
-  /// Takes the built shards (at least one). `meta_path` is where the
+  /// Takes the built shards (at least two). `meta_path` is where the
   /// routing table is persisted, or "" for volatile shards.
   ShardedIndex(std::vector<std::unique_ptr<KvIndex>> shards,
                std::string meta_path);
@@ -106,11 +106,11 @@ class ShardedIndex final : public KvIndex {
   /// lower_[i] is the smallest key routed to shard i (i >= 1; shard 0
   /// takes everything below lower_[1]). Set from the bulk-load
   /// quantiles; immutable afterwards, so lock-free routing is safe under
-  /// any reader concurrency. Empty until BulkLoad with shards > 1.
+  /// any reader concurrency. Empty until BulkLoad.
   std::vector<Key> lower_;
-  /// "<durable root>/shards.meta" when shards > 1 and the inner spec
-  /// roots a Durable stack; empty otherwise (volatile shards have no
-  /// routing state to persist).
+  /// "<durable root>/shards.meta" when the inner spec roots a Durable
+  /// stack; empty otherwise (volatile shards have no routing state to
+  /// persist).
   std::string meta_path_;
 };
 

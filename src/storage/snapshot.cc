@@ -4,7 +4,6 @@
 
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <memory>
 #include <vector>
 
@@ -126,11 +125,7 @@ bool WriteSnapshot(const KvIndex& index, const std::string& path,
   if (std::fflush(fp) != 0 || ::fsync(::fileno(fp)) != 0) return false;
   f.reset();  // close before rename
 
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) return false;
-  SyncDirOf(path);  // persist the rename's directory entry
-  return true;
+  return RenameDurably(tmp, path);
 }
 
 bool ReadSnapshotMeta(const std::string& path, SnapshotMeta* meta) {

@@ -6,7 +6,6 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 
 #include "src/util/crc32c.h"
 #include "src/util/io.h"
@@ -180,14 +179,11 @@ bool PageFile::SyncHeader(uint64_t num_entries) {
 }
 
 bool PageFile::RenameTo(const std::string& path) {
-  std::error_code ec;
-  std::filesystem::rename(path_, path, ec);
-  if (ec) {
+  if (!RenameDurably(path_, path)) {
     std::fprintf(stderr, "tiered: renaming %s to %s failed: %s\n",
-                 path_.c_str(), path.c_str(), ec.message().c_str());
+                 path_.c_str(), path.c_str(), std::strerror(errno));
     return false;
   }
-  SyncDirOf(path);
   path_ = path;
   return true;
 }

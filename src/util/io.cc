@@ -79,4 +79,10 @@ void SyncDirOf(const std::string& path) {
   }
 }
 
+bool RenameDurably(const std::string& from, const std::string& to) {
+  if (std::rename(from.c_str(), to.c_str()) != 0) return false;
+  SyncDirOf(to);
+  return true;
+}
+
 }  // namespace chameleon

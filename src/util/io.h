@@ -23,6 +23,12 @@ bool WriteSosdFile(const std::string& path, const std::vector<Key>& keys);
 /// persist it). Best effort: an unopenable directory is skipped.
 void SyncDirOf(const std::string& path);
 
+/// Renames `from` over `to` (atomic on POSIX) and then fsyncs `to`'s
+/// directory (SyncDirOf), so the new name survives a crash. Returns
+/// false with errno set when the rename fails; callers print their own
+/// diagnostics.
+bool RenameDurably(const std::string& from, const std::string& to);
+
 }  // namespace chameleon
 
 #endif  // CHAMELEON_UTIL_IO_H_

@@ -4,7 +4,8 @@
 // file, crashes and recovers as a unit, and the pre-refactor
 // Durable-over-Sharded order keeps its single-WAL layout byte-for-byte.
 // A table pins what the stack walk answers for every composition:
-// capabilities, heat and contention maps, tiered layers, crashability.
+// capabilities, heat and contention maps, tiered layers, crashability,
+// and that every crashable composition recovers to the reference.
 
 #include <filesystem>
 #include <map>
@@ -225,6 +226,8 @@ TEST_F(SpecStackTest, StackWalkAnswersPerComposition) {
       {"Disk(@):Chameleon", false, true, false, 1, false},
       {"Sharded2:Disk(@):Chameleon", false, true, false, 2, false},
       {"Durable(@):Disk(#):Chameleon", false, true, false, 1, true},
+      {"Sharded1:Durable(@):Chameleon", true, true, true, 0, true},
+      {"Sharded2:Durable(@):Disk(#):Chameleon", false, true, false, 2, true},
   };
   for (size_t i = 0; i < cases.size(); ++i) {
     const Case& c = cases[i];
@@ -240,6 +243,12 @@ TEST_F(SpecStackTest, StackWalkAnswersPerComposition) {
     std::unique_ptr<KvIndex> index = Build(spec);
     ASSERT_NE(index, nullptr);
     index->BulkLoad(data_);
+    if (c.spec.starts_with("Sharded1:")) {
+      // One shard is the inner stack: no shard directory, no routing file.
+      EXPECT_TRUE(HasWalAndSnapshot(case_dir + "/a"));
+      EXPECT_FALSE(fs::exists(case_dir + "/a/shard-0"));
+      EXPECT_FALSE(fs::exists(case_dir + "/a/shards.meta"));
+    }
 
     EXPECT_EQ(index->SupportsConcurrentWrites(), c.concurrent_writes);
     EXPECT_EQ(index->EnableConcurrentWrites(), c.concurrent_writes);
@@ -274,6 +283,14 @@ TEST_F(SpecStackTest, StackWalkAnswersPerComposition) {
 
     EXPECT_EQ(SimulateCrashStack(index.get()), c.crashable);
     index.reset();
+    if (c.crashable) {
+      // A fresh stack over the same directories recovers what was
+      // acknowledged before the crash.
+      std::unique_ptr<KvIndex> recovered = Build(spec);
+      ASSERT_NE(recovered, nullptr);
+      ASSERT_TRUE(recovered->Recover());
+      VerifyMatchesReference(*recovered);
+    }
     // Each case starts from the loaded data set again.
     reference_.clear();
     for (const KeyValue& kv : data_) reference_[kv.key] = kv.value;

@@ -182,9 +182,8 @@ int main(int argc, char** argv) {
 
   const std::vector<Operation> ops =
       MaterializeWorkload(workload, keys, opt.seed + 1, opt.ops);
-  const ReplayOptions ro =
-      workload.has_writes() ? WriteReplayOptions(opt) : ReadReplayOptions(opt);
-  const ReplayResult result = Replay(index.get(), ops, ro, report.lat());
+  const ReplayResult result =
+      Replay(index.get(), ops, ReplayOptionsFor(opt), report.lat());
 
   const obs::Heatmap heat = index->HeatmapSnapshot();
   const obs::Heatmap hottest = obs::TopKHottest(heat, flags.top);
