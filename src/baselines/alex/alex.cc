@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 
+#include "src/baselines/common/line_fit.h"
 #include "src/obs/stats.h"
 
 namespace chameleon {
@@ -140,27 +141,12 @@ std::unique_ptr<AlexIndex::DataNode> AlexIndex::BuildDataNode(
   node->num_keys = n;
   if (n == 0) return node;
 
-  // Least-squares fit of slot ~ key over (key_i, i * cap / n), with keys
-  // centered on `lo` for numeric stability.
+  // Least-squares fit of slot ~ key over (key_i, i * cap / n).
   if (n >= 2) {
-    double sx = 0, sy = 0, sxx = 0, sxy = 0;
-    const double scale = static_cast<double>(cap - 1) /
-                         static_cast<double>(n - 1);
-    for (size_t i = 0; i < n; ++i) {
-      const double x = static_cast<double>(data[i].key) -
-                       static_cast<double>(lo);
-      const double y = static_cast<double>(i) * scale;
-      sx += x;
-      sy += y;
-      sxx += x * x;
-      sxy += x * y;
-    }
-    const double nn = static_cast<double>(n);
-    const double denom = nn * sxx - sx * sx;
-    if (denom > 0.0) {
-      node->slope = (nn * sxy - sx * sy) / denom;
-      node->intercept = (sy - node->slope * sx) / nn;
-    }
+    const Line line = FitLine(data, lo, static_cast<double>(cap - 1) /
+                                            static_cast<double>(n - 1));
+    node->slope = line.slope;
+    node->intercept = line.intercept;
   }
 
   // Model-based placement: each key goes to its predicted slot, pushed

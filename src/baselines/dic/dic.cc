@@ -82,7 +82,9 @@ struct DicIndex::Node {
 
 DicIndex::DicIndex() : DicIndex(Config{}) {}
 
-DicIndex::DicIndex(Config config) : config_(config) {
+DicIndex::DicIndex(Config config)
+    : DeltaOverlayIndex(/*min_merge=*/4096, /*merge_divisor=*/8),
+      config_(config) {
   DqnConfig dqn;
   dqn.state_dim = kStateBuckets + 2;
   dqn.num_actions = kNumActions;
@@ -209,133 +211,24 @@ std::unique_ptr<DicIndex::Node> DicIndex::BuildNode(
   return node;
 }
 
-void DicIndex::Rebuild() {
-  std::vector<KeyValue> merged;
-  merged.reserve(data_.size() + delta_.size());
-  size_t i = 0, j = 0;
-  while (i < data_.size() || j < delta_.size()) {
-    if (j >= delta_.size() ||
-        (i < data_.size() && data_[i].key < delta_[j].key)) {
-      if (!tombstones_.contains(data_[i].key)) merged.push_back(data_[i]);
-      ++i;
-    } else {
-      merged.push_back(delta_[j]);
-      ++j;
-    }
-  }
-  data_ = std::move(merged);
-  delta_.clear();
-  tombstones_.clear();
-  const Key lo = data_.empty() ? 0 : data_.front().key;
-  const Key hi = data_.empty() ? 1 : data_.back().key + 1;
-  root_ = BuildNode(data_, lo, hi, 1, nullptr);
+void DicIndex::BuildModel() {
+  const std::vector<KeyValue>& data = run();
+  const Key lo = data.empty() ? 0 : data.front().key;
+  const Key hi = data.empty() ? 1 : data.back().key + 1;
+  root_ = BuildNode(data, lo, hi, 1, nullptr);
 }
 
-void DicIndex::BulkLoad(std::span<const KeyValue> data) {
-  data_.assign(data.begin(), data.end());
-  delta_.clear();
-  tombstones_.clear();
-  size_ = data_.size();
-  const Key lo = data_.empty() ? 0 : data_.front().key;
-  const Key hi = data_.empty() ? 1 : data_.back().key + 1;
-  root_ = BuildNode(data_, lo, hi, 1, nullptr);
-}
-
-bool DicIndex::Lookup(Key key, Value* value) const {
-  if (tombstones_.contains(key)) return false;
-  auto it = std::lower_bound(delta_.begin(), delta_.end(), key,
-                             [](const KeyValue& kv, Key k) { return kv.key < k; });
-  if (it != delta_.end() && it->key == key) {
-    if (value != nullptr) *value = it->value;
-    return true;
-  }
+const KeyValue* DicIndex::FindInRun(Key key) const {
   const Node* node = root_.get();
-  if (node == nullptr) return false;
+  if (node == nullptr) return nullptr;
   while (node->kind == Node::Kind::kInner) {
     node = node->children[node->ChildIndex(key)].get();
   }
-  if (node->kind == Node::Kind::kLeafHash) {
-    const KeyValue* kv = node->HashFind(key);
-    if (kv == nullptr) return false;
-    if (value != nullptr) *value = kv->value;
-    return true;
-  }
-  auto sit = std::lower_bound(node->sorted.begin(), node->sorted.end(), key,
-                              [](const KeyValue& kv, Key k) { return kv.key < k; });
-  if (sit != node->sorted.end() && sit->key == key) {
-    if (value != nullptr) *value = sit->value;
-    return true;
-  }
-  return false;
-}
-
-bool DicIndex::Insert(Key key, Value value) {
-  if (Lookup(key, nullptr)) return false;
-  tombstones_.erase(key);
-  auto it = std::lower_bound(delta_.begin(), delta_.end(), key,
+  if (node->kind == Node::Kind::kLeafHash) return node->HashFind(key);
+  auto it = std::lower_bound(node->sorted.begin(), node->sorted.end(), key,
                              [](const KeyValue& kv, Key k) { return kv.key < k; });
-  delta_.insert(it, {key, value});
-  ++size_;
-  if (delta_.size() > std::max<size_t>(4096, data_.size() / 8)) Rebuild();
-  return true;
-}
-
-bool DicIndex::Erase(Key key) {
-  auto it = std::lower_bound(delta_.begin(), delta_.end(), key,
-                             [](const KeyValue& kv, Key k) { return kv.key < k; });
-  if (it != delta_.end() && it->key == key) {
-    delta_.erase(it);
-    --size_;
-    return true;
-  }
-  if (tombstones_.contains(key)) return false;
-  // Probe the tree for membership.
-  bool in_tree = false;
-  {
-    const Node* node = root_.get();
-    if (node != nullptr) {
-      while (node->kind == Node::Kind::kInner) {
-        node = node->children[node->ChildIndex(key)].get();
-      }
-      if (node->kind == Node::Kind::kLeafHash) {
-        in_tree = node->HashFind(key) != nullptr;
-      } else {
-        in_tree = std::binary_search(
-            node->sorted.begin(), node->sorted.end(), KeyValue{key, 0},
-            [](const KeyValue& a, const KeyValue& b) { return a.key < b.key; });
-      }
-    }
-  }
-  if (!in_tree) return false;
-  tombstones_.insert(key);
-  --size_;
-  return true;
-}
-
-size_t DicIndex::RangeScan(Key lo, Key hi, std::vector<KeyValue>* out) const {
-  // Scan the master run (tree order == data_ order), merge with delta.
-  auto mi = std::lower_bound(data_.begin(), data_.end(), lo,
-                             [](const KeyValue& kv, Key k) { return kv.key < k; });
-  auto di = std::lower_bound(delta_.begin(), delta_.end(), lo,
-                             [](const KeyValue& kv, Key k) { return kv.key < k; });
-  size_t count = 0;
-  while (true) {
-    const bool m_ok = mi != data_.end() && mi->key <= hi;
-    const bool d_ok = di != delta_.end() && di->key <= hi;
-    if (!m_ok && !d_ok) break;
-    if (m_ok && (!d_ok || mi->key <= di->key)) {
-      if (!tombstones_.contains(mi->key)) {
-        out->push_back(*mi);
-        ++count;
-      }
-      ++mi;
-    } else {
-      out->push_back(*di);
-      ++count;
-      ++di;
-    }
-  }
-  return count;
+  if (it != node->sorted.end() && it->key == key) return &*it;
+  return nullptr;
 }
 
 size_t DicIndex::SizeBytes() const {
@@ -350,8 +243,7 @@ size_t DicIndex::SizeBytes() const {
     }
   } sizer;
   if (root_ != nullptr) sizer.Walk(root_.get());
-  return sizer.bytes + sizeof(DicIndex) + data_.capacity() * sizeof(KeyValue) +
-         delta_.capacity() * sizeof(KeyValue);
+  return sizer.bytes + sizeof(DicIndex) + OverlayBytes();
 }
 
 IndexStats DicIndex::Stats() const {

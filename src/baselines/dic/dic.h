@@ -4,10 +4,9 @@
 #include <memory>
 #include <span>
 #include <string_view>
-#include <unordered_set>
 #include <vector>
 
-#include "src/api/kv_index.h"
+#include "src/baselines/common/delta_overlay.h"
 #include "src/rl/dqn.h"
 
 namespace chameleon {
@@ -24,9 +23,11 @@ namespace chameleon {
 /// slowest index to build in the paper's Fig. 10.
 ///
 /// DIC targets static workloads (the paper drops it from update
-/// experiments); updates here go through a delta buffer + tombstones
-/// with threshold-triggered full reconstruction.
-class DicIndex final : public KvIndex {
+/// experiments); updates here go through the shared DeltaOverlayIndex
+/// (sorted delta + tombstones over the master run), which reconstructs
+/// the whole tree over the merged run once the delta exceeds
+/// max(4096, n/8).
+class DicIndex final : public DeltaOverlayIndex {
  public:
   struct Config {
     size_t leaf_max = 256;         // below this a terminal node is forced
@@ -41,12 +42,6 @@ class DicIndex final : public KvIndex {
   DicIndex(const DicIndex&) = delete;
   DicIndex& operator=(const DicIndex&) = delete;
 
-  void BulkLoad(std::span<const KeyValue> data) override;
-  bool Lookup(Key key, Value* value) const override;
-  bool Insert(Key key, Value value) override;
-  bool Erase(Key key) override;
-  size_t RangeScan(Key lo, Key hi, std::vector<KeyValue>* out) const override;
-  size_t size() const override { return size_; }
   size_t SizeBytes() const override;
   IndexStats Stats() const override;
   std::string_view Name() const override { return "DIC"; }
@@ -57,16 +52,12 @@ class DicIndex final : public KvIndex {
   std::unique_ptr<Node> BuildNode(std::span<const KeyValue> data, Key lo,
                                   Key hi, int depth,
                                   std::vector<float>* state_out);
-  void Rebuild();
+  const KeyValue* FindInRun(Key key) const override;
+  void BuildModel() override;
 
   Config config_;
   std::unique_ptr<TreeDqn> agent_;
   std::unique_ptr<Node> root_;
-  size_t size_ = 0;
-
-  std::vector<KeyValue> data_;          // master sorted run
-  std::vector<KeyValue> delta_;         // sorted insert buffer
-  std::unordered_set<Key> tombstones_;  // erased master keys
 };
 
 }  // namespace chameleon

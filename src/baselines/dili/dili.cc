@@ -1,47 +1,10 @@
 #include "src/baselines/dili/dili.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
+
+#include "src/baselines/common/shrinking_cone.h"
 
 namespace chameleon {
-namespace {
-
-/// Bottom-up phase: shrinking-cone segmentation; returns the start index
-/// of each segment (first entry is always 0).
-std::vector<size_t> SegmentStarts(std::span<const KeyValue> data,
-                                  size_t epsilon) {
-  std::vector<size_t> starts;
-  const size_t n = data.size();
-  if (n == 0) return starts;
-  starts.push_back(0);
-  const double eps = static_cast<double>(epsilon);
-  size_t anchor = 0;
-  double slope_lo = 0.0;
-  double slope_hi = std::numeric_limits<double>::infinity();
-  for (size_t i = 1; i < n; ++i) {
-    const double dx = static_cast<double>(data[i].key) -
-                      static_cast<double>(data[anchor].key);
-    if (dx <= 0.0) continue;
-    const double dy = static_cast<double>(i - anchor);
-    const double lo = (dy - eps) / dx;
-    const double hi = (dy + eps) / dx;
-    const double new_lo = std::max(slope_lo, lo);
-    const double new_hi = std::min(slope_hi, hi);
-    if (new_lo <= new_hi) {
-      slope_lo = new_lo;
-      slope_hi = new_hi;
-    } else {
-      starts.push_back(i);
-      anchor = i;
-      slope_lo = 0.0;
-      slope_hi = std::numeric_limits<double>::infinity();
-    }
-  }
-  return starts;
-}
-
-}  // namespace
 
 DiliIndex::DiliIndex() : DiliIndex(Config{}) {}
 
@@ -58,8 +21,11 @@ void DiliIndex::BulkLoad(std::span<const KeyValue> data) {
     return;
   }
 
-  // BU phase.
-  const std::vector<size_t> seg_starts = SegmentStarts(data, config_.epsilon);
+  // BU phase: the start index of each shrinking-cone segment.
+  std::vector<size_t> seg_starts;
+  ShrinkingConeSegments(
+      data.size(), [&](size_t i) { return data[i].key; }, config_.epsilon,
+      [&](size_t start, double) { seg_starts.push_back(start); });
   // TD phase: group segments into children with balanced segment counts.
   const size_t num_children = std::min(
       config_.max_fanout,

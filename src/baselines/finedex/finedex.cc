@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/baselines/common/line_fit.h"
+
 namespace chameleon {
 
 FinedexIndex::FinedexIndex() : FinedexIndex(Config{}) {}
@@ -21,21 +23,7 @@ void FinedexIndex::Group::Train() {
     return;
   }
   first_key = run.front().key;
-  if (n >= 2) {
-    double sx = 0, sy = 0, sxx = 0, sxy = 0;
-    for (size_t i = 0; i < n; ++i) {
-      const double x = static_cast<double>(run[i].key) -
-                       static_cast<double>(first_key);
-      const double y = static_cast<double>(i);
-      sx += x;
-      sy += y;
-      sxx += x * x;
-      sxy += x * y;
-    }
-    const double nn = static_cast<double>(n);
-    const double denom = nn * sxx - sx * sx;
-    if (denom > 0.0) slope = (nn * sxy - sx * sy) / denom;
-  }
+  slope = FitLine(run, first_key, 1.0).slope;
   // Exact error bound over the run.
   for (size_t i = 0; i < n; ++i) {
     const double pred = slope * (static_cast<double>(run[i].key) -

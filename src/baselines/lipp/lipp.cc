@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cmath>
 
+#include "src/baselines/common/line_fit.h"
+
 namespace chameleon {
 
 struct LippIndex::Node {
@@ -58,26 +60,12 @@ std::unique_ptr<LippIndex::Node> LippIndex::BuildNode(
 
   node->base = data.front().key;
   if (n >= 2) {
-    // Least-squares fit of rank -> slot over centered keys, scaled to the
-    // slot capacity.
-    double sx = 0, sy = 0, sxx = 0, sxy = 0;
-    const double scale =
-        static_cast<double>(cap - 1) / static_cast<double>(n - 1);
-    for (size_t i = 0; i < n; ++i) {
-      const double x = static_cast<double>(data[i].key) -
-                       static_cast<double>(node->base);
-      const double y = static_cast<double>(i) * scale;
-      sx += x;
-      sy += y;
-      sxx += x * x;
-      sxy += x * y;
-    }
-    const double nn = static_cast<double>(n);
-    const double denom = nn * sxx - sx * sx;
-    if (denom > 0.0) {
-      node->slope = (nn * sxy - sx * sy) / denom;
-      node->intercept = (sy - node->slope * sx) / nn;
-    }
+    // Least-squares fit of rank -> slot, scaled to the slot capacity.
+    const Line line = FitLine(data, node->base,
+                              static_cast<double>(cap - 1) /
+                                  static_cast<double>(n - 1));
+    node->slope = line.slope;
+    node->intercept = line.intercept;
   }
 
   // Group consecutive keys by predicted slot; conflicts become children.

@@ -3,56 +3,21 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <limits>
+
+#include "src/baselines/common/shrinking_cone.h"
 
 namespace chameleon {
 namespace {
 
-/// Greedy shrinking-cone segmentation with error bound epsilon: emits
-/// segments over the point set (xs[i], i). Guarantees
-/// |predict(xs[i]) - i| <= epsilon for every point within a segment.
+/// The segments of the points (get_x(i), i), i in [0, n), with error
+/// bound epsilon: |predict(get_x(i)) - i| <= epsilon within a segment.
 template <typename GetX>
 std::vector<PgmIndex::Segment> BuildSegmentsImpl(size_t n, GetX get_x,
                                                  size_t epsilon) {
   std::vector<PgmIndex::Segment> segs;
-  if (n == 0) return segs;
-  const double eps = static_cast<double>(epsilon);
-
-  size_t start = 0;
-  double slope_lo = 0.0;
-  double slope_hi = std::numeric_limits<double>::infinity();
-  for (size_t i = 1; i <= n; ++i) {
-    if (i < n) {
-      const double dx = static_cast<double>(get_x(i)) -
-                        static_cast<double>(get_x(start));
-      const double dy = static_cast<double>(i - start);
-      if (dx <= 0.0) continue;  // duplicate x: keep in the same segment
-      const double lo = (dy - eps) / dx;
-      const double hi = (dy + eps) / dx;
-      const double new_lo = std::max(slope_lo, lo);
-      const double new_hi = std::min(slope_hi, hi);
-      if (new_lo <= new_hi) {
-        slope_lo = new_lo;
-        slope_hi = new_hi;
-        continue;
-      }
-    }
-    // Close the current segment [start, i).
-    PgmIndex::Segment seg;
-    seg.first_key = get_x(start);
-    seg.intercept = static_cast<double>(start);
-    if (slope_hi == std::numeric_limits<double>::infinity()) {
-      seg.slope = 0.0;  // single-point segment
-    } else {
-      seg.slope = (slope_lo + slope_hi) / 2.0;
-    }
-    segs.push_back(seg);
-    if (i < n) {
-      start = i;
-      slope_lo = 0.0;
-      slope_hi = std::numeric_limits<double>::infinity();
-    }
-  }
+  ShrinkingConeSegments(n, get_x, epsilon, [&](size_t start, double slope) {
+    segs.push_back({get_x(start), slope, static_cast<double>(start)});
+  });
   return segs;
 }
 

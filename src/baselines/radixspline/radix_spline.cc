@@ -8,23 +8,21 @@
 namespace chameleon {
 
 RadixSpline::RadixSpline(size_t epsilon, size_t radix_bits)
-    : epsilon_(std::max<size_t>(1, epsilon)),
+    : DeltaOverlayIndex(/*min_merge=*/1024, /*merge_divisor=*/16),
+      epsilon_(std::max<size_t>(1, epsilon)),
       radix_bits_(std::min<size_t>(24, std::max<size_t>(4, radix_bits))) {}
 
-void RadixSpline::BulkLoad(std::span<const KeyValue> data) {
-  data_.assign(data.begin(), data.end());
-  delta_.clear();
-  tombstones_.clear();
-  size_ = data_.size();
+void RadixSpline::BuildModel() {
   BuildSpline();
   BuildRadixTable();
 }
 
 void RadixSpline::BuildSpline() {
+  const std::vector<KeyValue>& data = run();
   spline_.clear();
-  const size_t n = data_.size();
+  const size_t n = data.size();
   if (n == 0) return;
-  spline_.push_back({data_.front().key, 0.0});
+  spline_.push_back({data.front().key, 0.0});
   if (n == 1) return;
 
   // Greedy corridor: extend the current spline segment while there is a
@@ -35,7 +33,7 @@ void RadixSpline::BuildSpline() {
   // holds for every data point (emitting the point's exact rank instead
   // would not — the chord to it can leave the corridor).
   const double eps = static_cast<double>(epsilon_);
-  double anchor_key = static_cast<double>(data_.front().key);
+  double anchor_key = static_cast<double>(data.front().key);
   double anchor_rank = 0.0;
   double slope_lo = 0.0;
   double slope_hi = std::numeric_limits<double>::infinity();
@@ -43,7 +41,7 @@ void RadixSpline::BuildSpline() {
   double last_dx = 0.0;
 
   for (size_t i = 1; i < n; ++i) {
-    const double key = static_cast<double>(data_[i].key);
+    const double key = static_cast<double>(data[i].key);
     const double dx = key - anchor_key;
     if (dx <= 0.0) continue;
     const double dy = static_cast<double>(i) - anchor_rank;
@@ -77,16 +75,17 @@ void RadixSpline::BuildSpline() {
                          : (slope_lo + slope_hi) / 2.0;
     spline_.push_back({static_cast<Key>(last_key), anchor_rank + s * last_dx});
   }
-  if (spline_.back().key != data_.back().key) {
-    spline_.push_back({data_.back().key, static_cast<double>(n - 1)});
+  if (spline_.back().key != data.back().key) {
+    spline_.push_back({data.back().key, static_cast<double>(n - 1)});
   }
 }
 
 void RadixSpline::BuildRadixTable() {
+  const std::vector<KeyValue>& data = run();
   radix_table_.clear();
-  if (data_.empty()) return;
-  min_key_ = data_.front().key;
-  const Key range = data_.back().key - min_key_;
+  if (data.empty()) return;
+  min_key_ = data.front().key;
+  const Key range = data.back().key - min_key_;
   int significant = 1;
   while (significant < 64 && (range >> significant) != 0) ++significant;
   shift_ = std::max(0, significant - static_cast<int>(radix_bits_));
@@ -105,7 +104,7 @@ void RadixSpline::BuildRadixTable() {
 }
 
 size_t RadixSpline::PredictRank(Key key) const {
-  const size_t n = data_.size();
+  const size_t n = run().size();
   if (key <= min_key_) return 0;
   const size_t prefix = static_cast<size_t>((key - min_key_) >> shift_);
   size_t begin = 0, end = spline_.size();
@@ -133,114 +132,25 @@ size_t RadixSpline::PredictRank(Key key) const {
   return p >= n ? n - 1 : p;
 }
 
-bool RadixSpline::LookupMain(Key key, Value* value) const {
-  if (data_.empty() || key < data_.front().key || key > data_.back().key) {
-    return false;
+const KeyValue* RadixSpline::FindInRun(Key key) const {
+  const std::vector<KeyValue>& data = run();
+  if (data.empty() || key < data.front().key || key > data.back().key) {
+    return nullptr;
   }
   const size_t hint = PredictRank(key);
   const size_t lo = hint > epsilon_ ? hint - epsilon_ : 0;
-  const size_t hi = std::min(data_.size(), hint + epsilon_ + 2);
+  const size_t hi = std::min(data.size(), hint + epsilon_ + 2);
   auto it = std::lower_bound(
-      data_.begin() + lo, data_.begin() + hi, key,
+      data.begin() + lo, data.begin() + hi, key,
       [](const KeyValue& kv, Key k) { return kv.key < k; });
-  if (it != data_.begin() + hi && it->key == key) {
-    if (value != nullptr) *value = it->value;
-    return true;
-  }
-  return false;
-}
-
-bool RadixSpline::Lookup(Key key, Value* value) const {
-  if (tombstones_.contains(key)) return false;
-  auto it = std::lower_bound(delta_.begin(), delta_.end(), key,
-                             [](const KeyValue& kv, Key k) { return kv.key < k; });
-  if (it != delta_.end() && it->key == key) {
-    if (value != nullptr) *value = it->value;
-    return true;
-  }
-  return LookupMain(key, value);
-}
-
-void RadixSpline::Rebuild() {
-  std::vector<KeyValue> merged;
-  merged.reserve(data_.size() + delta_.size());
-  size_t i = 0, j = 0;
-  while (i < data_.size() || j < delta_.size()) {
-    if (j >= delta_.size() ||
-        (i < data_.size() && data_[i].key < delta_[j].key)) {
-      if (!tombstones_.contains(data_[i].key)) merged.push_back(data_[i]);
-      ++i;
-    } else {
-      merged.push_back(delta_[j]);
-      ++j;
-    }
-  }
-  data_ = std::move(merged);
-  delta_.clear();
-  tombstones_.clear();
-  BuildSpline();
-  BuildRadixTable();
-}
-
-bool RadixSpline::Insert(Key key, Value value) {
-  if (Lookup(key, nullptr)) return false;
-  tombstones_.erase(key);  // re-inserting an erased main-run key
-  auto it = std::lower_bound(delta_.begin(), delta_.end(), key,
-                             [](const KeyValue& kv, Key k) { return kv.key < k; });
-  delta_.insert(it, {key, value});
-  ++size_;
-  if (delta_.size() > std::max<size_t>(1024, data_.size() / 16)) Rebuild();
-  return true;
-}
-
-bool RadixSpline::Erase(Key key) {
-  auto it = std::lower_bound(delta_.begin(), delta_.end(), key,
-                             [](const KeyValue& kv, Key k) { return kv.key < k; });
-  if (it != delta_.end() && it->key == key) {
-    delta_.erase(it);
-    --size_;
-    return true;
-  }
-  if (tombstones_.contains(key)) return false;
-  if (!LookupMain(key, nullptr)) return false;
-  tombstones_.insert(key);
-  --size_;
-  return true;
-}
-
-size_t RadixSpline::RangeScan(Key lo, Key hi,
-                              std::vector<KeyValue>* out) const {
-  // Merge the main run (minus tombstones) with the delta buffer.
-  auto mi = std::lower_bound(data_.begin(), data_.end(), lo,
-                             [](const KeyValue& kv, Key k) { return kv.key < k; });
-  auto di = std::lower_bound(delta_.begin(), delta_.end(), lo,
-                             [](const KeyValue& kv, Key k) { return kv.key < k; });
-  size_t count = 0;
-  while (true) {
-    const bool m_ok = mi != data_.end() && mi->key <= hi;
-    const bool d_ok = di != delta_.end() && di->key <= hi;
-    if (!m_ok && !d_ok) break;
-    if (m_ok && (!d_ok || mi->key <= di->key)) {
-      if (!tombstones_.contains(mi->key)) {
-        out->push_back(*mi);
-        ++count;
-      }
-      ++mi;
-    } else {
-      out->push_back(*di);
-      ++count;
-      ++di;
-    }
-  }
-  return count;
+  if (it != data.begin() + hi && it->key == key) return &*it;
+  return nullptr;
 }
 
 size_t RadixSpline::SizeBytes() const {
-  return sizeof(RadixSpline) + data_.capacity() * sizeof(KeyValue) +
+  return sizeof(RadixSpline) + OverlayBytes() +
          spline_.capacity() * sizeof(SplinePoint) +
-         radix_table_.capacity() * sizeof(uint32_t) +
-         delta_.capacity() * sizeof(KeyValue) +
-         tombstones_.size() * sizeof(Key) * 2;
+         radix_table_.capacity() * sizeof(uint32_t);
 }
 
 IndexStats RadixSpline::Stats() const {

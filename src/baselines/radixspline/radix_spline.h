@@ -2,12 +2,10 @@
 #define CHAMELEON_BASELINES_RADIXSPLINE_RADIX_SPLINE_H_
 
 #include <cstdint>
-#include <span>
 #include <string_view>
-#include <unordered_set>
 #include <vector>
 
-#include "src/api/kv_index.h"
+#include "src/baselines/common/delta_overlay.h"
 
 namespace chameleon {
 
@@ -20,19 +18,14 @@ namespace chameleon {
 /// rank, and a +-epsilon window of the data is binary searched.
 ///
 /// RS is a static index (the paper drops it from update experiments); to
-/// satisfy the common KvIndex contract, updates go to a sorted delta
-/// buffer with tombstones and trigger a full rebuild when the delta
-/// exceeds a fraction of the data — correct, but not update-optimized.
-class RadixSpline final : public KvIndex {
+/// satisfy the common KvIndex contract, updates go through the shared
+/// DeltaOverlayIndex (sorted delta + tombstones over the modelled run),
+/// which rebuilds the spline and radix table over the merged run once
+/// the delta exceeds max(1024, n/16) — correct, but not update-optimized.
+class RadixSpline final : public DeltaOverlayIndex {
  public:
   explicit RadixSpline(size_t epsilon = 32, size_t radix_bits = 18);
 
-  void BulkLoad(std::span<const KeyValue> data) override;
-  bool Lookup(Key key, Value* value) const override;
-  bool Insert(Key key, Value value) override;
-  bool Erase(Key key) override;
-  size_t RangeScan(Key lo, Key hi, std::vector<KeyValue>* out) const override;
-  size_t size() const override { return size_; }
   size_t SizeBytes() const override;
   IndexStats Stats() const override;
   std::string_view Name() const override { return "RS"; }
@@ -43,25 +36,20 @@ class RadixSpline final : public KvIndex {
     double rank;
   };
 
-  void Rebuild();
+  const KeyValue* FindInRun(Key key) const override;
+  void BuildModel() override;
   void BuildSpline();
   void BuildRadixTable();
-  /// Rank prediction for `key` within data_ (clamped).
+  /// Rank prediction for `key` within run() (clamped).
   size_t PredictRank(Key key) const;
-  bool LookupMain(Key key, Value* value) const;
 
   size_t epsilon_;
   size_t radix_bits_;
-  size_t size_ = 0;
 
-  std::vector<KeyValue> data_;           // sorted main run
   std::vector<SplinePoint> spline_;
   std::vector<uint32_t> radix_table_;    // prefix -> first spline index
   Key min_key_ = 0;
   int shift_ = 0;                        // bits to shift (key - min) right
-
-  std::vector<KeyValue> delta_;          // sorted insert buffer
-  std::unordered_set<Key> tombstones_;   // erased keys in the main run
 };
 
 }  // namespace chameleon

@@ -64,6 +64,33 @@ std::unique_ptr<KvIndex> BuildShardedFromSpec(const SpecNode& node,
                                         std::move(meta_path));
 }
 
+// Runs fn(i) for every shard i < n on a dedicated thread, joins them all
+// and returns the first exception a call threw (null if none). Dedicated
+// threads rather than a ParallelFor: the per-shard BulkLoad and Recover
+// calls themselves issue ParallelFor fan-outs on the global pool
+// (per-unit subtree builds, GA fitness scoring, replays), and pool loops
+// must not nest. Concurrent ParallelFor *calls* from distinct threads
+// are supported, so each shard's heavy lifting still lands on the pool.
+template <typename Fn>
+std::exception_ptr OnEachShardInParallel(size_t n, const Fn& fn) {
+  std::exception_ptr first_error;
+  std::mutex error_mu;
+  std::vector<std::thread> threads;
+  threads.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    threads.emplace_back([&, i] {
+      try {
+        fn(i);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(error_mu);
+        if (!first_error) first_error = std::current_exception();
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  return first_error;
+}
+
 }  // namespace
 
 void RegisterShardedDecorator() {
@@ -169,31 +196,14 @@ void ShardedIndex::BulkLoad(std::span<const KeyValue> data) {
     lower_[i] = cut[i] < n ? data[cut[i]].key : kMaxKey;
   }
 
-  // Build shards in parallel, one dedicated thread per shard rather
-  // than a ParallelFor: the inner BulkLoads themselves issue
-  // ParallelFor fan-outs on the global pool (per-unit subtree builds,
-  // GA fitness scoring), and pool loops must not nest. Concurrent
-  // ParallelFor *calls* from distinct threads are supported, so each
-  // shard's heavy lifting still lands on the shared pool. Shard builds
-  // touch disjoint state and each is thread-count-deterministic, so the
-  // merged structure is too.
-  std::exception_ptr first_error;
-  std::mutex error_mu;
-  std::vector<std::thread> builders;
-  builders.reserve(n_shards);
-  for (size_t i = 0; i < n_shards; ++i) {
-    builders.emplace_back([&, i] {
-      try {
+  // Shard builds touch disjoint state and each is thread-count-
+  // deterministic, so the merged structure is too.
+  const std::exception_ptr error =
+      OnEachShardInParallel(n_shards, [&](size_t i) {
         shards_[i]->BulkLoad(data.subspan(cut[i], cut[i + 1] - cut[i]));
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mu);
-        if (!first_error) first_error = std::current_exception();
-      }
-    });
-  }
-  for (std::thread& t : builders) t.join();
+      });
   CHAMELEON_STAT_ADD(kShardBuilds, n_shards);
-  if (first_error) std::rethrow_exception(first_error);
+  if (error) std::rethrow_exception(error);
 
   // Durable shards persist the routing table next to their per-shard
   // stacks so a fresh instance can Recover() without re-deriving the
@@ -208,23 +218,13 @@ bool ShardedIndex::Recover() {
   if (meta_path_.empty() || !LoadShardMeta()) return false;
 
   // Shards own disjoint key ranges and private WAL+snapshot stacks, so
-  // their recoveries are independent — run them in parallel with the
-  // same dedicated-thread pattern as BulkLoad (inner replays may fan
-  // out on the global pool).
+  // their recoveries are independent and run in parallel.
   std::atomic<bool> ok{true};
-  std::vector<std::thread> recoverers;
-  recoverers.reserve(shards_.size());
-  for (auto& shard : shards_) {
-    recoverers.emplace_back([&ok, &shard] {
-      try {
-        if (!shard->Recover()) ok.store(false, std::memory_order_relaxed);
-      } catch (...) {
-        ok.store(false, std::memory_order_relaxed);
-      }
-    });
-  }
-  for (std::thread& t : recoverers) t.join();
-  return ok.load(std::memory_order_relaxed);
+  const std::exception_ptr error =
+      OnEachShardInParallel(shards_.size(), [&](size_t i) {
+        if (!shards_[i]->Recover()) ok.store(false, std::memory_order_relaxed);
+      });
+  return !error && ok.load(std::memory_order_relaxed);
 }
 
 bool ShardedIndex::Lookup(Key key, Value* value) const {

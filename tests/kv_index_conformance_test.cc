@@ -273,10 +273,26 @@ TEST_P(ConformanceTest, InsertEraseSweepDrainsAndRefills) {
   // key in one sweep, reinsert all of them with new values in a second,
   // and verify the index converges to the expected population at each
   // stage. Catches stale tombstones and lost slots that random streams
-  // rarely pin down.
+  // rarely pin down, and (through full scans) a reinserted key that
+  // shows up next to its erased copy, before or after a delta merge.
+  std::map<Key, Value> expected;
+  for (const KeyValue& kv : data_) expected[kv.key] = kv.value;
+  auto expect_full_scan = [&](const char* stage) {
+    std::vector<KeyValue> got;
+    index_->RangeScan(0, kMaxKey - 1, &got);
+    ASSERT_EQ(got.size(), index_->size()) << stage;
+    ASSERT_EQ(got.size(), expected.size()) << stage;
+    size_t j = 0;
+    for (const auto& [key, value] : expected) {
+      ASSERT_EQ(got[j].key, key) << stage << " at " << j;
+      ASSERT_EQ(got[j].value, value) << stage << " at " << j;
+      ++j;
+    }
+  };
   size_t erased = 0;
   for (size_t i = 0; i < data_.size(); i += 3) {
     ASSERT_TRUE(index_->Erase(data_[i].key)) << i;
+    expected.erase(data_[i].key);
     ++erased;
   }
   ASSERT_EQ(index_->size(), data_.size() - erased);
@@ -290,6 +306,11 @@ TEST_P(ConformanceTest, InsertEraseSweepDrainsAndRefills) {
   }
   for (size_t i = 0; i < data_.size(); i += 3) {
     ASSERT_TRUE(index_->Insert(data_[i].key, data_[i].value + 1)) << i;
+    expected[data_[i].key] = data_[i].value + 1;
+    // RS and DIC still hold the first 1000 reinserts in their deltas.
+    if (i == 3 * 1000) {
+      ASSERT_NO_FATAL_FAILURE(expect_full_scan("mid-reinsert"));
+    }
   }
   ASSERT_EQ(index_->size(), data_.size());
   for (size_t i = 0; i < data_.size(); i += 3) {
@@ -297,6 +318,15 @@ TEST_P(ConformanceTest, InsertEraseSweepDrainsAndRefills) {
     ASSERT_TRUE(index_->Lookup(data_[i].key, &v)) << i;
     EXPECT_EQ(v, data_[i].value + 1) << i;
   }
+  ASSERT_NO_FATAL_FAILURE(expect_full_scan("after reinsert"));
+  // More fresh inserts than any delta buffer holds (RS merges past
+  // max(1024, n/16) buffered inserts, DIC past max(4096, n/8)).
+  for (Key k = data_.back().key + 1; expected.size() < data_.size() + 4'100;
+       ++k) {
+    ASSERT_TRUE(index_->Insert(k, k * 3)) << k;
+    expected[k] = k * 3;
+  }
+  ASSERT_NO_FATAL_FAILURE(expect_full_scan("after merge"));
 }
 
 TEST_P(ConformanceTest, LookupBatchMatchesPerKeyLookup) {

@@ -3,8 +3,10 @@
 // seeded mixed read/write replay (the ISSUE-3 acceptance criteria).
 
 #include <algorithm>
+#include <filesystem>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -283,6 +285,50 @@ TEST(ShardedIndexTest, NameReflectsShardCount) {
   std::unique_ptr<KvIndex> four = MakeIndex("Sharded4:B+Tree");
   EXPECT_EQ(one->Name(), "B+Tree");
   EXPECT_EQ(four->Name(), "B+Tree/shards=4");
+}
+
+/// An empty shard whose BulkLoad and Recover throw while `fail` is set.
+class FailingShard final : public KvIndex {
+ public:
+  bool fail = false;
+
+  void BulkLoad(std::span<const KeyValue>) override {
+    if (fail) throw std::runtime_error("shard build failed");
+  }
+  bool Recover() override {
+    if (fail) throw std::runtime_error("shard recovery failed");
+    return true;
+  }
+  bool Lookup(Key, Value*) const override { return false; }
+  bool Insert(Key, Value) override { return false; }
+  bool Erase(Key) override { return false; }
+  size_t RangeScan(Key, Key, std::vector<KeyValue>*) const override {
+    return 0;
+  }
+  size_t size() const override { return 0; }
+  size_t SizeBytes() const override { return 0; }
+  IndexStats Stats() const override { return {}; }
+  std::string_view Name() const override { return "FailingShard"; }
+};
+
+TEST(ShardedIndexTest, ShardFailureReachesTheCaller) {
+  // Every shard thread is joined; then BulkLoad rethrows the shard's
+  // exception and Recover reports it as false.
+  auto healthy = std::make_unique<FailingShard>();
+  auto failing = std::make_unique<FailingShard>();
+  FailingShard* failing_ptr = failing.get();
+  std::vector<std::unique_ptr<KvIndex>> shards;
+  shards.push_back(std::move(healthy));
+  shards.push_back(std::move(failing));
+  const std::string meta = ::testing::TempDir() + "/shard_failure.meta";
+  ShardedIndex index(std::move(shards), meta);
+  const std::vector<KeyValue> data = FaceData(1'000);
+  index.BulkLoad(data);
+  EXPECT_TRUE(index.Recover());
+  failing_ptr->fail = true;
+  EXPECT_THROW(index.BulkLoad(data), std::runtime_error);
+  EXPECT_FALSE(index.Recover());
+  std::filesystem::remove(meta);
 }
 
 }  // namespace
