@@ -303,6 +303,7 @@ void ChameleonIndex::SetQuerySample(std::vector<Key> query_keys) {
 }
 
 void ChameleonIndex::BulkLoad(std::span<const KeyValue> data) {
+  PeriodicWorker::PauseGuard pause(retrainer_);
   size_.store(data.size(), std::memory_order_relaxed);
   built_size_ = data.size();
   updates_since_build_.store(0, std::memory_order_relaxed);
@@ -615,59 +616,17 @@ size_t ChameleonIndex::RetrainOnce() {
   return rebuilt;
 }
 
-void ChameleonIndex::RetrainerLoop(std::chrono::milliseconds interval) {
-  std::unique_lock<std::mutex> lock(retrainer_mu_);
-  while (!retrainer_stop_) {
-    if (retrainer_cv_.wait_for(lock, interval,
-                               [this] { return retrainer_stop_; })) {
-      break;
-    }
-    // A pause hold (SaveTo draining the thread) skips this period; the
-    // pass runs again once the save releases its hold.
-    if (retrainer_pause_count_ > 0) continue;
-    retrain_pass_active_ = true;
-    lock.unlock();
-    RetrainOnce();
-    lock.lock();
-    retrain_pass_active_ = false;
-    retrainer_cv_.notify_all();
-  }
-}
-
-void ChameleonIndex::PauseRetrainerForSave() const {
-  std::unique_lock<std::mutex> lock(retrainer_mu_);
-  ++retrainer_pause_count_;
-  retrainer_cv_.wait(lock, [this] { return !retrain_pass_active_; });
-}
-
-void ChameleonIndex::ResumeRetrainerAfterSave() const {
-  {
-    std::lock_guard<std::mutex> lock(retrainer_mu_);
-    --retrainer_pause_count_;
-  }
-  retrainer_cv_.notify_all();
-}
-
 void ChameleonIndex::StartRetrainer(std::chrono::milliseconds interval) {
   StopRetrainer();
-  {
-    std::lock_guard<std::mutex> lock(retrainer_mu_);
-    retrainer_stop_ = false;
-  }
   // Queries begin taking Query-Locks from here on; the retrainer's first
   // pass happens one full interval later, far beyond the lifetime of any
   // unlocked in-flight operation.
   locks_enabled_.store(true, std::memory_order_seq_cst);
-  retrainer_ = std::thread([this, interval] { RetrainerLoop(interval); });
+  retrainer_.Start(interval, [this] { RetrainOnce(); });
 }
 
 void ChameleonIndex::StopRetrainer() {
-  {
-    std::lock_guard<std::mutex> lock(retrainer_mu_);
-    retrainer_stop_ = true;
-  }
-  retrainer_cv_.notify_all();
-  if (retrainer_.joinable()) retrainer_.join();
+  retrainer_.Stop();
   // Locks stay on when multi-writer mode was enabled; otherwise the
   // single-threaded lock-free fast path returns.
   locks_enabled_.store(concurrent_writes_.load(std::memory_order_seq_cst),
@@ -677,6 +636,7 @@ void ChameleonIndex::StopRetrainer() {
 // --- Introspection ----------------------------------------------------------
 
 size_t ChameleonIndex::total_shifts() const {
+  PeriodicWorker::PauseGuard pause(retrainer_);
   size_t shifts = 0;
   for (const auto& unit : units_) {
     VisitPreOrder(std::as_const(unit->root), 0,
@@ -688,6 +648,7 @@ size_t ChameleonIndex::total_shifts() const {
 }
 
 size_t ChameleonIndex::SizeBytes() const {
+  PeriodicWorker::PauseGuard pause(retrainer_);
   size_t frame_bytes = 0;
   VisitPreOrder(frame_root_, 0, [&frame_bytes](const FrameNode& node, int) {
     frame_bytes +=
@@ -710,6 +671,7 @@ size_t ChameleonIndex::SizeBytes() const {
 }
 
 IndexStats ChameleonIndex::Stats() const {
+  PeriodicWorker::PauseGuard pause(retrainer_);
   size_t nodes = 0;
   VisitPreOrder(frame_root_, 0, [&nodes](const FrameNode&, int) { ++nodes; });
 

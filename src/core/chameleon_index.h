@@ -4,14 +4,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <optional>
-#include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
-#include <string>
 #include <string_view>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -20,6 +17,7 @@
 #include "src/core/ebh_leaf.h"
 #include "src/core/interval_lock.h"
 #include "src/core/tsmdp.h"
+#include "src/util/periodic_worker.h"
 
 namespace chameleon {
 
@@ -109,9 +107,13 @@ struct ChameleonConfig {
 /// wrote before the swap) is visible before the reader dereferences it.
 /// Conversely the retrainer's exclusive CAS only succeeds once every
 /// reader's release fetch_sub has drained the shared count, so it
-/// observes all reader-side effects before mutating. Stats()/SizeBytes()
-/// and serialization walk the tree unlocked and require quiescence
-/// (stop the retrainer or pause the workload first).
+/// observes all reader-side effects before mutating.
+///
+/// Whole-structure operations (BulkLoad, LoadFrom, SaveTo, Stats,
+/// SizeBytes, total_shifts) walk or replace the tree without Interval
+/// Locks. Each holds the retrainer's pause guard, which waits out an
+/// in-flight pass and blocks new ones, so they are safe with a live
+/// retrainer; only foreground writers must be quiesced by the caller.
 class ChameleonIndex final : public KvIndex {
  public:
   ChameleonIndex();
@@ -189,16 +191,19 @@ class ChameleonIndex final : public KvIndex {
   /// retraining pass weights fanout decisions by this traffic.
   void SetQuerySample(std::vector<Key> query_keys);
 
-  /// Persists the built structure (see core/serialize.h). Safe with a
-  /// live retraining thread: the save pauses it and drains any in-flight
-  /// pass first (foreground writers must still be quiesced by the
-  /// caller). Returns false on I/O error.
-  bool SaveTo(const std::string& path) const;
-  /// Streaming form: writes the structure at `f`'s current position
-  /// (the storage layer embeds it inside checksummed snapshot files).
+  /// Persists the built structure at `f`'s current position: frame
+  /// parameters, unit layout, TSMDP-chosen subtrees and EBH leaf
+  /// contents (slot-exact, including each leaf's adapted hash factor),
+  /// so reloading skips the RL construction entirely. Binary
+  /// little-endian, versioned (core/serialize.cc); the storage layer
+  /// embeds it inside checksummed snapshot files. A save that finds a
+  /// live retrainer pauses it and counts save_retrainer_pauses.
+  /// Returns false on I/O error.
   bool SaveTo(std::FILE* f) const;
-  /// Restores a structure written by SaveTo, replacing the current one.
-  bool LoadFrom(const std::string& path);
+  /// Restores a structure written by SaveTo, replacing the current one
+  /// (the construction config still supplies the agents for future
+  /// retraining). Returns false on I/O error, bad magic, or version
+  /// mismatch.
   bool LoadFrom(std::FILE* f);
 
   /// Number of frame levels h = ceil(log_{2^10} |D|), clamped to >= 2
@@ -338,16 +343,6 @@ class ChameleonIndex final : public KvIndex {
   /// and returns empty rather than race or stall a structural rebuild.
   obs::Heatmap SnapshotUnits(
       std::pair<uint64_t, uint64_t> (*counts)(const Unit& unit)) const;
-  void RetrainerLoop(std::chrono::milliseconds interval);
-  /// SaveTo's guard (core/serialize.cc): blocks new retrainer-thread
-  /// passes and waits out the in-flight one, so the save never races a
-  /// subtree swap. const (with mutable thread state) because saving is
-  /// logically read-only. Callers pair it with ResumeRetrainerAfterSave.
-  void PauseRetrainerForSave() const;
-  void ResumeRetrainerAfterSave() const;
-  /// The actual structure writer (core/serialize.cc); callers hold the
-  /// retrainer pause when one is live.
-  bool SaveToLocked(std::FILE* f) const;
   /// Triggers the Sec.-V full reconstruction when the cumulative update
   /// volume crosses the threshold (single-threaded mode only).
   void MaybeFullReconstruct();
@@ -384,16 +379,10 @@ class ChameleonIndex final : public KvIndex {
   // stalls a build. Leaf operations never touch it.
   mutable std::mutex heatmap_mu_;
 
-  // Retrainer thread state. mutable: const SaveTo pauses/drains the
-  // retrainer through the same mutex/cv (see PauseRetrainerForSave).
-  std::thread retrainer_;
-  mutable std::mutex retrainer_mu_;
-  mutable std::condition_variable retrainer_cv_;
-  bool retrainer_stop_ = false;
-  // Guarded by retrainer_mu_: true while the retrainer thread is inside
-  // RetrainOnce; > 0 pause holds (SaveTo) block new passes.
-  mutable bool retrain_pass_active_ = false;
-  mutable size_t retrainer_pause_count_ = 0;
+  // Runs RetrainOnce every interval while started; whole-structure
+  // operations hold its pause guard. Declared last: it is stopped
+  // before the structure it walks is destroyed.
+  PeriodicWorker retrainer_;
 };
 
 }  // namespace chameleon

@@ -1,8 +1,7 @@
-#include "src/core/serialize.h"
+#include "src/core/chameleon_index.h"
 
 #include <cstdint>
 #include <cstdio>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -76,52 +75,18 @@ bool ReadNodeHeader(std::FILE* f, Node* node, bool* terminal) {
   return true;
 }
 
-struct FileCloser {
-  void operator()(std::FILE* f) const {
-    if (f != nullptr) std::fclose(f);
-  }
-};
-using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
-
 }  // namespace
-
-bool SaveIndex(const ChameleonIndex& index, const std::string& path) {
-  return index.SaveTo(path);
-}
-
-bool LoadIndex(ChameleonIndex* index, const std::string& path) {
-  return index->LoadFrom(path);
-}
 
 // --- member implementations (access to the private structure) ---------------
 
-bool ChameleonIndex::SaveTo(const std::string& path) const {
-  FilePtr f(std::fopen(path.c_str(), "wb"));
-  if (f == nullptr) return false;
-  return SaveTo(f.get());
-}
-
 bool ChameleonIndex::SaveTo(std::FILE* fp) const {
-  // Guard against the documented footgun: the structure walk below is
-  // unlocked, so a live retraining thread swapping a subtree mid-save
-  // would tear the stream. Pause it (draining any in-flight pass) for
-  // the duration; a stopped retrainer makes this a no-op. Foreground
+  // The structure walk below is unlocked, so a live retraining thread
+  // swapping a subtree mid-save would tear the stream: the pause guard
+  // waits out any in-flight pass and holds off new ones. Foreground
   // writers remain the caller's responsibility (DurableIndex holds its
   // write mutex around checkpoints).
-  // locks_enabled_ is also true in multi-writer mode without a live
-  // retrainer; the pause/drain handshake is a cheap no-op then.
-  const bool retrainer_live =
-      locks_enabled_.load(std::memory_order_acquire);
-  if (retrainer_live) {
-    PauseRetrainerForSave();
-    CHAMELEON_STAT_INC(kSaveRetrainerPauses);
-  }
-  const bool ok = SaveToLocked(fp);
-  if (retrainer_live) ResumeRetrainerAfterSave();
-  return ok;
-}
-
-bool ChameleonIndex::SaveToLocked(std::FILE* fp) const {
+  PeriodicWorker::PauseGuard pause(retrainer_);
+  if (retrainer_.running()) CHAMELEON_STAT_INC(kSaveRetrainerPauses);
   bool ok = WriteVal(fp, kMagic) && WriteVal(fp, kVersion) &&
             WriteVal(fp, config_.tau) && WriteVal(fp, config_.alpha) &&
             WriteVal(fp, static_cast<uint32_t>(h_)) && WriteVal(fp, mk_) &&
@@ -162,13 +127,8 @@ bool ChameleonIndex::SaveToLocked(std::FILE* fp) const {
   return ok;
 }
 
-bool ChameleonIndex::LoadFrom(const std::string& path) {
-  FilePtr f(std::fopen(path.c_str(), "rb"));
-  if (f == nullptr) return false;
-  return LoadFrom(f.get());
-}
-
 bool ChameleonIndex::LoadFrom(std::FILE* fp) {
+  PeriodicWorker::PauseGuard pause(retrainer_);
   uint32_t magic = 0, version = 0;
   if (!ReadVal(fp, &magic) || !ReadVal(fp, &version) || magic != kMagic ||
       version != kVersion) {

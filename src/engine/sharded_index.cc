@@ -8,14 +8,13 @@
 #include <cstring>
 #include <exception>
 #include <filesystem>
-#include <mutex>
-#include <thread>
 
 #include "src/api/index_spec.h"
 #include "src/obs/stats.h"
 #include "src/storage/durable_index.h"
 #include "src/util/crc32c.h"
 #include "src/util/io.h"
+#include "src/util/thread_pool.h"
 
 namespace chameleon {
 namespace {
@@ -62,33 +61,6 @@ std::unique_ptr<KvIndex> BuildShardedFromSpec(const SpecNode& node,
   }
   return std::make_unique<ShardedIndex>(std::move(shards),
                                         std::move(meta_path));
-}
-
-// Runs fn(i) for every shard i < n on a dedicated thread, joins them all
-// and returns the first exception a call threw (null if none). Dedicated
-// threads rather than a ParallelFor: the per-shard BulkLoad and Recover
-// calls themselves issue ParallelFor fan-outs on the global pool
-// (per-unit subtree builds, GA fitness scoring, replays), and pool loops
-// must not nest. Concurrent ParallelFor *calls* from distinct threads
-// are supported, so each shard's heavy lifting still lands on the pool.
-template <typename Fn>
-std::exception_ptr OnEachShardInParallel(size_t n, const Fn& fn) {
-  std::exception_ptr first_error;
-  std::mutex error_mu;
-  std::vector<std::thread> threads;
-  threads.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    threads.emplace_back([&, i] {
-      try {
-        fn(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mu);
-        if (!first_error) first_error = std::current_exception();
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  return first_error;
 }
 
 }  // namespace
@@ -198,10 +170,9 @@ void ShardedIndex::BulkLoad(std::span<const KeyValue> data) {
 
   // Shard builds touch disjoint state and each is thread-count-
   // deterministic, so the merged structure is too.
-  const std::exception_ptr error =
-      OnEachShardInParallel(n_shards, [&](size_t i) {
-        shards_[i]->BulkLoad(data.subspan(cut[i], cut[i + 1] - cut[i]));
-      });
+  const std::exception_ptr error = RunOnThreads(n_shards, [&](size_t i) {
+    shards_[i]->BulkLoad(data.subspan(cut[i], cut[i + 1] - cut[i]));
+  });
   CHAMELEON_STAT_ADD(kShardBuilds, n_shards);
   if (error) std::rethrow_exception(error);
 
@@ -221,7 +192,7 @@ bool ShardedIndex::Recover() {
   // their recoveries are independent and run in parallel.
   std::atomic<bool> ok{true};
   const std::exception_ptr error =
-      OnEachShardInParallel(shards_.size(), [&](size_t i) {
+      RunOnThreads(shards_.size(), [&](size_t i) {
         if (!shards_[i]->Recover()) ok.store(false, std::memory_order_relaxed);
       });
   return !error && ok.load(std::memory_order_relaxed);

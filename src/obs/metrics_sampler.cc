@@ -66,47 +66,24 @@ MetricsSampler::MetricsSampler(SamplerOptions options) : options_(options) {
 MetricsSampler::~MetricsSampler() { Stop(); }
 
 void MetricsSampler::Start() {
-  std::lock_guard<std::mutex> lock(thread_mu_);
-  if (running_) return;
-  stop_ = false;
-  running_ = true;
-  thread_ = std::thread(&MetricsSampler::Loop, this);
+  // Registration shares g_running_mu with Stop's deregistration, so a
+  // racing Start/Stop pair leaves the registry matching the worker.
   std::lock_guard<std::mutex> running_lock(g_running_mu);
+  if (!worker_.Start(options_.interval, [this] { SampleNow(); })) return;
   g_running.push_back(this);
   g_num_running.fetch_add(1, std::memory_order_release);
 }
 
 void MetricsSampler::Stop() {
   {
-    std::lock_guard<std::mutex> lock(thread_mu_);
-    if (!running_) return;
-    stop_ = true;
-  }
-  {
     std::lock_guard<std::mutex> running_lock(g_running_mu);
-    std::erase(g_running, this);
+    if (std::erase(g_running, this) == 0) return;
     g_num_running.fetch_sub(1, std::memory_order_release);
   }
-  cv_.notify_all();
-  thread_.join();
-  {
-    std::lock_guard<std::mutex> lock(thread_mu_);
-    running_ = false;
-  }
+  worker_.Stop();
   // Final tick: a run shorter than one interval still yields a series,
   // and the last line always reflects end-of-run totals.
   SampleNow();
-}
-
-void MetricsSampler::Loop() {
-  std::unique_lock<std::mutex> lock(thread_mu_);
-  while (!stop_) {
-    cv_.wait_for(lock, options_.interval, [this] { return stop_; });
-    if (stop_) break;
-    lock.unlock();
-    SampleNow();
-    lock.lock();
-  }
 }
 
 void MetricsSampler::SampleNow() {

@@ -3,18 +3,17 @@
 
 #include <array>
 #include <chrono>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/obs/heatmap.h"
 #include "src/obs/phase_timer.h"
 #include "src/obs/stats.h"
+#include "src/util/periodic_worker.h"
 
 namespace chameleon::obs {
 
@@ -81,23 +80,23 @@ struct MetricsSample {
 };
 
 struct SamplerOptions {
-  /// Tick period of the background thread.
+  /// Tick period of the background worker.
   std::chrono::milliseconds interval{100};
   /// Bounded time-series ring: oldest ticks are dropped past this.
   size_t ring_capacity = 4096;
 };
 
-/// Background time-series sampler (DESIGN.md §11): a thread snapshots
-/// every StatsRegistry counter, every WritePhase histogram, and the
-/// active index source once per interval into a bounded in-memory
-/// ring. The ring is flushed as JSONL (`--series=PATH` in every bench
-/// harness) and current values are renderable as Prometheus text
-/// exposition for the future TCP front-end to scrape.
+/// Background time-series sampler (DESIGN.md §11): a PeriodicWorker
+/// snapshots every StatsRegistry counter, every WritePhase histogram,
+/// and the active index source once per interval into a bounded
+/// in-memory ring. The ring is flushed as JSONL (`--series=PATH` in
+/// every bench harness) and current values are renderable as
+/// Prometheus text exposition for the future TCP front-end to scrape.
 ///
 /// Capture cost is O(counters + histogram buckets + units) per tick on
-/// the sampler thread only; the sampled workload pays nothing beyond
+/// the worker thread only; the sampled workload pays nothing beyond
 /// its existing relaxed-atomic instrumentation. Thread-safe: Start/
-/// Stop/SampleNow/Snapshot may race arbitrarily (one mutex inside).
+/// Stop/SampleNow/Snapshot may race arbitrarily.
 class MetricsSampler {
  public:
   explicit MetricsSampler(SamplerOptions options = {});
@@ -106,9 +105,9 @@ class MetricsSampler {
   MetricsSampler(const MetricsSampler&) = delete;
   MetricsSampler& operator=(const MetricsSampler&) = delete;
 
-  /// Starts the background thread (idempotent).
+  /// Starts the background worker (idempotent).
   void Start();
-  /// Stops the thread after capturing one final tick, so even a run
+  /// Stops the worker, then captures one final tick, so even a run
   /// shorter than one interval yields a complete series. Idempotent.
   void Stop();
 
@@ -138,7 +137,6 @@ class MetricsSampler {
   static std::string RenderProm();
 
  private:
-  void Loop();
   /// Captures one tick; caller holds mu_.
   void CaptureLocked();
   static void AppendSampleJson(const MetricsSample& s, std::string* out);
@@ -154,11 +152,7 @@ class MetricsSampler {
   Heatmap last_heat_;
   Heatmap last_contention_;
 
-  std::thread thread_;
-  std::mutex thread_mu_;  // guards thread_/stop_ against Start/Stop races
-  std::condition_variable cv_;
-  bool stop_ = false;
-  bool running_ = false;
+  PeriodicWorker worker_;
 };
 
 }  // namespace chameleon::obs

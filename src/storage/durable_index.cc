@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <mutex>
+#include <shared_mutex>
 
 #include "src/api/index_spec.h"
 #include "src/obs/phase_timer.h"
@@ -188,42 +190,18 @@ bool DurableIndex::Checkpoint() {
   return CheckpointLocked();
 }
 
-void DurableIndex::CheckpointerLoop(std::chrono::milliseconds interval) {
-  std::unique_lock<std::mutex> lock(checkpointer_mu_);
-  while (!checkpointer_stop_) {
-    if (checkpointer_cv_.wait_for(lock, interval,
-                                  [this] { return checkpointer_stop_; })) {
-      break;
-    }
-    lock.unlock();
-    {
-      std::unique_lock<std::shared_mutex> write_lock(write_mu_);
-      const uint64_t grown = wal_.appended_bytes() - wal_bytes_at_checkpoint_;
-      if (grown > 0 && grown >= options_.checkpoint_wal_bytes) {
-        CheckpointLocked();
-      }
-    }
-    lock.lock();
-  }
-}
-
 void DurableIndex::StartCheckpointer(std::chrono::milliseconds interval) {
   StopCheckpointer();
-  {
-    std::lock_guard<std::mutex> lock(checkpointer_mu_);
-    checkpointer_stop_ = false;
-  }
-  checkpointer_ = std::thread([this, interval] { CheckpointerLoop(interval); });
+  checkpointer_.Start(interval, [this] {
+    std::unique_lock<std::shared_mutex> write_lock(write_mu_);
+    const uint64_t grown = wal_.appended_bytes() - wal_bytes_at_checkpoint_;
+    if (grown > 0 && grown >= options_.checkpoint_wal_bytes) {
+      CheckpointLocked();
+    }
+  });
 }
 
-void DurableIndex::StopCheckpointer() {
-  {
-    std::lock_guard<std::mutex> lock(checkpointer_mu_);
-    checkpointer_stop_ = true;
-  }
-  checkpointer_cv_.notify_all();
-  if (checkpointer_.joinable()) checkpointer_.join();
-}
+void DurableIndex::StopCheckpointer() { checkpointer_.Stop(); }
 
 void DurableIndex::SimulateCrash() {
   StopCheckpointer();

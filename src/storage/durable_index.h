@@ -2,17 +2,15 @@
 #define CHAMELEON_STORAGE_DURABLE_INDEX_H_
 
 #include <chrono>
-#include <condition_variable>
 #include <memory>
-#include <mutex>
 #include <shared_mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/api/kv_index.h"
 #include "src/storage/snapshot.h"
 #include "src/storage/wal.h"
+#include "src/util/periodic_worker.h"
 
 namespace chameleon {
 
@@ -48,7 +46,10 @@ struct DurableOptions {
 /// Checkpointing: `Checkpoint()` rotates the WAL (so the snapshot
 /// boundary is a segment boundary), writes the snapshot atomically
 /// (temp + rename), deletes obsolete WAL segments and older snapshots.
-/// `StartCheckpointer` runs it periodically on a background thread.
+/// `StartCheckpointer` runs it on a PeriodicWorker: each tick
+/// checkpoints once the WAL grew by `checkpoint_wal_bytes`. No spec
+/// starts it; callers that want background checkpoints start it
+/// themselves.
 ///
 /// Thread model: the adapter follows the inner index's write contract.
 /// By default that is single-writer — at most one thread in
@@ -66,8 +67,8 @@ struct DurableOptions {
 /// pair, so no op can be logged before the boundary but applied after
 /// the snapshot. Readers are never blocked, and the Chameleon native
 /// save path pauses/drains the retraining thread internally
-/// (core/serialize.h), so `Durable` composes with a live retrainer and
-/// with `Sharded<N>` inners.
+/// (ChameleonIndex::SaveTo), so `Durable` composes with a live
+/// retrainer and with `Sharded<N>` inners.
 ///
 /// Concurrent-writer caveat: two racing writers of the *same key* may
 /// commit to the WAL in the opposite order of their inner-index
@@ -123,6 +124,8 @@ class DurableIndex final : public KvIndex {
   /// snapshot is written; readers proceed throughout.
   bool Checkpoint();
 
+  /// Starts (or restarts) the background checkpointer, ticking every
+  /// `interval`; StopCheckpointer joins it.
   void StartCheckpointer(std::chrono::milliseconds interval);
   void StopCheckpointer();
 
@@ -143,7 +146,6 @@ class DurableIndex final : public KvIndex {
   double last_recovery_ms() const { return last_recovery_ms_; }
 
  private:
-  void CheckpointerLoop(std::chrono::milliseconds interval);
   bool CheckpointLocked();
   std::string SnapshotPath(uint64_t wal_seq) const;
   /// Snapshot files present in the directory, by wal_seq descending.
@@ -164,10 +166,7 @@ class DurableIndex final : public KvIndex {
   size_t last_recovery_replayed_ = 0;
   double last_recovery_ms_ = 0.0;
 
-  std::thread checkpointer_;
-  std::mutex checkpointer_mu_;
-  std::condition_variable checkpointer_cv_;
-  bool checkpointer_stop_ = false;
+  PeriodicWorker checkpointer_;
 };
 
 /// Registers the "Durable(...)" decorator in the index-spec registry.

@@ -128,12 +128,6 @@ bool WriteSnapshot(const KvIndex& index, const std::string& path,
   return RenameDurably(tmp, path);
 }
 
-bool ReadSnapshotMeta(const std::string& path, SnapshotMeta* meta) {
-  FilePtr f(std::fopen(path.c_str(), "rb"));
-  if (f == nullptr) return false;
-  return ReadHeader(f.get(), meta);
-}
-
 bool ReadSnapshot(KvIndex* index, const std::string& path,
                   SnapshotMeta* meta_out) {
   FilePtr f(std::fopen(path.c_str(), "rb"));

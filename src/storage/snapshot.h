@@ -46,7 +46,7 @@ struct SnapshotMeta {
 ///
 /// Caller contract: writers must be quiesced (DurableIndex holds its
 /// write mutex); a live Chameleon retraining thread is paused and
-/// drained internally by the native save path (see core/serialize.h).
+/// drained internally by the native save path (ChameleonIndex::SaveTo).
 bool WriteSnapshot(const KvIndex& index, const std::string& path,
                    uint64_t wal_seq);
 
@@ -57,10 +57,6 @@ bool WriteSnapshot(const KvIndex& index, const std::string& path,
 /// or a kind/index mismatch. `*meta` (optional) receives the header.
 bool ReadSnapshot(KvIndex* index, const std::string& path,
                   SnapshotMeta* meta = nullptr);
-
-/// Reads and validates only the header. Used to order snapshot files
-/// during recovery without paying for payload verification.
-bool ReadSnapshotMeta(const std::string& path, SnapshotMeta* meta);
 
 }  // namespace chameleon
 

@@ -167,4 +167,24 @@ void SetGlobalThreads(size_t num_threads) {
   g_pool = std::make_unique<ThreadPool>(n);
 }
 
+std::exception_ptr RunOnThreads(size_t n,
+                                const std::function<void(size_t)>& fn) {
+  std::exception_ptr first_error;
+  std::mutex error_mu;
+  std::vector<std::thread> threads;
+  threads.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    threads.emplace_back([&, i] {
+      try {
+        fn(i);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(error_mu);
+        if (!first_error) first_error = std::current_exception();
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  return first_error;
+}
+
 }  // namespace chameleon

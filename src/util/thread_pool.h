@@ -3,6 +3,7 @@
 
 #include <condition_variable>
 #include <cstddef>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -82,6 +83,17 @@ ThreadPool& GlobalPool();
 /// already has exactly that many threads. `num_threads` 0 restores
 /// DefaultThreadCount().
 void SetGlobalThreads(size_t num_threads);
+
+/// Runs fn(i) for every i < n, each call on its own new thread, joins
+/// every thread and returns the first exception a call threw (null if
+/// none). The one fan-out for work that itself issues ParallelFor loops
+/// (per-shard builds and recoveries) or runs for a whole measurement
+/// (the driver's replay threads): pool loops must not nest, and a
+/// replay thread must not wait behind another loop's chunks.
+/// Concurrent ParallelFor calls from distinct threads are supported, so
+/// each call's own heavy lifting still lands on the pool.
+[[nodiscard]] std::exception_ptr RunOnThreads(
+    size_t n, const std::function<void(size_t)>& fn);
 
 }  // namespace chameleon
 

@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <exception>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include "src/obs/metrics_sampler.h"
+#include "src/util/thread_pool.h"
 #include "src/util/timer.h"
 
 namespace chameleon {
@@ -201,9 +203,7 @@ ReplayResult Replay(KvIndex* index, std::span<const Operation> ops,
     std::vector<ChunkResult> chunks(threads);
     std::vector<obs::LatencyHistogram> hists(hist != nullptr ? threads : 0);
     Timer wall;
-    std::vector<std::thread> workers;
-    workers.reserve(threads);
-    for (size_t t = 0; t < threads; ++t) {
+    const std::exception_ptr error = RunOnThreads(threads, [&](size_t t) {
       std::span<const Operation> mine;
       if (partition_by_key) {
         mine = owned[t];
@@ -212,13 +212,11 @@ ReplayResult Replay(KvIndex* index, std::span<const Operation> ops,
         const size_t end = (t + 1) * measured.size() / threads;
         mine = measured.subspan(begin, end - begin);
       }
-      workers.emplace_back([&, t, mine] {
-        chunks[t] = ReplayDispatch(index, mine, batch,
-                                   hist != nullptr ? &hists[t] : nullptr);
-      });
-    }
-    for (std::thread& worker : workers) worker.join();
+      chunks[t] = ReplayDispatch(index, mine, batch,
+                                 hist != nullptr ? &hists[t] : nullptr);
+    });
     result.wall_ns = wall.ElapsedNanos();
+    if (error) std::rethrow_exception(error);
     for (size_t t = 0; t < threads; ++t) {
       result.misses += chunks[t].misses;
       result.busy_ns += chunks[t].busy_ns;
@@ -253,7 +251,7 @@ void WaitUntilNanos(int64_t deadline_ns) {
 
 }  // namespace
 
-OpenLoopResult RunOpenLoop(KvIndex* index, OpSource& source, size_t max_ops,
+OpenLoopResult RunOpenLoop(KvIndex* index, std::span<const Operation> ops,
                            const OpenLoopOptions& options) {
   obs::ScopedIndexSource telemetry(
       [index] { return index->HeatmapSnapshot(); },
@@ -263,18 +261,17 @@ OpenLoopResult RunOpenLoop(KvIndex* index, OpSource& source, size_t max_ops,
   result.target_rate = std::max(options.rate_ops_per_sec, 1.0);
   const double interval_ns = 1e9 / result.target_rate;
 
-  Operation op;
   std::vector<KeyValue> scan_buf;
-  for (size_t i = 0; i < options.warmup; ++i) {
-    if (!source.Next(&op)) return result;
+  const size_t warmup = std::min(options.warmup, ops.size());
+  for (const Operation& op : ops.first(warmup)) {
     ExecuteOp(index, op, &scan_buf);
   }
+  const std::span<const Operation> measured = ops.subspan(warmup);
 
   const int64_t t0 = NowNanos();
-  size_t i = 0;
   int64_t last_completion = t0;
-  for (; i < max_ops; ++i) {
-    if (!source.Next(&op)) break;
+  for (size_t i = 0; i < measured.size(); ++i) {
+    const Operation& op = measured[i];
     // Arrival i is *scheduled* at t0 + i/rate. If the previous op ran
     // long we are already past the intended time: dispatch immediately
     // and let the sample carry the queueing delay (the CO-safe part —
@@ -301,7 +298,7 @@ OpenLoopResult RunOpenLoop(KvIndex* index, OpSource& source, size_t max_ops,
                                 interval_ns);
     if (backlog > result.max_backlog) result.max_backlog = backlog;
   }
-  result.ops = i;
+  result.ops = measured.size();
   result.wall_ns = NowNanos() - t0;
   if (result.misses > 0) {
     std::fprintf(stderr, "WARNING: %zu missed operations on %.*s\n",
@@ -309,12 +306,6 @@ OpenLoopResult RunOpenLoop(KvIndex* index, OpSource& source, size_t max_ops,
                  index->Name().data());
   }
   return result;
-}
-
-OpenLoopResult RunOpenLoop(KvIndex* index, std::span<const Operation> ops,
-                           const OpenLoopOptions& options) {
-  SpanSource source(ops);
-  return RunOpenLoop(index, source, ops.size(), options);
 }
 
 }  // namespace chameleon

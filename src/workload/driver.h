@@ -8,7 +8,6 @@
 #include "src/api/kv_index.h"
 #include "src/obs/latency_histogram.h"
 #include "src/workload/op.h"
-#include "src/workload/op_source.h"
 
 namespace chameleon {
 
@@ -95,6 +94,7 @@ struct OpenLoopOptions {
   double rate_ops_per_sec = 100'000.0;
   /// Leading operations executed closed-loop before the pacing clock
   /// starts: applied to the index, excluded from all accounting.
+  /// Clamped to the stream length.
   size_t warmup = 0;
 };
 
@@ -134,18 +134,11 @@ struct OpenLoopResult {
   }
 };
 
-/// Runs up to `max_ops` operations pulled from `source` against `index`
-/// on one dispatcher thread at the target arrival rate. Ops are
-/// generated at dispatch time (no materialized stream), executed with
-/// the same per-op semantics as Replay. Single-dispatcher is a
-/// deliberate parity constraint (ROADMAP: 1-core comparisons): when the
-/// index is slower than the arrival interval the backlog grows and the
-/// CO-safe histogram shows it.
-OpenLoopResult RunOpenLoop(KvIndex* index, OpSource& source, size_t max_ops,
-                           const OpenLoopOptions& options);
-
-/// Span convenience wrapper (benches that already materialized a
-/// stream).
+/// Runs `ops` against `index` on one dispatcher thread at the target
+/// arrival rate, with the same per-op semantics as Replay.
+/// Single-dispatcher is a deliberate parity constraint (ROADMAP: 1-core
+/// comparisons): when the index is slower than the arrival interval
+/// the backlog grows and the CO-safe histogram shows it.
 OpenLoopResult RunOpenLoop(KvIndex* index, std::span<const Operation> ops,
                            const OpenLoopOptions& options);
 

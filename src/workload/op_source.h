@@ -17,11 +17,6 @@ namespace chameleon {
 /// (often unbounded) workload: `Next` fills `*op` and returns true, or
 /// returns false when the source is exhausted (finite sources only —
 /// the mix generators never are unless the live set empties).
-///
-/// The streaming shape is what lets the open-loop driver generate ops
-/// at dispatch time (no materialized vector, no cache-warming artifact
-/// from a pre-built stream) while the closed-loop benches keep their
-/// replay-a-vector path via Drain().
 class OpSource {
  public:
   virtual ~OpSource() = default;
@@ -31,22 +26,6 @@ class OpSource {
 /// Materializes up to `max_ops` operations (fewer if the source dries
 /// up) — the bridge from streaming sources to the closed-loop Replay.
 std::vector<Operation> Drain(OpSource& source, size_t max_ops);
-
-/// Adapts an already-materialized stream back into a source (the
-/// open-loop driver takes sources; benches sometimes have vectors).
-class SpanSource final : public OpSource {
- public:
-  explicit SpanSource(std::span<const Operation> ops) : ops_(ops) {}
-  bool Next(Operation* op) override {
-    if (i_ >= ops_.size()) return false;
-    *op = ops_[i_++];
-    return true;
-  }
-
- private:
-  std::span<const Operation> ops_;
-  size_t i_ = 0;
-};
 
 /// Point lookups of present keys, target ranks drawn from `chooser`
 /// (the `read` family).

@@ -154,5 +154,58 @@ TEST(ConcurrencyTest, RetrainOnceIsIdempotentWhenClean) {
   EXPECT_EQ(index.RetrainOnce(), 0u);
 }
 
+TEST(ConcurrencyTest, WholeStructureCallsWaitOutALiveRetrainer) {
+  // BulkLoad replaces every unit and Stats/SizeBytes/total_shifts walk
+  // every subtree, all without Interval Locks. Each holds the
+  // retrainer's pause guard, so a pass never reads a unit BulkLoad
+  // frees nor swaps a subtree under a walk; without the guard TSan
+  // reports both races here. Inserts between the calls keep units
+  // drifting past the threshold, so the 1 ms retrainer has passes to
+  // run.
+  ChameleonConfig config = StressConfig();
+  config.retrain_threshold_pct = 5;
+  ChameleonIndex index(config);
+  const std::vector<KeyValue> data =
+      ToKeyValues(GenerateDataset(DatasetKind::kFace, 40'000, 17));
+  index.BulkLoad(data);
+  index.StartRetrainer(std::chrono::milliseconds(1));
+  Rng rng(23);
+  size_t inserted = 0;
+  const auto insert_round = [&] {
+    for (int i = 0; i < 4'000; ++i) {
+      const KeyValue& near = data[rng.NextBounded(data.size())];
+      inserted += index.Insert(near.key + 1, near.value);
+    }
+  };
+  for (int round = 0; round < 10; ++round) {
+    insert_round();
+    index.BulkLoad(data);
+    inserted = 0;
+    ASSERT_EQ(index.size(), data.size());
+  }
+  for (int round = 0; round < 10; ++round) {
+    insert_round();
+    EXPECT_GT(index.Stats().num_nodes, 0u);
+    EXPECT_GT(index.SizeBytes(), 0u);
+    (void)index.total_shifts();
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (index.total_retrains() == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  index.StopRetrainer();
+  EXPECT_GT(index.total_retrains(), 0u);
+
+  EXPECT_EQ(index.size(), data.size() + inserted);
+  std::vector<KeyValue> all;
+  index.RangeScan(0, kMaxKey - 1, &all);
+  EXPECT_EQ(all.size(), index.size());
+  for (const KeyValue& kv : data) {
+    ASSERT_TRUE(index.Lookup(kv.key, nullptr)) << kv.key;
+  }
+}
+
 }  // namespace
 }  // namespace chameleon

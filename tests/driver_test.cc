@@ -3,6 +3,7 @@
 // read-only replay correctness (per-thread histogram merge included).
 
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -210,6 +211,39 @@ TEST_F(DriverTest, WriteBearingReplayFallsBackWhenUnsupported) {
   EXPECT_EQ(r.ops, ops.size());
   EXPECT_EQ(r.misses, 0u);
   EXPECT_EQ(hist.count(), ops.size());
+}
+
+/// Accepts concurrent writes and throws from every Insert: the error
+/// path of the driver's replay threads.
+class ThrowingIndex final : public KvIndex {
+ public:
+  void BulkLoad(std::span<const KeyValue>) override {}
+  bool Lookup(Key, Value*) const override { return true; }
+  bool Insert(Key, Value) override {
+    throw std::runtime_error("insert failed");
+  }
+  bool Erase(Key) override { return true; }
+  size_t RangeScan(Key, Key, std::vector<KeyValue>*) const override {
+    return 0;
+  }
+  size_t size() const override { return 0; }
+  size_t SizeBytes() const override { return 0; }
+  IndexStats Stats() const override { return {}; }
+  std::string_view Name() const override { return "ThrowingIndex"; }
+  bool SupportsConcurrentWrites() const override { return true; }
+  bool EnableConcurrentWrites() override { return true; }
+};
+
+TEST_F(DriverTest, ReplayThreadFailureReachesTheCaller) {
+  // Every replay thread is joined, then Replay rethrows the exception
+  // one of them threw (instead of it escaping a thread and ending the
+  // process).
+  ThrowingIndex index;
+  const std::vector<Operation> ops = MaterializeWorkload(
+      ParseWorkloadOrDie("mixed(w=0.5)"), keys_, 31, 1'000);
+  ReplayOptions options;
+  options.threads = 2;
+  EXPECT_THROW(Replay(&index, ops, options), std::runtime_error);
 }
 
 TEST_F(DriverTest, EmptyStreamIsANoOp) {

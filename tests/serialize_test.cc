@@ -1,4 +1,5 @@
-// Tests for index structure persistence (core/serialize.h).
+// Tests for index structure persistence (ChameleonIndex::SaveTo /
+// LoadFrom, core/serialize.cc).
 
 #include <chrono>
 #include <cstdio>
@@ -7,7 +8,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/serialize.h"
+#include "src/core/chameleon_index.h"
 #include "src/data/dataset.h"
 #include "src/obs/stats.h"
 #include "src/util/timer.h"
@@ -20,6 +21,23 @@ std::string TempPath(const char* name) {
   return ::testing::TempDir() + "/" + name;
 }
 
+/// SaveTo into a fresh file at `path`.
+bool SaveFile(const ChameleonIndex& index, const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) return false;
+  const bool ok = index.SaveTo(f);
+  return std::fclose(f) == 0 && ok;
+}
+
+/// LoadFrom the file at `path`; false when it cannot be opened.
+bool LoadFile(ChameleonIndex* index, const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return false;
+  const bool ok = index->LoadFrom(f);
+  std::fclose(f);
+  return ok;
+}
+
 TEST(SerializeTest, RoundTripPreservesEverything) {
   const std::string path = TempPath("cham_roundtrip.bin");
   const std::vector<Key> keys =
@@ -27,10 +45,10 @@ TEST(SerializeTest, RoundTripPreservesEverything) {
   ChameleonIndex original;
   original.BulkLoad(ToKeyValues(keys));
   const IndexStats before = original.Stats();
-  ASSERT_TRUE(SaveIndex(original, path));
+  ASSERT_TRUE(SaveFile(original, path));
 
   ChameleonIndex restored;
-  ASSERT_TRUE(LoadIndex(&restored, path));
+  ASSERT_TRUE(LoadFile(&restored, path));
   EXPECT_EQ(restored.size(), original.size());
   EXPECT_EQ(restored.num_units(), original.num_units());
   EXPECT_EQ(restored.frame_levels(), original.frame_levels());
@@ -57,10 +75,10 @@ TEST(SerializeTest, RestoredIndexIsFullyOperational) {
   {
     ChameleonIndex index;
     index.BulkLoad(ToKeyValues(keys));
-    ASSERT_TRUE(index.SaveTo(path));
+    ASSERT_TRUE(SaveFile(index, path));
   }
   ChameleonIndex index;
-  ASSERT_TRUE(index.LoadFrom(path));
+  ASSERT_TRUE(LoadFile(&index, path));
 
   // Updates, scans, and retraining all work on the restored structure.
   WorkloadGenerator gen(keys, 7);
@@ -98,11 +116,11 @@ TEST(SerializeTest, LoadIsFasterThanRebuild) {
   Timer build_timer;
   index.BulkLoad(data);
   const double build_ms = build_timer.ElapsedMillis();
-  ASSERT_TRUE(index.SaveTo(path));
+  ASSERT_TRUE(SaveFile(index, path));
 
   ChameleonIndex restored;
   Timer load_timer;
-  ASSERT_TRUE(restored.LoadFrom(path));
+  ASSERT_TRUE(LoadFile(&restored, path));
   const double load_ms = load_timer.ElapsedMillis();
   // Loading skips DARE's GA and TSMDP entirely.
   EXPECT_LT(load_ms, build_ms);
@@ -135,7 +153,7 @@ TEST(SerializeTest, SaveWithLiveRetrainerPausesItAndSucceeds) {
 #endif
   index.StartRetrainer(std::chrono::milliseconds(1));
   for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(index.SaveTo(path)) << "save " << i;
+    ASSERT_TRUE(SaveFile(index, path)) << "save " << i;
   }
   index.StopRetrainer();
 #ifndef CHAMELEON_NO_STATS
@@ -146,7 +164,7 @@ TEST(SerializeTest, SaveWithLiveRetrainerPausesItAndSucceeds) {
 
   // The stream written under a live retrainer is intact and complete.
   ChameleonIndex restored;
-  ASSERT_TRUE(restored.LoadFrom(path));
+  ASSERT_TRUE(LoadFile(&restored, path));
   EXPECT_EQ(restored.size(), index.size());
   std::vector<KeyValue> all;
   restored.RangeScan(0, kMaxKey - 1, &all);
@@ -156,7 +174,7 @@ TEST(SerializeTest, SaveWithLiveRetrainerPausesItAndSucceeds) {
 
 TEST(SerializeTest, RejectsGarbageAndMissingFiles) {
   ChameleonIndex index;
-  EXPECT_FALSE(index.LoadFrom("/nonexistent/nope.chameleon"));
+  EXPECT_FALSE(LoadFile(&index, "/nonexistent/nope.chameleon"));
 
   const std::string path = TempPath("cham_garbage.bin");
   {
@@ -166,14 +184,14 @@ TEST(SerializeTest, RejectsGarbageAndMissingFiles) {
     std::fwrite(junk, 1, sizeof(junk), f);
     std::fclose(f);
   }
-  EXPECT_FALSE(index.LoadFrom(path));
+  EXPECT_FALSE(LoadFile(&index, path));
   std::remove(path.c_str());
 
   // Truncated valid prefix.
   const std::string good = TempPath("cham_good.bin");
   ChameleonIndex donor;
   donor.BulkLoad(ToKeyValues(GenerateDataset(DatasetKind::kUden, 5'000, 1)));
-  ASSERT_TRUE(donor.SaveTo(good));
+  ASSERT_TRUE(SaveFile(donor, good));
   const std::string trunc = TempPath("cham_trunc.bin");
   {
     std::FILE* src = std::fopen(good.c_str(), "rb");
@@ -186,7 +204,7 @@ TEST(SerializeTest, RejectsGarbageAndMissingFiles) {
     std::fclose(src);
     std::fclose(dst);
   }
-  EXPECT_FALSE(index.LoadFrom(trunc));
+  EXPECT_FALSE(LoadFile(&index, trunc));
   std::remove(good.c_str());
   std::remove(trunc.c_str());
 }

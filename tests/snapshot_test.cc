@@ -41,19 +41,15 @@ TEST(SnapshotTest, GenericRoundTripRestoresEveryKey) {
   source->BulkLoad(data);
   ASSERT_TRUE(WriteSnapshot(*source, path, /*wal_seq=*/42));
 
-  SnapshotMeta meta;
-  ASSERT_TRUE(ReadSnapshotMeta(path, &meta));
-  EXPECT_EQ(meta.kind, SnapshotKind::kSortedPairs);
-  EXPECT_EQ(meta.count, data.size());
-  EXPECT_EQ(meta.wal_seq, 42u);
-
   // A sorted-pair snapshot restores into *any* implementation, not just
   // the one that produced it.
   for (const char* target : {"B+Tree", "PGM", "Chameleon"}) {
     std::unique_ptr<KvIndex> restored = MakeIndex(target);
     SnapshotMeta m;
     ASSERT_TRUE(ReadSnapshot(restored.get(), path, &m)) << target;
+    EXPECT_EQ(m.kind, SnapshotKind::kSortedPairs);
     EXPECT_EQ(m.count, data.size());
+    EXPECT_EQ(m.wal_seq, 42u);
     ASSERT_EQ(restored->size(), data.size()) << target;
     for (size_t i = 0; i < data.size(); i += 97) {
       Value v = 0;
@@ -73,15 +69,13 @@ TEST(SnapshotTest, ChameleonUsesNativeFastPathWithIdenticalStats) {
   const IndexStats before = original.Stats();
   ASSERT_TRUE(WriteSnapshot(original, path, /*wal_seq=*/7));
 
-  SnapshotMeta meta;
-  ASSERT_TRUE(ReadSnapshotMeta(path, &meta));
-  EXPECT_EQ(meta.kind, SnapshotKind::kChameleonNative);
-  EXPECT_EQ(meta.count, data.size());
-
   // The native stream restores the exact structure — no DARE / TSMDP
   // re-run, so node counts and heights are slot-identical.
   ChameleonIndex restored;
-  ASSERT_TRUE(ReadSnapshot(&restored, path));
+  SnapshotMeta meta;
+  ASSERT_TRUE(ReadSnapshot(&restored, path, &meta));
+  EXPECT_EQ(meta.kind, SnapshotKind::kChameleonNative);
+  EXPECT_EQ(meta.count, data.size());
   EXPECT_EQ(restored.size(), original.size());
   EXPECT_EQ(restored.num_units(), original.num_units());
   EXPECT_EQ(restored.frame_levels(), original.frame_levels());
@@ -103,8 +97,9 @@ TEST(SnapshotTest, NativePathWorksThroughTheKvIndexInterface) {
   std::unique_ptr<KvIndex> index = MakeIndex("Chameleon");
   index->BulkLoad(ToKeyValues(GenerateDataset(DatasetKind::kUden, 8'000, 5)));
   ASSERT_TRUE(WriteSnapshot(*index, path, 0));
+  std::unique_ptr<KvIndex> restored = MakeIndex("Chameleon");
   SnapshotMeta meta;
-  ASSERT_TRUE(ReadSnapshotMeta(path, &meta));
+  ASSERT_TRUE(ReadSnapshot(restored.get(), path, &meta));
   EXPECT_EQ(meta.kind, SnapshotKind::kChameleonNative);
   std::remove(path.c_str());
 }
@@ -121,8 +116,6 @@ TEST(SnapshotTest, RejectsCorruptedHeaderAndPayload) {
   FlipByteAt(path, 10);
   std::unique_ptr<KvIndex> restored = MakeIndex("B+Tree");
   EXPECT_FALSE(ReadSnapshot(restored.get(), path));
-  SnapshotMeta meta;
-  EXPECT_FALSE(ReadSnapshotMeta(path, &meta));
   FlipByteAt(path, 10);  // restore
 
   // Header now valid again; flip a payload byte instead.
@@ -130,7 +123,6 @@ TEST(SnapshotTest, RejectsCorruptedHeaderAndPayload) {
   restored = MakeIndex("B+Tree");
   EXPECT_FALSE(ReadSnapshot(restored.get(), path))
       << "payload checksum must catch the flip";
-  EXPECT_TRUE(ReadSnapshotMeta(path, &meta)) << "header alone is intact";
   FlipByteAt(path, 29 + 100);
 
   // And fully valid once both flips are undone.
@@ -170,8 +162,9 @@ TEST(SnapshotTest, WriteIsAtomicNoTempFileSurvives) {
     ++files;
   }
   EXPECT_EQ(files, 1u);
+  std::unique_ptr<KvIndex> restored = MakeIndex("B+Tree");
   SnapshotMeta meta;
-  ASSERT_TRUE(ReadSnapshotMeta(path, &meta));
+  ASSERT_TRUE(ReadSnapshot(restored.get(), path, &meta));
   EXPECT_EQ(meta.wal_seq, 1u) << "second write must have replaced the first";
   std::filesystem::remove_all(dir);
 }

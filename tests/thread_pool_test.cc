@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <exception>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -174,6 +176,47 @@ TEST(ThreadPoolTest, SetGlobalThreadsResizes) {
   EXPECT_EQ(GlobalPool().num_threads(), 5u);
   SetGlobalThreads(0);  // restore the default for the rest of the suite
   EXPECT_EQ(GlobalPool().num_threads(), DefaultThreadCount());
+}
+
+// Every call gets its own thread: all n calls are in flight at once
+// (each waits for the others), which a pool of fewer threads could not
+// schedule.
+TEST(RunOnThreadsTest, RunsEveryIndexOnItsOwnThreadAtOnce) {
+  constexpr size_t kThreads = 6;
+  std::atomic<size_t> arrived{0};
+  std::vector<int> calls(kThreads, 0);
+  std::vector<std::thread::id> ids(kThreads);
+  const std::exception_ptr error = RunOnThreads(kThreads, [&](size_t i) {
+    ++calls[i];
+    ids[i] = std::this_thread::get_id();
+    arrived.fetch_add(1);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (arrived.load() < kThreads &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+  });
+  EXPECT_FALSE(error);
+  EXPECT_EQ(arrived.load(), kThreads);
+  EXPECT_EQ(calls, std::vector<int>(kThreads, 1));
+  std::sort(ids.begin(), ids.end());
+  EXPECT_EQ(std::unique(ids.begin(), ids.end()), ids.end());
+  EXPECT_EQ(std::count(ids.begin(), ids.end(), std::this_thread::get_id()),
+            0);
+}
+
+TEST(RunOnThreadsTest, ReturnsTheFirstExceptionAfterEveryCallFinishes) {
+  std::atomic<size_t> finished{0};
+  const std::exception_ptr error = RunOnThreads(4, [&](size_t i) {
+    if (i == 2) throw std::runtime_error("call 2 failed");
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    finished.fetch_add(1);
+  });
+  EXPECT_EQ(finished.load(), 3u);
+  ASSERT_TRUE(error);
+  EXPECT_THROW(std::rethrow_exception(error), std::runtime_error);
+  EXPECT_FALSE(RunOnThreads(0, [](size_t) { FAIL(); }));
 }
 
 }  // namespace
