@@ -179,8 +179,8 @@ int main(int argc, char** argv) {
 
   std::printf("\nExpected shape: hit rate rises with the frame budget and "
               "evictions vanish at 100%%; merge cost is dominated by "
-              "merge_write (sequential page rewrite) with merge_install a "
-              "constant fsync+rename tail\n");
+              "merge_write (sequential page rewrite, fsync and commit) with "
+              "merge_install a short pool-reset tail\n");
   report.Write();
   return 0;
 }

@@ -1,32 +1,20 @@
 #include "src/engine/sharded_index.h"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <cstring>
 #include <exception>
 #include <filesystem>
 
 #include "src/api/index_spec.h"
 #include "src/obs/stats.h"
 #include "src/storage/durable_index.h"
-#include "src/util/crc32c.h"
+#include "src/storage/snapshot.h"
 #include "src/util/io.h"
 #include "src/util/thread_pool.h"
 
 namespace chameleon {
 namespace {
-
-// shards.meta layout (raw little-endian, like every storage file):
-//   [magic u32 "CSHM"][version u32][shards u64][n_lower u64]
-//   [lower keys u64 x n_lower][crc32c u32 over everything before]
-// Written atomically (tmp + rename) at BulkLoad so a crash never leaves
-// a half-written routing table; recovery rejects any checksum or shard
-// count mismatch rather than guessing boundaries.
-constexpr uint32_t kShardMetaMagic = 0x4D485343;  // "CSHM"
-constexpr uint32_t kShardMetaVersion = 1;
 
 std::unique_ptr<KvIndex> BuildShardedFromSpec(const SpecNode& node,
                                               const SpecBuildContext& ctx,
@@ -93,66 +81,6 @@ size_t ShardedIndex::ShardFor(Key key) const {
       lower_.begin() - 1);
 }
 
-bool ShardedIndex::SaveShardMeta() const {
-  std::vector<uint8_t> buf(4 + 4 + 8 + 8 + lower_.size() * 8 + 4);
-  uint8_t* p = buf.data();
-  const uint64_t n_shards = shards_.size();
-  const uint64_t n_lower = lower_.size();
-  std::memcpy(p, &kShardMetaMagic, 4);
-  std::memcpy(p + 4, &kShardMetaVersion, 4);
-  std::memcpy(p + 8, &n_shards, 8);
-  std::memcpy(p + 16, &n_lower, 8);
-  for (size_t i = 0; i < lower_.size(); ++i) {
-    std::memcpy(p + 24 + i * 8, &lower_[i], 8);
-  }
-  const uint32_t crc = Crc32c(p, buf.size() - 4);
-  std::memcpy(p + buf.size() - 4, &crc, 4);
-
-  std::error_code ec;
-  std::filesystem::create_directories(
-      std::filesystem::path(meta_path_).parent_path(), ec);
-  const std::string tmp = meta_path_ + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) return false;
-  const bool written = std::fwrite(buf.data(), 1, buf.size(), f) == buf.size();
-  const bool flushed =
-      written && std::fflush(f) == 0 && ::fsync(::fileno(f)) == 0;
-  std::fclose(f);
-  if (!flushed) return false;
-  return RenameDurably(tmp, meta_path_);
-}
-
-bool ShardedIndex::LoadShardMeta() {
-  std::FILE* f = std::fopen(meta_path_.c_str(), "rb");
-  if (f == nullptr) return false;
-  std::fseek(f, 0, SEEK_END);
-  const long sz = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  std::vector<uint8_t> buf(sz > 0 ? static_cast<size_t>(sz) : 0);
-  const bool read_ok =
-      !buf.empty() && std::fread(buf.data(), 1, buf.size(), f) == buf.size();
-  std::fclose(f);
-  if (!read_ok || buf.size() < 4 + 4 + 8 + 8 + 4) return false;
-
-  uint32_t crc = 0;
-  std::memcpy(&crc, buf.data() + buf.size() - 4, 4);
-  if (Crc32c(buf.data(), buf.size() - 4) != crc) return false;
-  uint32_t magic = 0, version = 0;
-  uint64_t n_shards = 0, n_lower = 0;
-  std::memcpy(&magic, buf.data(), 4);
-  std::memcpy(&version, buf.data() + 4, 4);
-  std::memcpy(&n_shards, buf.data() + 8, 8);
-  std::memcpy(&n_lower, buf.data() + 16, 8);
-  if (magic != kShardMetaMagic || version != kShardMetaVersion) return false;
-  if (n_shards != shards_.size()) return false;  // spec/meta disagreement
-  if (buf.size() != 24 + n_lower * 8 + 4) return false;
-  lower_.assign(n_lower, kMinKey);
-  for (size_t i = 0; i < n_lower; ++i) {
-    std::memcpy(&lower_[i], buf.data() + 24 + i * 8, 8);
-  }
-  return true;
-}
-
 void ShardedIndex::BulkLoad(std::span<const KeyValue> data) {
   const size_t n_shards = shards_.size();
   // Quantile boundaries: shard i owns data[i*n/N .. (i+1)*n/N). Using
@@ -168,6 +96,14 @@ void ShardedIndex::BulkLoad(std::span<const KeyValue> data) {
     lower_[i] = cut[i] < n ? data[cut[i]].key : kMaxKey;
   }
 
+  // A load starts a new lifetime: the previous routing table goes before
+  // any shard is rebuilt, so an unfinished load leaves no table and
+  // Recover() fails rather than route over shards of two lifetimes.
+  std::error_code ec;
+  if (!meta_path_.empty() && std::filesystem::remove(meta_path_, ec)) {
+    SyncDirOf(meta_path_);
+  }
+
   // Shard builds touch disjoint state and each is thread-count-
   // deterministic, so the merged structure is too.
   const std::exception_ptr error = RunOnThreads(n_shards, [&](size_t i) {
@@ -176,17 +112,34 @@ void ShardedIndex::BulkLoad(std::span<const KeyValue> data) {
   CHAMELEON_STAT_ADD(kShardBuilds, n_shards);
   if (error) std::rethrow_exception(error);
 
-  // Durable shards persist the routing table next to their per-shard
-  // stacks so a fresh instance can Recover() without re-deriving the
-  // quantiles (an empty shard's range is unrecoverable from its data).
-  if (!meta_path_.empty() && !SaveShardMeta()) {
+  // Durable shards persist the routing table, a sorted-pairs snapshot of
+  // (lower bound, shard index), next to their per-shard stacks so a fresh
+  // instance can Recover() without re-deriving the quantiles (an empty
+  // shard's range is unrecoverable from its data).
+  if (meta_path_.empty()) return;
+  std::vector<KeyValue> table(n_shards);
+  for (size_t i = 0; i < n_shards; ++i) table[i] = {lower_[i], i};
+  std::filesystem::create_directories(
+      std::filesystem::path(meta_path_).parent_path(), ec);
+  if (!WritePairsSnapshot(table, meta_path_, /*wal_seq=*/0)) {
     std::fprintf(stderr, "WARNING: ShardedIndex: cannot write %s\n",
                  meta_path_.c_str());
   }
 }
 
 bool ShardedIndex::Recover() {
-  if (meta_path_.empty() || !LoadShardMeta()) return false;
+  // A checksum failure or a table for another shard count (the spec and
+  // the directories disagree) is refused, never guessed around.
+  std::vector<KeyValue> table;
+  if (meta_path_.empty() || !ReadPairsSnapshot(meta_path_, &table) ||
+      table.size() != shards_.size()) {
+    return false;
+  }
+  lower_.clear();
+  for (const KeyValue& row : table) {
+    if (row.value != lower_.size()) return false;
+    lower_.push_back(row.key);
+  }
 
   // Shards own disjoint key ranges and private WAL+snapshot stacks, so
   // their recoveries are independent and run in parallel.

@@ -29,10 +29,11 @@ inline constexpr size_t kMaxShards = 256;
 /// ("Sharded4:Durable(d):Chameleon") gives every shard its own WAL +
 /// snapshot stack rooted at d/shard-<i> — the per-shard build context
 /// appends "/shard-<i>" and the Durable adapter roots itself under it.
-/// The quantile boundaries are persisted alongside (d/shards.meta,
-/// checksummed, written atomically at BulkLoad) so a freshly constructed
-/// stack can Recover(): the meta restores routing, then all shards
-/// replay their own WALs in parallel. Shards own disjoint key ranges, so
+/// The quantile boundaries are persisted alongside (d/shards.meta, a
+/// sorted-pairs snapshot file of (lower bound, shard index), removed when
+/// BulkLoad starts and committed when every shard is built) so a freshly
+/// constructed stack can Recover(): the meta restores routing, then all
+/// shards replay their own WALs in parallel. Shards own disjoint key ranges, so
 /// per-shard recovery needs no cross-shard ordering.
 ///
 /// `Sharded1:<spec>` builds <spec> itself, with no adapter around it —
@@ -98,9 +99,6 @@ class ShardedIndex final : public KvIndex {
   size_t ShardFor(Key key) const;
 
  private:
-  bool SaveShardMeta() const;
-  bool LoadShardMeta();
-
   std::string name_;
   std::vector<std::unique_ptr<KvIndex>> shards_;
   /// lower_[i] is the smallest key routed to shard i (i >= 1; shard 0

@@ -48,9 +48,11 @@ enum class WritePhase : uint32_t {
   // after kWriteTotal so existing phase rows stay diffable; the three
   // spans nest inside one TieredIndex::Merge call and are disjoint:
   //
-  //   kMergeScan     sequential scan of the old page run + delta drain
-  //   kMergeWrite    writing the rewritten page run to the temp file
-  //   kMergeInstall  fsync + atomic rename + pool reset + fence rebuild
+  //   kMergeScan     delta drain (one sorted scan)
+  //   kMergeWrite    merge-join of the old run's pages with the delta into
+  //                  a run under the temp name, its fsync and the commit
+  //                  (rename + directory fsync)
+  //   kMergeInstall  pool reset + fence and heat-array swap
   kMergeScan,
   kMergeWrite,
   kMergeInstall,

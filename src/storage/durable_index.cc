@@ -1,6 +1,5 @@
 #include "src/storage/durable_index.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -11,6 +10,7 @@
 #include "src/obs/phase_timer.h"
 #include "src/obs/stats.h"
 #include "src/obs/trace_journal.h"
+#include "src/util/io.h"
 #include "src/util/timer.h"
 
 namespace chameleon {
@@ -38,24 +38,11 @@ DurableIndex::~DurableIndex() {
 }
 
 std::string DurableIndex::SnapshotPath(uint64_t wal_seq) const {
-  char name[32];
-  std::snprintf(name, sizeof(name), "snap-%06llu.snap",
-                static_cast<unsigned long long>(wal_seq));
-  return dir_ + "/" + name;
+  return NumberedPath(dir_, "snap-", wal_seq, ".snap");
 }
 
 std::vector<uint64_t> DurableIndex::ListSnapshots() const {
-  std::vector<uint64_t> seqs;
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(dir_, ec)) {
-    const std::string name = entry.path().filename().string();
-    unsigned long long seq = 0;
-    if (std::sscanf(name.c_str(), "snap-%llu.snap", &seq) == 1) {
-      seqs.push_back(seq);
-    }
-  }
-  std::sort(seqs.rbegin(), seqs.rend());
-  return seqs;
+  return ListNumbered(dir_, "snap-", ".snap");
 }
 
 void DurableIndex::BulkLoad(std::span<const KeyValue> data) {
@@ -127,8 +114,9 @@ bool DurableIndex::Recover() {
   // between a checkpoint's snapshot write and its cleanup.
   SnapshotMeta meta;
   bool loaded = false;
-  for (uint64_t seq : ListSnapshots()) {
-    if (ReadSnapshot(inner_.get(), SnapshotPath(seq), &meta)) {
+  const std::vector<uint64_t> seqs = ListSnapshots();
+  for (auto seq = seqs.rbegin(); seq != seqs.rend(); ++seq) {
+    if (ReadSnapshot(inner_.get(), SnapshotPath(*seq), &meta)) {
       loaded = true;
       break;
     }

@@ -148,7 +148,7 @@ class DurableIndex final : public KvIndex {
  private:
   bool CheckpointLocked();
   std::string SnapshotPath(uint64_t wal_seq) const;
-  /// Snapshot files present in the directory, by wal_seq descending.
+  /// Snapshot files present in the directory, by wal_seq ascending.
   std::vector<uint64_t> ListSnapshots() const;
 
   std::unique_ptr<KvIndex> inner_;

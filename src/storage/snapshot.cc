@@ -2,7 +2,9 @@
 
 #include <unistd.h>
 
+#include <cstddef>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <vector>
@@ -16,149 +18,140 @@ namespace {
 
 constexpr uint32_t kMagic = 0x43534E50;  // "CSNP"
 constexpr uint32_t kVersion = 1;
-// magic + version + kind + count + wal_seq (packed by hand, no padding).
-constexpr size_t kHeaderBodySize = 4 + 4 + 1 + 8 + 8;
-constexpr size_t kHeaderSize = kHeaderBodySize + 4;  // + header_crc
+
+#pragma pack(push, 1)
+struct Header {  // as on disk: packed, no padding
+  uint32_t magic;
+  uint32_t version;
+  uint8_t kind;
+  uint64_t count;
+  uint64_t wal_seq;
+  uint32_t crc;  // crc32c of the fields above
+};
+#pragma pack(pop)
+constexpr size_t kHeaderSize = sizeof(Header);
+static_assert(kHeaderSize == 29);
 
 struct FileCloser {
-  void operator()(std::FILE* f) const {
-    if (f != nullptr) std::fclose(f);
-  }
+  void operator()(std::FILE* f) const { std::fclose(f); }
 };
 using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
-void PackHeader(uint8_t (&buf)[kHeaderBodySize], const SnapshotMeta& meta) {
-  std::memcpy(buf, &kMagic, 4);
-  std::memcpy(buf + 4, &kVersion, 4);
-  buf[8] = static_cast<uint8_t>(meta.kind);
-  std::memcpy(buf + 9, &meta.count, 8);
-  std::memcpy(buf + 17, &meta.wal_seq, 8);
+/// Header, payload and payload crc into `path`'s temp file, fsynced,
+/// then committed over `path` (CommitFile).
+bool CommitSnapshot(const std::string& path, const SnapshotMeta& meta,
+                    const void* payload, size_t len) {
+  Header header{kMagic, kVersion, static_cast<uint8_t>(meta.kind),
+                meta.count, meta.wal_seq, 0};
+  header.crc = Crc32c(&header, offsetof(Header, crc));
+  const uint32_t payload_crc = Crc32c(payload, len);
+  return CommitFile(path, [&](const std::string& tmp) {
+    FilePtr f(std::fopen(tmp.c_str(), "wb"));
+    std::FILE* fp = f.get();
+    return fp != nullptr &&
+           std::fwrite(&header, sizeof(header), 1, fp) == 1 &&
+           (len == 0 || std::fwrite(payload, 1, len, fp) == len) &&
+           std::fwrite(&payload_crc, 4, 1, fp) == 1 &&
+           std::fflush(fp) == 0 && ::fsync(::fileno(fp)) == 0;
+  });
 }
 
-bool ReadHeader(std::FILE* f, SnapshotMeta* meta) {
-  uint8_t buf[kHeaderBodySize];
-  uint32_t stored_crc = 0;
-  if (std::fread(buf, 1, sizeof(buf), f) != sizeof(buf) ||
-      std::fread(&stored_crc, 4, 1, f) != 1) {
+/// Reads the whole snapshot at `path` into `*bytes` and checks both
+/// checksums over those bytes; on success `*meta` holds the header and
+/// `*payload` points into `*bytes`.
+bool ReadVerified(const std::string& path, std::vector<uint8_t>* bytes,
+                  SnapshotMeta* meta, std::span<uint8_t>* payload) {
+  if (!ReadWholeFile(path, bytes) || bytes->size() < kHeaderSize + 4) {
     return false;
   }
-  if (Crc32c(buf, sizeof(buf)) != stored_crc) return false;
-  uint32_t magic = 0, version = 0;
-  std::memcpy(&magic, buf, 4);
-  std::memcpy(&version, buf + 4, 4);
-  if (magic != kMagic || version != kVersion || buf[8] > 1) return false;
-  meta->kind = static_cast<SnapshotKind>(buf[8]);
-  std::memcpy(&meta->count, buf + 9, 8);
-  std::memcpy(&meta->wal_seq, buf + 17, 8);
-  return true;
+  Header header;
+  std::memcpy(&header, bytes->data(), kHeaderSize);
+  if (header.crc != Crc32c(&header, offsetof(Header, crc)) ||
+      header.magic != kMagic || header.version != kVersion ||
+      header.kind > 1) {
+    return false;
+  }
+  *meta = {static_cast<SnapshotKind>(header.kind), header.count,
+           header.wal_seq};
+  *payload = std::span<uint8_t>(bytes->data() + kHeaderSize,
+                                bytes->size() - kHeaderSize - 4);
+  uint32_t payload_crc = 0;
+  std::memcpy(&payload_crc, bytes->data() + bytes->size() - 4, 4);
+  return Crc32c(payload->data(), payload->size()) == payload_crc;
 }
 
-/// crc32c of `len` bytes starting at the current position; restores the
-/// position on success.
-bool CrcOfRange(std::FILE* f, long start, uint64_t len, uint32_t* crc) {
-  if (std::fseek(f, start, SEEK_SET) != 0) return false;
-  uint8_t buf[1 << 16];
-  uint32_t c = 0;
-  uint64_t left = len;
-  while (left > 0) {
-    const size_t chunk =
-        left < sizeof(buf) ? static_cast<size_t>(left) : sizeof(buf);
-    if (std::fread(buf, 1, chunk, f) != chunk) return false;
-    c = Crc32cExtend(c, buf, chunk);
-    left -= chunk;
+/// A kSortedPairs payload: `meta.count` raw KeyValue pairs.
+bool DecodePairs(std::span<const uint8_t> payload, const SnapshotMeta& meta,
+                 std::vector<KeyValue>* pairs) {
+  if (meta.kind != SnapshotKind::kSortedPairs ||
+      payload.size() != meta.count * sizeof(KeyValue)) {
+    return false;
   }
-  *crc = c;
+  pairs->resize(meta.count);
+  if (!payload.empty()) {
+    std::memcpy(pairs->data(), payload.data(), payload.size());
+  }
   return true;
 }
 
 }  // namespace
 
+bool WritePairsSnapshot(std::span<const KeyValue> pairs,
+                        const std::string& path, uint64_t wal_seq) {
+  return CommitSnapshot(path, {SnapshotKind::kSortedPairs, pairs.size(),
+                               wal_seq},
+                        pairs.data(), pairs.size_bytes());
+}
+
+bool ReadPairsSnapshot(const std::string& path,
+                       std::vector<KeyValue>* pairs) {
+  std::vector<uint8_t> bytes;
+  SnapshotMeta meta;
+  std::span<uint8_t> payload;
+  return ReadVerified(path, &bytes, &meta, &payload) &&
+         DecodePairs(payload, meta, pairs);
+}
+
 bool WriteSnapshot(const KvIndex& index, const std::string& path,
                    uint64_t wal_seq) {
   const auto* chameleon = dynamic_cast<const ChameleonIndex*>(&index);
-  SnapshotMeta meta;
-  meta.kind = chameleon != nullptr ? SnapshotKind::kChameleonNative
-                                   : SnapshotKind::kSortedPairs;
-  meta.count = index.size();
-  meta.wal_seq = wal_seq;
-
-  const std::string tmp = path + ".tmp";
-  // "w+b": the native path reads the stream back (CrcOfRange) after
-  // writing it, which a write-only stream would refuse.
-  FilePtr f(std::fopen(tmp.c_str(), "w+b"));
-  if (f == nullptr) return false;
-  std::FILE* fp = f.get();
-
-  uint8_t header[kHeaderBodySize];
-  PackHeader(header, meta);
-  const uint32_t header_crc = Crc32c(header, sizeof(header));
-  if (std::fwrite(header, 1, sizeof(header), fp) != sizeof(header) ||
-      std::fwrite(&header_crc, 4, 1, fp) != 1) {
-    return false;
-  }
-
-  uint32_t payload_crc = 0;
-  if (chameleon != nullptr) {
-    // Native structure stream; checksum it with a second pass over the
-    // just-written bytes (recovery-path cost, not the write hot path).
-    if (!chameleon->SaveTo(fp)) return false;
-    if (std::fflush(fp) != 0) return false;
-    const long payload_end = std::ftell(fp);
-    if (payload_end < 0 ||
-        !CrcOfRange(fp, kHeaderSize, payload_end - kHeaderSize,
-                    &payload_crc) ||
-        std::fseek(fp, payload_end, SEEK_SET) != 0) {
-      return false;
-    }
-  } else {
+  if (chameleon == nullptr) {
     std::vector<KeyValue> all;
     all.reserve(index.size());
     index.RangeScan(kMinKey, kMaxKey - 1, &all);
-    if (all.size() != meta.count) return false;
-    const size_t bytes = all.size() * sizeof(KeyValue);
-    if (bytes > 0 && std::fwrite(all.data(), 1, bytes, fp) != bytes) {
-      return false;
-    }
-    payload_crc = Crc32c(all.data(), bytes);
+    return all.size() == index.size() && WritePairsSnapshot(all, path, wal_seq);
   }
-  if (std::fwrite(&payload_crc, 4, 1, fp) != 1) return false;
-  if (std::fflush(fp) != 0 || ::fsync(::fileno(fp)) != 0) return false;
-  f.reset();  // close before rename
-
-  return RenameDurably(tmp, path);
+  // The native structure stream is assembled in memory, like the sorted
+  // dump, so its checksum needs no second pass over the file.
+  char* image = nullptr;
+  size_t len = 0;
+  bool saved = false;
+  if (std::FILE* stream = ::open_memstream(&image, &len)) {
+    saved = chameleon->SaveTo(stream);
+    saved = std::fclose(stream) == 0 && saved;  // sets image and len
+  }
+  const bool ok =
+      saved && CommitSnapshot(path, {SnapshotKind::kChameleonNative,
+                                     index.size(), wal_seq},
+                              image, len);
+  std::free(image);
+  return ok;
 }
 
 bool ReadSnapshot(KvIndex* index, const std::string& path,
                   SnapshotMeta* meta_out) {
-  FilePtr f(std::fopen(path.c_str(), "rb"));
-  if (f == nullptr) return false;
-  std::FILE* fp = f.get();
+  std::vector<uint8_t> bytes;
   SnapshotMeta meta;
-  if (!ReadHeader(fp, &meta)) return false;
-
-  // Verify the payload checksum before handing anything to the index.
-  if (std::fseek(fp, 0, SEEK_END) != 0) return false;
-  const long file_size = std::ftell(fp);
-  if (file_size < static_cast<long>(kHeaderSize + 4)) return false;
-  const uint64_t payload_len = file_size - kHeaderSize - 4;
-  uint32_t computed = 0, stored = 0;
-  if (!CrcOfRange(fp, kHeaderSize, payload_len, &computed) ||
-      std::fread(&stored, 4, 1, fp) != 1 || computed != stored) {
-    return false;
-  }
-  if (std::fseek(fp, kHeaderSize, SEEK_SET) != 0) return false;
-
+  std::span<uint8_t> payload;
+  if (!ReadVerified(path, &bytes, &meta, &payload)) return false;
   if (meta.kind == SnapshotKind::kChameleonNative) {
     auto* chameleon = dynamic_cast<ChameleonIndex*>(index);
-    if (chameleon == nullptr || !chameleon->LoadFrom(fp)) return false;
+    if (chameleon == nullptr || payload.empty()) return false;
+    FilePtr stream(::fmemopen(payload.data(), payload.size(), "r"));
+    if (stream == nullptr || !chameleon->LoadFrom(stream.get())) return false;
   } else {
-    if (payload_len != meta.count * sizeof(KeyValue)) return false;
-    std::vector<KeyValue> all(meta.count);
-    if (meta.count > 0 &&
-        std::fread(all.data(), sizeof(KeyValue), all.size(), fp) !=
-            all.size()) {
-      return false;
-    }
+    std::vector<KeyValue> all;
+    if (!DecodePairs(payload, meta, &all)) return false;
     index->BulkLoad(all);
   }
   if (index->size() != meta.count) return false;

@@ -2,7 +2,9 @@
 #define CHAMELEON_STORAGE_SNAPSHOT_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "src/api/kv_index.h"
 
@@ -40,9 +42,8 @@ struct SnapshotMeta {
 /// WriteSnapshot picks kChameleonNative automatically when `index` is a
 /// ChameleonIndex (the fast recovery path) and falls back to the sorted
 /// dump for every other implementation, including engine-layer wrappers
-/// like ShardedIndex. The write is atomic: the file is assembled at
-/// `path + ".tmp"`, fsynced, then renamed over `path`, so a crash never
-/// leaves a half-written snapshot under the final name.
+/// like ShardedIndex. The file goes live through CommitFile (util/io.h),
+/// so a crash never leaves a half-written snapshot under `path`.
 ///
 /// Caller contract: writers must be quiesced (DurableIndex holds its
 /// write mutex); a live Chameleon retraining thread is paused and
@@ -51,12 +52,23 @@ bool WriteSnapshot(const KvIndex& index, const std::string& path,
                    uint64_t wal_seq);
 
 /// Restores a snapshot into `*index` (freshly constructed, never
-/// bulk-loaded). Native-kind snapshots require `index` to be a
-/// ChameleonIndex; sorted-pair snapshots BulkLoad into anything.
-/// Returns false on I/O error, bad magic/version, checksum mismatch,
-/// or a kind/index mismatch. `*meta` (optional) receives the header.
+/// bulk-loaded). The file is read once and both checksums are checked
+/// over those bytes before anything reaches the index. Native-kind
+/// snapshots require `index` to be a ChameleonIndex; sorted-pair
+/// snapshots BulkLoad into anything. Returns false on I/O error, bad
+/// magic/version, checksum mismatch, or a kind/index mismatch. `*meta`
+/// (optional) receives the header.
 bool ReadSnapshot(KvIndex* index, const std::string& path,
                   SnapshotMeta* meta = nullptr);
+
+/// The kSortedPairs codec on its own, for files that hold pairs rather
+/// than an index (the shard routing table). WriteSnapshot's sorted dump
+/// is WritePairsSnapshot; ReadPairsSnapshot fails as ReadSnapshot does,
+/// and on a native-kind file.
+bool WritePairsSnapshot(std::span<const KeyValue> pairs,
+                        const std::string& path, uint64_t wal_seq);
+bool ReadPairsSnapshot(const std::string& path,
+                       std::vector<KeyValue>* pairs);
 
 }  // namespace chameleon
 

@@ -28,24 +28,11 @@ Wal::Wal(std::string dir, WalOptions options)
 Wal::~Wal() { Close(); }
 
 std::string Wal::SegmentPath(uint64_t seq) const {
-  char name[32];
-  std::snprintf(name, sizeof(name), "wal-%06llu.wal",
-                static_cast<unsigned long long>(seq));
-  return dir_ + "/" + name;
+  return NumberedPath(dir_, "wal-", seq, ".wal");
 }
 
 std::vector<uint64_t> Wal::ListSegments() const {
-  std::vector<uint64_t> seqs;
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(dir_, ec)) {
-    const std::string name = entry.path().filename().string();
-    unsigned long long seq = 0;
-    if (std::sscanf(name.c_str(), "wal-%llu.wal", &seq) == 1) {
-      seqs.push_back(seq);
-    }
-  }
-  std::sort(seqs.begin(), seqs.end());
-  return seqs;
+  return ListNumbered(dir_, "wal-", ".wal");
 }
 
 bool Wal::OpenSegmentLocked(uint64_t seq) {
@@ -302,18 +289,10 @@ Wal::ReplayStatus Wal::Replay(uint64_t from_seq, const ReplayFn& fn,
   size_t count = 0;
   for (size_t si = 0; si < seqs.size(); ++si) {
     const bool last_segment = si + 1 == seqs.size();
-    const std::string path = SegmentPath(seqs[si]);
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr) return ReplayStatus::kIoError;
-    std::fseek(f, 0, SEEK_END);
-    const long sz = std::ftell(f);
-    std::fseek(f, 0, SEEK_SET);
-    std::vector<uint8_t> data(sz > 0 ? static_cast<size_t>(sz) : 0);
-    const bool read_ok =
-        data.empty() || std::fread(data.data(), 1, data.size(), f) ==
-                            data.size();
-    std::fclose(f);
-    if (!read_ok) return ReplayStatus::kIoError;
+    std::vector<uint8_t> data;
+    if (!ReadWholeFile(SegmentPath(seqs[si]), &data)) {
+      return ReplayStatus::kIoError;
+    }
 
     // Segment header. A header that extends past EOF is a torn segment
     // creation when it is the last segment; anything else is corruption.

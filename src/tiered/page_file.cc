@@ -8,7 +8,6 @@
 #include <cstring>
 
 #include "src/util/crc32c.h"
-#include "src/util/io.h"
 
 namespace chameleon::tiered {
 
@@ -71,14 +70,16 @@ PageFile::~PageFile() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-std::unique_ptr<PageFile> PageFile::Create(const std::string& path) {
+std::unique_ptr<PageFile> PageFile::Create(const std::string& path,
+                                           std::string name) {
+  if (name.empty()) name = path;
   int fd = ::open(path.c_str(), O_CREAT | O_TRUNC | O_RDWR, 0644);
   if (fd < 0) {
-    std::fprintf(stderr, "tiered: create %s failed: %s\n", path.c_str(),
+    std::fprintf(stderr, "tiered: create %s failed: %s\n", name.c_str(),
                  std::strerror(errno));
     return nullptr;
   }
-  std::unique_ptr<PageFile> file(new PageFile(path, fd));
+  std::unique_ptr<PageFile> file(new PageFile(std::move(name), fd));
   if (!file->WriteHeader(/*num_entries=*/0)) return nullptr;
   return file;
 }
@@ -107,7 +108,7 @@ bool PageFile::WriteHeader(uint64_t num_entries) {
   std::memcpy(page.get(), &h, sizeof(h));
   if (!FullPwrite(fd_, page.get(), kPageSize, 0)) {
     std::fprintf(stderr, "tiered: header write to %s failed: %s\n",
-                 path_.c_str(), std::strerror(errno));
+                 name_.c_str(), std::strerror(errno));
     return false;
   }
   header_entries_ = num_entries;
@@ -130,7 +131,7 @@ bool PageFile::ReadPage(uint64_t page_id, void* buf) {
   off_t off = static_cast<off_t>((page_id + 1) * kPageSize);
   if (!FullPread(fd_, buf, kPageSize, off)) {
     std::fprintf(stderr, "tiered: read of page %llu in %s failed: %s\n",
-                 static_cast<unsigned long long>(page_id), path_.c_str(),
+                 static_cast<unsigned long long>(page_id), name_.c_str(),
                  std::strerror(errno));
     return false;
   }
@@ -144,7 +145,7 @@ bool PageFile::ReadPage(uint64_t page_id, void* buf) {
     std::fprintf(stderr,
                  "tiered: page %llu of %s is corrupt "
                  "(crc %08x vs %08x, seq %llu)\n",
-                 static_cast<unsigned long long>(page_id), path_.c_str(),
+                 static_cast<unsigned long long>(page_id), name_.c_str(),
                  stored_crc, actual, static_cast<unsigned long long>(page_seq));
     return false;
   }
@@ -160,7 +161,7 @@ bool PageFile::WritePage(uint64_t page_id, void* buf) {
   off_t off = static_cast<off_t>((page_id + 1) * kPageSize);
   if (!FullPwrite(fd_, buf, kPageSize, off)) {
     std::fprintf(stderr, "tiered: write of page %llu to %s failed: %s\n",
-                 static_cast<unsigned long long>(page_id), path_.c_str(),
+                 static_cast<unsigned long long>(page_id), name_.c_str(),
                  std::strerror(errno));
     return false;
   }
@@ -171,20 +172,10 @@ bool PageFile::WritePage(uint64_t page_id, void* buf) {
 bool PageFile::SyncHeader(uint64_t num_entries) {
   if (!WriteHeader(num_entries)) return false;
   if (::fsync(fd_) != 0) {
-    std::fprintf(stderr, "tiered: fsync %s failed: %s\n", path_.c_str(),
+    std::fprintf(stderr, "tiered: fsync %s failed: %s\n", name_.c_str(),
                  std::strerror(errno));
     return false;
   }
-  return true;
-}
-
-bool PageFile::RenameTo(const std::string& path) {
-  if (!RenameDurably(path_, path)) {
-    std::fprintf(stderr, "tiered: renaming %s to %s failed: %s\n",
-                 path_.c_str(), path.c_str(), std::strerror(errno));
-    return false;
-  }
-  path_ = path;
   return true;
 }
 

@@ -55,10 +55,13 @@ class PageFile {
   PageFile(const PageFile&) = delete;
   PageFile& operator=(const PageFile&) = delete;
 
-  /// Creates (truncating any previous file) a page file with zero data
-  /// pages. Nothing is durable until SyncHeader. Returns nullptr on I/O
-  /// error (diagnostic on stderr).
-  static std::unique_ptr<PageFile> Create(const std::string& path);
+  /// Creates (truncating any previous file) a page file at `path` with
+  /// zero data pages. Nothing is durable until SyncHeader. Diagnostics
+  /// call the file `name` (default: `path`): a run written under
+  /// CommitFile's temp name is named after the live file it becomes.
+  /// Returns nullptr on I/O error (diagnostic on stderr).
+  static std::unique_ptr<PageFile> Create(const std::string& path,
+                                          std::string name = "");
 
   /// Opens an existing page file and validates its header (magic,
   /// version, a page size of kPageSize, CRC). Returns nullptr when the
@@ -81,10 +84,6 @@ class PageFile {
   /// logical entry count, then fsyncs the file: the one durability point
   /// of a written run.
   bool SyncHeader(uint64_t num_entries);
-
-  /// Atomically renames the file to `path` and fsyncs the directory, so
-  /// a run written under a temporary name replaces the live one.
-  bool RenameTo(const std::string& path);
 
   uint64_t num_pages() const { return num_pages_; }
   /// Logical entry count recorded by the last SyncHeader (what a
@@ -114,12 +113,13 @@ class PageFile {
   }
 
  private:
-  PageFile(std::string path, int fd) : path_(std::move(path)), fd_(fd) {}
+  PageFile(std::string name, int fd) : name_(std::move(name)), fd_(fd) {}
 
   bool WriteHeader(uint64_t num_entries);
   bool ReadHeader();
 
-  std::string path_;
+  /// The live file's path, for diagnostics.
+  std::string name_;
   int fd_ = -1;
   uint64_t num_pages_ = 0;
   uint64_t header_entries_ = 0;

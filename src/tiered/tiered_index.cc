@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <optional>
 #include <utility>
 
 #include "src/api/index_spec.h"
 #include "src/obs/phase_timer.h"
 #include "src/obs/stats.h"
+#include "src/util/io.h"
 
 namespace chameleon {
 
@@ -18,6 +20,15 @@ constexpr size_t kNoPage = static_cast<size_t>(-1);
 std::string MainPath(const std::string& dir) { return dir + "/main.pages"; }
 
 }  // namespace
+
+// Merge's write and install spans; BulkLoad's run goes live untimed.
+#ifndef CHAMELEON_NO_STATS
+#define TIERED_MERGE_SPAN(merge, phase)                              \
+  std::optional<obs::PhaseSpan> CHAMELEON_PP_CAT(span_, __LINE__);   \
+  if (merge) CHAMELEON_PP_CAT(span_, __LINE__).emplace(obs::WritePhase::phase)
+#else
+#define TIERED_MERGE_SPAN(merge, phase) ((void)(merge))
+#endif
 
 template <typename Fill>
 bool TieredIndex::WriteRun(tiered::PageFile* file, Fill fill,
@@ -44,6 +55,26 @@ bool TieredIndex::WriteRun(tiered::PageFile* file, Fill fill,
   ok = fill(emit) && ok;
   if (ok && n > 0) flush();
   return ok && file->SyncHeader(layout->entries);
+}
+
+template <typename Fill>
+bool TieredIndex::CommitRun(Fill fill, bool merge) {
+  const std::string path = MainPath(dir_);
+  std::unique_ptr<tiered::PageFile> file;
+  RunLayout layout;
+  {
+    TIERED_MERGE_SPAN(merge, kMergeWrite);
+    if (!CommitFile(path, [&](const std::string& tmp) {
+          file = tiered::PageFile::Create(tmp, path);
+          return file != nullptr && WriteRun(file.get(), fill, &layout);
+        })) {
+      std::fprintf(stderr, "tiered: %s not replaced\n", path.c_str());
+      return false;
+    }
+  }
+  TIERED_MERGE_SPAN(merge, kMergeInstall);
+  Install(std::move(file), std::move(layout));
+  return true;
 }
 
 TieredIndex::TieredIndex(
@@ -81,18 +112,12 @@ void TieredIndex::Install(std::unique_ptr<tiered::PageFile> file,
 }
 
 void TieredIndex::BulkLoad(std::span<const KeyValue> data) {
-  auto fill = [&](auto emit) {
-    for (const KeyValue& kv : data) emit(kv);
-    return true;
-  };
-  std::unique_ptr<tiered::PageFile> file =
-      tiered::PageFile::Create(MainPath(dir_));
-  RunLayout layout;
-  if (file == nullptr || !WriteRun(file.get(), fill, &layout)) {
-    std::fprintf(stderr, "tiered: bulk load of %s failed\n", dir_.c_str());
-    return;
-  }
-  Install(std::move(file), std::move(layout));
+  CommitRun(
+      [&](auto emit) {
+        for (const KeyValue& kv : data) emit(kv);
+        return true;
+      },
+      /*merge=*/false);
 }
 
 size_t TieredIndex::CandidatePage(Key key) const {
@@ -283,52 +308,32 @@ bool TieredIndex::Merge() {
   }
 
   // Phase 2 — write: merge-join the old run's pages with the delta into
-  // a fresh run under a temp name (sequential I/O, no pool pollution).
-  const std::string tmp_path = MainPath(dir_) + ".tmp";
-  std::unique_ptr<tiered::PageFile> out;
-  RunLayout layout;
-  {
-    CHAMELEON_PHASE_SPAN(kMergeWrite);
-    out = tiered::PageFile::Create(tmp_path);
-    if (out == nullptr) return false;
-    auto fill = [&](auto emit) {
-      const uint64_t old_pages = main_ != nullptr ? main_->num_pages() : 0;
-      auto in = std::make_unique<tiered::Page>();
-      size_t di = 0;  // delta cursor
-      for (uint64_t page = 0; page < old_pages; ++page) {
-        if (!main_->ReadPage(page, in.get())) return false;
-        CHAMELEON_STAT_INC(kTieredPageReads);
-        const KeyValue* entries = tiered::PageFile::PageEntries(in.get());
-        const uint32_t count = tiered::PageFile::PageCount(in.get());
-        for (uint32_t i = 0; i < count; ++i) {
-          while (di < delta_entries.size() &&
-                 delta_entries[di].key < entries[i].key) {
-            emit(delta_entries[di++]);
-          }
-          // Tombstoned disk keys drop out here — including shadowed
-          // ones, whose live copy arrives from the delta cursor instead.
-          if (tombstones_.count(entries[i].key) == 0) emit(entries[i]);
+  // a fresh run (sequential I/O, no pool pollution) and commit it over
+  // the old one. Phase 3 — install it; then swap in a fresh delta and
+  // drop tombstones.
+  auto fill = [&](auto emit) {
+    const uint64_t old_pages = main_ != nullptr ? main_->num_pages() : 0;
+    auto in = std::make_unique<tiered::Page>();
+    size_t di = 0;  // delta cursor
+    for (uint64_t page = 0; page < old_pages; ++page) {
+      if (!main_->ReadPage(page, in.get())) return false;
+      CHAMELEON_STAT_INC(kTieredPageReads);
+      const KeyValue* entries = tiered::PageFile::PageEntries(in.get());
+      const uint32_t count = tiered::PageFile::PageCount(in.get());
+      for (uint32_t i = 0; i < count; ++i) {
+        while (di < delta_entries.size() &&
+               delta_entries[di].key < entries[i].key) {
+          emit(delta_entries[di++]);
         }
+        // Tombstoned disk keys drop out here — including shadowed
+        // ones, whose live copy arrives from the delta cursor instead.
+        if (tombstones_.count(entries[i].key) == 0) emit(entries[i]);
       }
-      while (di < delta_entries.size()) emit(delta_entries[di++]);
-      return true;
-    };
-    if (!WriteRun(out.get(), fill, &layout)) {
-      std::filesystem::remove(tmp_path);
-      return false;
     }
-  }
-
-  // Phase 3 — install: atomic rename over the old run, then the shared
-  // install step; swap in a fresh delta and drop tombstones.
-  {
-    CHAMELEON_PHASE_SPAN(kMergeInstall);
-    if (!out->RenameTo(MainPath(dir_))) {
-      std::filesystem::remove(tmp_path);
-      return false;
-    }
-    Install(std::move(out), std::move(layout));
-  }
+    while (di < delta_entries.size()) emit(delta_entries[di++]);
+    return true;
+  };
+  if (!CommitRun(fill, /*merge=*/true)) return false;
   delta_ = delta_factory_();
   tombstones_.clear();
   ++merges_;

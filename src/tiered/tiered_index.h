@@ -141,6 +141,12 @@ class TieredIndex final : public KvIndex {
   template <typename Fill>
   static bool WriteRun(tiered::PageFile* file, Fill fill, RunLayout* layout);
 
+  /// The one way a run goes live (BulkLoad, Merge): WriteRun under
+  /// CommitFile's temp name, the commit over main.pages, then Install.
+  /// On failure the previous run stays. `merge` times the merge spans.
+  template <typename Fill>
+  bool CommitRun(Fill fill, bool merge);
+
   /// Fence binary search: index of the one page that could hold `key`,
   /// or npos when the run is empty or key precedes every fence.
   size_t CandidatePage(Key key) const;

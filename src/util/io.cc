@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdint>
 #include <cstdio>
@@ -79,10 +80,51 @@ void SyncDirOf(const std::string& path) {
   }
 }
 
-bool RenameDurably(const std::string& from, const std::string& to) {
-  if (std::rename(from.c_str(), to.c_str()) != 0) return false;
-  SyncDirOf(to);
-  return true;
+bool CommitFile(const std::string& path,
+                const std::function<bool(const std::string& tmp)>& write) {
+  const std::string tmp = path + ".tmp";
+  if (write(tmp) && std::rename(tmp.c_str(), path.c_str()) == 0) {
+    SyncDirOf(path);
+    return true;
+  }
+  std::error_code ec;
+  std::filesystem::remove(tmp, ec);
+  return false;
+}
+
+bool ReadWholeFile(const std::string& path, std::vector<uint8_t>* bytes) {
+  std::error_code ec;
+  const uintmax_t size = std::filesystem::file_size(path, ec);
+  std::FILE* f = ec ? nullptr : std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return false;
+  bytes->resize(size);
+  const bool ok = size == 0 || std::fread(bytes->data(), 1, size, f) == size;
+  std::fclose(f);
+  return ok;
+}
+
+std::string NumberedPath(const std::string& dir, const char* prefix,
+                         uint64_t seq, const char* suffix) {
+  char name[64];
+  std::snprintf(name, sizeof(name), "%s%06llu%s", prefix,
+                static_cast<unsigned long long>(seq), suffix);
+  return dir + "/" + name;
+}
+
+std::vector<uint64_t> ListNumbered(const std::string& dir, const char* prefix,
+                                   const char* suffix) {
+  const std::string pattern = std::string(prefix) + "%llu" + suffix;
+  std::vector<uint64_t> seqs;
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    unsigned long long seq = 0;
+    if (std::sscanf(entry.path().filename().c_str(), pattern.c_str(),
+                    &seq) == 1) {
+      seqs.push_back(seq);
+    }
+  }
+  std::sort(seqs.begin(), seqs.end());
+  return seqs;
 }
 
 }  // namespace chameleon

@@ -328,6 +328,12 @@ TEST(ShardedIndexTest, ShardFailureReachesTheCaller) {
   failing_ptr->fail = true;
   EXPECT_THROW(index.BulkLoad(data), std::runtime_error);
   EXPECT_FALSE(index.Recover());
+  // The unfinished load removed the first lifetime's routing table
+  // before any shard build, so even healthy shards do not recover over
+  // it.
+  failing_ptr->fail = false;
+  EXPECT_FALSE(index.Recover());
+  EXPECT_FALSE(std::filesystem::exists(meta));
   std::filesystem::remove(meta);
 }
 

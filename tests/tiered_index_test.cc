@@ -186,6 +186,32 @@ TEST_F(TieredIndexTest, RecoverFailsOnMissingOrCorruptRun) {
     std::unique_ptr<KvIndex> index = MakeTiered();
     index->BulkLoad(Load(2'000));
   }
+  // A BulkLoad interrupted before its commit has written part of a run
+  // under the temp name (three data pages, header never synced). The
+  // previous run must still be the one recovered, whole.
+  {
+    std::unique_ptr<tiered::PageFile> partial =
+        tiered::PageFile::Create(dir_ + "/main.pages.tmp");
+    ASSERT_NE(partial, nullptr);
+    auto page = std::make_unique<tiered::Page>();
+    tiered::PageFile::SetPageCount(page.get(), 1);
+    for (uint64_t p = 0; p < 3; ++p) {
+      tiered::PageFile::PageEntries(page.get())[0] = KeyValue{p + 1, p};
+      ASSERT_TRUE(partial->WritePage(p, page.get()));
+    }
+  }
+  auto recovers_the_first_load = [&] {
+    std::unique_ptr<KvIndex> reopened = MakeTiered();
+    ASSERT_TRUE(reopened->Recover());
+    EXPECT_EQ(reopened->size(), 2'000u);
+  };
+  recovers_the_first_load();
+  // A BulkLoad whose write fails (a directory holds the temp name) keeps
+  // the previous run too.
+  std::filesystem::remove(dir_ + "/main.pages.tmp");
+  std::filesystem::create_directory(dir_ + "/main.pages.tmp");
+  MakeTiered()->BulkLoad(Load(500, 11));
+  recovers_the_first_load();
   // Corrupt a data page; recovery's full scan must reject the run.
   {
     std::FILE* raw = std::fopen((dir_ + "/main.pages").c_str(), "r+b");

@@ -1,6 +1,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -171,6 +173,56 @@ TEST(IoTest, TruncatedFileFails) {
   EXPECT_FALSE(ReadSosdFile(path, &keys));
   EXPECT_TRUE(keys.empty());
   std::remove(path.c_str());
+}
+
+namespace {
+
+/// Writes `text` to `path` and flushes it (a CommitFile writer's job).
+bool WriteText(const std::string& path, const std::string& text) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) return false;
+  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
+  return std::fclose(f) == 0 && ok;
+}
+
+std::string ReadText(const std::string& path) {
+  std::vector<uint8_t> bytes;
+  EXPECT_TRUE(ReadWholeFile(path, &bytes)) << path;
+  return std::string(bytes.begin(), bytes.end());
+}
+
+}  // namespace
+
+TEST(IoTest, CommitFileReplacesTheFile) {
+  const std::string path = ::testing::TempDir() + "/commit_replace.bin";
+  ASSERT_TRUE(WriteText(path, "old contents"));
+  std::string handed;
+  ASSERT_TRUE(CommitFile(path, [&](const std::string& tmp) {
+    handed = tmp;
+    return WriteText(tmp, "new");
+  }));
+  EXPECT_EQ(handed, path + ".tmp");
+  EXPECT_EQ(ReadText(path), "new");
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  std::remove(path.c_str());
+}
+
+TEST(IoTest, FailedCommitKeepsThePreviousFileAndNoTemp) {
+  const std::string path = ::testing::TempDir() + "/commit_fail.bin";
+  const std::string old_bytes("previous\0run\xff", 13);
+  ASSERT_TRUE(WriteText(path, old_bytes));
+  // The writer fails after it has written (and even grown) the temp.
+  EXPECT_FALSE(CommitFile(path, [](const std::string& tmp) {
+    return WriteText(tmp, std::string(100'000, 'x')) && false;
+  }));
+  EXPECT_EQ(ReadText(path), old_bytes);
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  std::remove(path.c_str());
+}
+
+TEST(IoTest, ReadWholeFileFailsOnMissingFile) {
+  std::vector<uint8_t> bytes = {1, 2, 3};
+  EXPECT_FALSE(ReadWholeFile("/nonexistent/nope.bin", &bytes));
 }
 
 }  // namespace
