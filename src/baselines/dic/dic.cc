@@ -83,7 +83,7 @@ struct DicIndex::Node {
 DicIndex::DicIndex() : DicIndex(Config{}) {}
 
 DicIndex::DicIndex(Config config)
-    : DeltaOverlayIndex(/*min_merge=*/4096, /*merge_divisor=*/8),
+    : SortedRunIndex(/*min_merge=*/4096, /*merge_divisor=*/8),
       config_(config) {
   DqnConfig dqn;
   dqn.state_dim = kStateBuckets + 2;
@@ -243,7 +243,7 @@ size_t DicIndex::SizeBytes() const {
     }
   } sizer;
   if (root_ != nullptr) sizer.Walk(root_.get());
-  return sizer.bytes + sizeof(DicIndex) + OverlayBytes();
+  return sizer.bytes + sizeof(DicIndex) + RunBytes();
 }
 
 IndexStats DicIndex::Stats() const {

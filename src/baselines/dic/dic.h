@@ -6,7 +6,7 @@
 #include <string_view>
 #include <vector>
 
-#include "src/baselines/common/delta_overlay.h"
+#include "src/baselines/common/sorted_run.h"
 #include "src/rl/dqn.h"
 
 namespace chameleon {
@@ -23,11 +23,11 @@ namespace chameleon {
 /// slowest index to build in the paper's Fig. 10.
 ///
 /// DIC targets static workloads (the paper drops it from update
-/// experiments); updates here go through the shared DeltaOverlayIndex
-/// (sorted delta + tombstones over the master run), which reconstructs
-/// the whole tree over the merged run once the delta exceeds
-/// max(4096, n/8).
-class DicIndex final : public DeltaOverlayIndex {
+/// experiments); updates here go through the shared delta overlay
+/// (api/delta_overlay.h: a B+Tree delta and tombstones over the master
+/// run, baselines/common/sorted_run.h), and the whole tree is rebuilt
+/// over the merged run once the delta exceeds max(4096, n/8).
+class DicIndex final : public SortedRunIndex {
  public:
   struct Config {
     size_t leaf_max = 256;         // below this a terminal node is forced

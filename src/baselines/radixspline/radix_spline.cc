@@ -8,7 +8,7 @@
 namespace chameleon {
 
 RadixSpline::RadixSpline(size_t epsilon, size_t radix_bits)
-    : DeltaOverlayIndex(/*min_merge=*/1024, /*merge_divisor=*/16),
+    : SortedRunIndex(/*min_merge=*/1024, /*merge_divisor=*/16),
       epsilon_(std::max<size_t>(1, epsilon)),
       radix_bits_(std::min<size_t>(24, std::max<size_t>(4, radix_bits))) {}
 
@@ -148,7 +148,7 @@ const KeyValue* RadixSpline::FindInRun(Key key) const {
 }
 
 size_t RadixSpline::SizeBytes() const {
-  return sizeof(RadixSpline) + OverlayBytes() +
+  return sizeof(RadixSpline) + RunBytes() +
          spline_.capacity() * sizeof(SplinePoint) +
          radix_table_.capacity() * sizeof(uint32_t);
 }

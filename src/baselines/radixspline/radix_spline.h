@@ -5,7 +5,7 @@
 #include <string_view>
 #include <vector>
 
-#include "src/baselines/common/delta_overlay.h"
+#include "src/baselines/common/sorted_run.h"
 
 namespace chameleon {
 
@@ -19,10 +19,11 @@ namespace chameleon {
 ///
 /// RS is a static index (the paper drops it from update experiments); to
 /// satisfy the common KvIndex contract, updates go through the shared
-/// DeltaOverlayIndex (sorted delta + tombstones over the modelled run),
-/// which rebuilds the spline and radix table over the merged run once
-/// the delta exceeds max(1024, n/16) — correct, but not update-optimized.
-class RadixSpline final : public DeltaOverlayIndex {
+/// delta overlay (api/delta_overlay.h: a B+Tree delta and tombstones
+/// over the modelled run, baselines/common/sorted_run.h), and the spline
+/// and radix table are rebuilt over the merged run once the delta
+/// exceeds max(1024, n/16) — correct, but not update-optimized.
+class RadixSpline final : public SortedRunIndex {
  public:
   explicit RadixSpline(size_t epsilon = 32, size_t radix_bits = 18);
 

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <exception>
 #include <filesystem>
+#include <stdexcept>
 
 #include "src/api/index_spec.h"
 #include "src/obs/stats.h"
@@ -122,8 +122,7 @@ void ShardedIndex::BulkLoad(std::span<const KeyValue> data) {
   std::filesystem::create_directories(
       std::filesystem::path(meta_path_).parent_path(), ec);
   if (!WritePairsSnapshot(table, meta_path_, /*wal_seq=*/0)) {
-    std::fprintf(stderr, "WARNING: ShardedIndex: cannot write %s\n",
-                 meta_path_.c_str());
+    throw std::runtime_error("ShardedIndex: cannot write " + meta_path_);
   }
 }
 

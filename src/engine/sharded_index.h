@@ -31,7 +31,8 @@ inline constexpr size_t kMaxShards = 256;
 /// appends "/shard-<i>" and the Durable adapter roots itself under it.
 /// The quantile boundaries are persisted alongside (d/shards.meta, a
 /// sorted-pairs snapshot file of (lower bound, shard index), removed when
-/// BulkLoad starts and committed when every shard is built) so a freshly
+/// BulkLoad starts and committed when every shard is built; BulkLoad
+/// throws std::runtime_error naming it when it cannot be written) so a freshly
 /// constructed stack can Recover(): the meta restores routing, then all
 /// shards replay their own WALs in parallel. Shards own disjoint key ranges, so
 /// per-shard recovery needs no cross-shard ordering.

@@ -44,15 +44,16 @@ enum class WritePhase : uint32_t {
   kApply,
   kRetrainBlock,
   kWriteTotal,
-  // Tiered delta-merge lifecycle (src/tiered/, DESIGN.md §14). Appended
-  // after kWriteTotal so existing phase rows stay diffable; the three
-  // spans nest inside one TieredIndex::Merge call and are disjoint:
+  // Delta-overlay merge lifecycle (src/api/delta_overlay.h: Disk, RS
+  // and DIC). Appended after kWriteTotal so existing phase rows stay
+  // diffable; the three spans nest inside one DeltaOverlayIndex::Merge
+  // call and are disjoint:
   //
   //   kMergeScan     delta drain (one sorted scan)
-  //   kMergeWrite    merge-join of the old run's pages with the delta into
-  //                  a run under the temp name, its fsync and the commit
-  //                  (rename + directory fsync)
-  //   kMergeInstall  pool reset + fence and heat-array swap
+  //   kMergeWrite    merge-join of the old run with the delta into the
+  //                  next run (Disk: its fsync and commit)
+  //   kMergeInstall  making it live (Disk: pool reset + fence and
+  //                  heat-array swap; RS, DIC: the model rebuild)
   kMergeScan,
   kMergeWrite,
   kMergeInstall,

@@ -65,8 +65,8 @@ enum class Counter : uint32_t {
   kIntervalLockWriteWaits,
   kWalConcurrentAppends,
   // Tiered disk engine (src/tiered/, appended per the catalog note
-  // above): buffer-pool traffic against the page file, delta-merge
-  // activity, and writes absorbed by the in-memory delta index.
+  // above): buffer-pool traffic against the page file, then merges and
+  // delta inserts of every delta overlay (Disk, RS, DIC).
   kTieredPageReads,
   kTieredPageWrites,
   kTieredPageEvictions,

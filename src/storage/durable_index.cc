@@ -1,10 +1,10 @@
 #include "src/storage/durable_index.h"
 
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <mutex>
 #include <shared_mutex>
+#include <stdexcept>
 
 #include "src/api/index_spec.h"
 #include "src/obs/phase_timer.h"
@@ -62,16 +62,14 @@ void DurableIndex::BulkLoad(std::span<const KeyValue> data) {
   }
   inner_->BulkLoad(data);
   if (!wal_.Open()) {
-    std::fprintf(stderr, "WARNING: DurableIndex(%s): cannot open WAL\n",
-                 dir_.c_str());
-    return;
+    throw std::runtime_error("DurableIndex: cannot open a WAL segment in " +
+                             dir_);
   }
   // Initial snapshot: the durable baseline every recovery starts from.
-  if (!WriteSnapshot(*inner_, SnapshotPath(wal_.current_seq()),
-                     wal_.current_seq())) {
-    std::fprintf(stderr,
-                 "WARNING: DurableIndex(%s): cannot write initial snapshot\n",
-                 dir_.c_str());
+  const std::string snapshot = SnapshotPath(wal_.current_seq());
+  if (!WriteSnapshot(*inner_, snapshot, wal_.current_seq())) {
+    throw std::runtime_error("DurableIndex: cannot write initial snapshot " +
+                             snapshot);
   }
   wal_bytes_at_checkpoint_ = wal_.appended_bytes();
 }

@@ -88,8 +88,9 @@ class DurableIndex final : public KvIndex {
   DurableIndex& operator=(const DurableIndex&) = delete;
 
   /// Builds the inner index and establishes the durable baseline: a
-  /// fresh WAL plus an initial snapshot. Failures to set up durability
-  /// are reported on stderr; the index still serves (volatile).
+  /// fresh WAL plus an initial snapshot. Throws std::runtime_error,
+  /// naming the directory or the snapshot, when either cannot be
+  /// written: the caller must not take writes that Recover() would lose.
   void BulkLoad(std::span<const KeyValue> data) override;
   bool Lookup(Key key, Value* value) const override {
     return inner_->Lookup(key, value);

@@ -2,15 +2,12 @@
 #define CHAMELEON_TIERED_TIERED_INDEX_H_
 
 #include <atomic>
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <shared_mutex>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
-#include "src/api/kv_index.h"
+#include "src/api/delta_overlay.h"
 #include "src/tiered/buffer_pool.h"
 #include "src/tiered/page_file.h"
 
@@ -27,32 +24,14 @@ struct TieredOptions {
 
 /// Tiered disk-resident leaf storage (DESIGN.md §14): the hybrid
 /// memory/disk pattern of "Making In-Memory Learned Indexes Efficient
-/// on Disk" (SIGMOD 2024). The bulk-loaded key space lives in a
-/// page-aligned on-disk run (`<dir>/main.pages`) behind a fixed-budget,
-/// read-only buffer pool; an in-memory *delta index* — a fresh instance
-/// of the wrapped spec, e.g. Chameleon — absorbs Insert/Erase; a
-/// threshold-triggered Merge() compacts delta + tombstones into a
-/// rewritten page run installed by atomic rename. BulkLoad and Merge
-/// write their runs with one writer, and BulkLoad, Merge and Recover
-/// make a run live with one install step.
-///
-/// Read path: Lookup probes the delta first (newest data wins), then
-/// the tombstone set (a deleted/shadowed disk key is a miss), then
-/// routes through the buffer pool to the one candidate disk page found
-/// by binary search over the in-memory page fence keys. RangeScan
-/// merge-joins pooled disk pages with the delta's scan; LookupBatch is
-/// the delta's batched probe plus per-miss disk probes — bit-identical
-/// to per-key Lookup by construction. A disk page that cannot be read
-/// stops the process (BufferPool::Pin) rather than read as a miss.
-///
-/// Write semantics (keys unique across tiers):
-///   * a key is "live on disk" when it is in the page run and not
-///     tombstoned; tombstones_ only ever names disk keys;
-///   * delta and live-disk key sets are disjoint: an Insert that would
-///     shadow a live disk key is rejected (duplicate), an Erase of a
-///     live disk key tombstones it, and re-inserting an erased disk key
-///     lands in the delta while the tombstone keeps the stale disk copy
-///     dead until the next merge drops it.
+/// on Disk" (SIGMOD 2024). Reads, writes, merges and reloads are the
+/// shared delta overlay's (api/delta_overlay.h), whose delta is a fresh
+/// instance of the wrapped spec, e.g. Chameleon. This class supplies the
+/// run: a page-aligned file (`<dir>/main.pages`) behind a fixed-budget,
+/// read-only buffer pool, probed through a binary search over in-memory
+/// page fence keys. A merge streams the old run page by page, past the
+/// pool. A page that cannot be read stops the process (BufferPool::Pin)
+/// rather than read as a miss.
 ///
 /// Thread model: concurrent readers are safe, more of them than frames
 /// too (the pool serializes frame traffic and a reader waits for a
@@ -64,33 +43,24 @@ struct TieredOptions {
 /// capabilities (a Chameleon delta's concurrent writes, its contention
 /// map) never surface through this layer. HeatmapSnapshot() may be polled
 /// live by the metrics sampler; it only touches state guarded against
-/// Install's swap.
+/// InstallRun's swap.
 ///
 /// Clean close: the destructor merges any outstanding delta/tombstones
 /// into the page run, so a later TieredIndex on the same directory can
 /// Recover() the full key set from disk alone (no WAL — crash-safety
 /// composes via an outer Durable layer, which replays unmerged writes
 /// into a recovered TieredIndex).
-class TieredIndex final : public KvIndex {
+class TieredIndex final : public DeltaOverlayIndex {
  public:
-  /// `delta` is the first (empty) delta; `delta_factory` builds a fresh
-  /// empty instance of the same spec after every merge.
+  /// `delta` is the first (empty) delta; `delta_factory` builds fresh
+  /// empty instances of the same spec (DeltaOverlayIndex).
   TieredIndex(std::string dir, TieredOptions options,
-              std::unique_ptr<KvIndex> delta,
-              std::function<std::unique_ptr<KvIndex>()> delta_factory);
+              std::unique_ptr<KvIndex> delta, DeltaFactory delta_factory);
   ~TieredIndex() override;
 
   TieredIndex(const TieredIndex&) = delete;
   TieredIndex& operator=(const TieredIndex&) = delete;
 
-  void BulkLoad(std::span<const KeyValue> data) override;
-  bool Lookup(Key key, Value* value) const override;
-  void LookupBatch(std::span<const Key> keys, Value* values,
-                   bool* found) const override;
-  bool Insert(Key key, Value value) override;
-  bool Erase(Key key) override;
-  size_t RangeScan(Key lo, Key hi, std::vector<KeyValue>* out) const override;
-  size_t size() const override;
   size_t SizeBytes() const override;
   IndexStats Stats() const override;
   std::string_view Name() const override { return name_; }
@@ -102,76 +72,50 @@ class TieredIndex final : public KvIndex {
   /// contract).
   bool Recover() override;
 
-  /// Compacts delta + tombstones into a rewritten page run (temp file,
-  /// fsync, atomic rename, pool reset). No-op when there is nothing to
-  /// merge. Returns false on I/O failure, leaving the old run and the
-  /// delta intact.
-  bool Merge();
-
   // --- Introspection (chameleon_inspect, benches, tests) -------------------
 
   const tiered::BufferPool* pool() const { return pool_.get(); }
-  size_t delta_entries() const { return delta_->size(); }
-  size_t tombstone_count() const { return tombstones_.size(); }
-  uint64_t disk_pages() const { return main_ ? main_->num_pages() : 0; }
-  uint64_t disk_entries() const { return disk_entries_; }
-  uint64_t merges() const { return merges_; }
+  uint64_t disk_pages() const { return run_.file ? run_.file->num_pages() : 0; }
+  uint64_t disk_entries() const { return run_.entries; }
   size_t frame_budget() const { return options_.frames; }
-  const std::string& dir() const { return dir_; }
-  const KvIndex& delta() const { return *delta_; }
 
  private:
-  /// Router state of a written or recovered page run.
-  struct RunLayout {
+  /// A page run: its file and the router state read from it.
+  struct Run {
+    std::unique_ptr<tiered::PageFile> file;
+    /// First key of each data page, ascending — the in-memory router
+    /// from key to page (8 bytes per 4K page).
     std::vector<Key> fences;
     uint64_t entries = 0;
     Key max_key = 0;
   };
 
-  /// Makes `file` the live run: retargets (or creates) the pool, then
-  /// swaps the fences, counters and fresh heat arrays under heat_mu_.
-  /// The one install step of BulkLoad, Merge and Recover.
-  void Install(std::unique_ptr<tiered::PageFile> file, RunLayout layout);
-
-  /// The one run writer: packs the ascending pairs that `fill(emit)`
-  /// passes to `emit` into consecutive data pages of the fresh `file`,
-  /// records the run's router state in `*layout` and makes the run
-  /// durable with one SyncHeader. `fill` returns false when its source
-  /// fails (a corrupt input page); nothing is synced then.
-  template <typename Fill>
-  static bool WriteRun(tiered::PageFile* file, Fill fill, RunLayout* layout);
-
-  /// The one way a run goes live (BulkLoad, Merge): WriteRun under
-  /// CommitFile's temp name, the commit over main.pages, then Install.
-  /// On failure the previous run stays. `merge` times the merge spans.
-  template <typename Fill>
-  bool CommitRun(Fill fill, bool merge);
+  bool RunLookup(Key key, Value* value) const override;
+  bool ScanRun(Key lo, Key hi, bool merging, ChunkSink visit) const override;
+  /// The one run writer (BulkLoad, Merge): packs the stream into
+  /// consecutive pages of a fresh file under CommitFile's temp name,
+  /// collecting the router state on the way, syncs it once and commits
+  /// it over main.pages. On failure main.pages and the live run stay.
+  void WriteRun(size_t entries, RunSource source) override;
+  /// The one install step of BulkLoad, Merge and Recover: retargets (or
+  /// creates) the pool, then swaps in next_ and fresh heat arrays under
+  /// heat_mu_.
+  void InstallRun() override;
+  size_t RunEntries() const override { return run_.entries; }
+  bool MergeDue() const override;
+  void RecordRunWrite(Key key) const override;
 
   /// Fence binary search: index of the one page that could hold `key`,
   /// or npos when the run is empty or key precedes every fence.
   size_t CandidatePage(Key key) const;
-  bool DiskLookup(Key key, Value* value) const;
-  bool DiskContains(Key key) const { return DiskLookup(key, nullptr); }
   void RecordPageRead(size_t page) const;
-  void RecordPageWrite(size_t page) const;
-  void MaybeMerge();
 
   std::string dir_;
   std::string name_;
   TieredOptions options_;
-  std::function<std::unique_ptr<KvIndex>()> delta_factory_;
-
-  std::unique_ptr<tiered::PageFile> main_;
   std::unique_ptr<tiered::BufferPool> pool_;
-  /// First key of each data page, ascending — the in-memory router from
-  /// key to page (8 bytes per 4K page).
-  std::vector<Key> fences_;
-  Key disk_max_key_ = 0;
-  uint64_t disk_entries_ = 0;
-  uint64_t merges_ = 0;
-
-  std::unique_ptr<KvIndex> delta_;
-  std::unordered_set<Key> tombstones_;
+  Run run_;   // live
+  Run next_;  // written or recovered, not yet installed
 
   /// Guards the heat arrays and fences between the swaps in BulkLoad,
   /// Merge and Recover (exclusive) and HeatmapSnapshot (shared), which

@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "src/core/chameleon_index.h"
 #include "src/data/dataset.h"
 #include "src/storage/durable_index.h"
+#include "src/util/io.h"
 #include "src/util/random.h"
 #include "src/workload/workload_spec.h"
 
@@ -187,6 +189,26 @@ TEST_F(DurableIndexTest, CheckpointTruncatesWalAndBoundsReplay) {
 TEST_F(DurableIndexTest, RecoverFailsCleanlyOnEmptyDirectory) {
   auto index = std::make_unique<DurableIndex>(MakeIndex("Chameleon"), dir_);
   EXPECT_FALSE(index->Recover()) << "no snapshot to recover from";
+}
+
+TEST_F(DurableIndexTest, InitialSnapshotFailureReachesTheCaller) {
+  // A directory holds the initial snapshot's temp name: BulkLoad must
+  // throw rather than acknowledge writes that Recover() would lose.
+  const std::string blocker = NumberedPath(dir_, "snap-", 0, ".snap") + ".tmp";
+  std::filesystem::create_directories(blocker + "/keep");
+  DurableOptions options;
+  options.wal.fsync = FsyncPolicy::kAlways;
+  DurableIndex index(MakeIndex("B+Tree"), dir_, options);
+  const std::vector<KeyValue> data =
+      ToKeyValues(GenerateDataset(DatasetKind::kFace, 1'000, 3));
+  try {
+    index.BulkLoad(data);
+    ADD_FAILURE() << "BulkLoad did not throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("snap-000000.snap"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST_F(DurableIndexTest, FailedWalAppendIsNotApplied) {

@@ -464,8 +464,11 @@ std::vector<Param> AllParams() {
   // buffer pool (16 frames, merges every 2000 absorbed writes — see
   // MakeParamIndex) must be invisible to every KvIndex consumer, alone
   // and under a sharded deployment.
+  // Disk:RS nests one delta overlay inside another: RS's B+Tree delta
+  // and tombstones are themselves the delta of the paged run.
   for (const std::string& name : {std::string("Disk:Chameleon"),
                                   std::string("Disk:B+Tree"),
+                                  std::string("Disk:RS"),
                                   std::string("Sharded4:Disk:Chameleon")}) {
     for (DatasetKind kind : kAllDatasets) {
       params.push_back({name, kind});

@@ -337,5 +337,26 @@ TEST(ShardedIndexTest, ShardFailureReachesTheCaller) {
   std::filesystem::remove(meta);
 }
 
+TEST(ShardedIndexTest, RoutingTableFailureReachesTheCaller) {
+  // A directory holds shards.meta's temp name: BulkLoad must throw
+  // rather than acknowledge writes on a stack that cannot recover.
+  const std::string dir = ::testing::TempDir() + "/sharded_meta_failure";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir + "/shards.meta.tmp/keep");
+  const std::string spec = "Sharded2:Durable(" + dir + ",fsync=always):B+Tree";
+  std::unique_ptr<KvIndex> index = MakeIndex(spec);
+  ASSERT_NE(index, nullptr);
+  try {
+    index->BulkLoad(FaceData(1'000));
+    ADD_FAILURE() << "BulkLoad did not throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("shards.meta"), std::string::npos)
+        << e.what();
+  }
+  index.reset();
+  EXPECT_FALSE(MakeIndex(spec)->Recover());
+  std::filesystem::remove_all(dir);
+}
+
 }  // namespace
 }  // namespace chameleon

@@ -12,6 +12,7 @@
 #include <iterator>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -21,6 +22,7 @@
 
 #include "src/api/index_factory.h"
 #include "src/data/dataset.h"
+#include "src/storage/durable_index.h"
 #include "src/tiered/tiered_index.h"
 #include "src/util/random.h"
 
@@ -206,11 +208,11 @@ TEST_F(TieredIndexTest, RecoverFailsOnMissingOrCorruptRun) {
     EXPECT_EQ(reopened->size(), 2'000u);
   };
   recovers_the_first_load();
-  // A BulkLoad whose write fails (a directory holds the temp name) keeps
-  // the previous run too.
+  // A BulkLoad whose write fails (a directory holds the temp name)
+  // throws to its caller and keeps the previous run too.
   std::filesystem::remove(dir_ + "/main.pages.tmp");
   std::filesystem::create_directory(dir_ + "/main.pages.tmp");
-  MakeTiered()->BulkLoad(Load(500, 11));
+  EXPECT_THROW(MakeTiered()->BulkLoad(Load(500, 11)), std::runtime_error);
   recovers_the_first_load();
   // Corrupt a data page; recovery's full scan must reject the run.
   {
@@ -222,6 +224,55 @@ TEST_F(TieredIndexTest, RecoverFailsOnMissingOrCorruptRun) {
   }
   std::unique_ptr<KvIndex> reopened = MakeTiered();
   EXPECT_FALSE(reopened->Recover());
+}
+
+TEST_F(TieredIndexTest, ReloadStartsANewLifetime) {
+  // A reload drops the previous load's delta and tombstones: neither an
+  // insert nor an erase made before it may surface after it.
+  const std::vector<KeyValue> first = Load(2'000);
+  const std::vector<KeyValue> second = Load(2'000, 11);
+  const Key fresh = std::max(first.back().key, second.back().key) + 1;
+  auto churn_and_reload = [&](KvIndex* index) {
+    index->BulkLoad(first);
+    ASSERT_TRUE(index->Insert(fresh, 1));
+    ASSERT_TRUE(index->Erase(first[20].key));
+    index->BulkLoad(second);
+  };
+  auto holds_exactly = [](const KvIndex& index,
+                          const std::vector<KeyValue>& expected) {
+    EXPECT_EQ(index.size(), expected.size());
+    std::vector<KeyValue> all;
+    EXPECT_EQ(index.RangeScan(kMinKey, kMaxKey, &all), expected.size());
+    EXPECT_TRUE(all == expected);
+  };
+
+  {
+    std::unique_ptr<KvIndex> index = MakeTiered();
+    churn_and_reload(index.get());
+    holds_exactly(*index, second);
+    EXPECT_FALSE(index->Lookup(fresh, nullptr));
+  }
+
+  // Under a Durable layer the reload's initial snapshot must hold the
+  // second load alone, and a crash after one acknowledged insert must
+  // recover exactly that.
+  const std::string spec = "Durable(" + dir_ + "/wal,fsync=always):Disk(" +
+                           dir_ + "/pages):Chameleon";
+  std::vector<KeyValue> expected = second;
+  const KeyValue acked{fresh + 1, 7};
+  expected.push_back(acked);
+  {
+    std::string error;
+    std::unique_ptr<KvIndex> index = MakeIndex(spec, &error);
+    ASSERT_NE(index, nullptr) << error;
+    churn_and_reload(index.get());
+    ASSERT_TRUE(index->Insert(acked.key, acked.value));
+    ASSERT_TRUE(SimulateCrashStack(index.get()));
+  }
+  std::unique_ptr<KvIndex> recovered = MakeIndex(spec);
+  ASSERT_NE(recovered, nullptr);
+  ASSERT_TRUE(recovered->Recover());
+  holds_exactly(*recovered, expected);
 }
 
 TEST_F(TieredIndexTest, ExplicitMergeDrainsDeltaAndTombstones) {
