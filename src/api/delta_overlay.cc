@@ -1,8 +1,7 @@
 #include "src/api/delta_overlay.h"
 
 #include <cstdio>
-#include <stdexcept>
-#include <utility>
+#include <exception>
 
 #include "src/obs/phase_timer.h"
 #include "src/obs/stats.h"
@@ -35,9 +34,8 @@ void DeltaOverlayIndex::BulkLoad(std::span<const KeyValue> data) {
     return true;
   });
   InstallRun();
-  // An empty delta serves no read: skip the rebuild (~1 ms for Chameleon).
-  if (delta_->size() > 0) delta_ = factory_();
   tombstones_.clear();
+  delta_->BulkLoad({});
 }
 
 bool DeltaOverlayIndex::Lookup(Key key, Value* value) const {
@@ -123,21 +121,23 @@ bool DeltaOverlayIndex::Merge() {
     return true;
   };
   try {
-    CHAMELEON_PHASE_SPAN(kMergeWrite);
-    WriteRun(size(), source);
-  } catch (const std::runtime_error& e) {
+    {
+      CHAMELEON_PHASE_SPAN(kMergeWrite);
+      WriteRun(size(), source);
+    }
+    {
+      CHAMELEON_PHASE_SPAN(kMergeInstall);
+      InstallRun();
+    }
+    tombstones_.clear();
+    ++merges_;
+    CHAMELEON_STAT_INC(kTieredMerges);
+    CHAMELEON_STAT_ADD(kTieredMergeEntries, RunEntries());
+    delta_->BulkLoad({});
+  } catch (const std::exception& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return false;
   }
-  {
-    CHAMELEON_PHASE_SPAN(kMergeInstall);
-    InstallRun();
-  }
-  delta_ = factory_();
-  tombstones_.clear();
-  ++merges_;
-  CHAMELEON_STAT_INC(kTieredMerges);
-  CHAMELEON_STAT_ADD(kTieredMergeEntries, RunEntries());
   return true;
 }
 

@@ -2,7 +2,6 @@
 #define CHAMELEON_API_DELTA_OVERLAY_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <unordered_set>
@@ -19,22 +18,26 @@ namespace chameleon {
 /// RS and DIC (in-memory run, baselines/common/sorted_run.h) and Disk
 /// (page file, tiered/tiered_index.h), which supply only the run.
 ///
-/// The rule (DESIGN.md §2, §14): a delta index from `factory` takes
-/// every insert; erasing a run key sets a tombstone. Tombstones name
-/// only run keys, and a re-insert of a tombstoned key goes to the delta
-/// while the tombstone keeps the stale run copy dead. So a lookup checks
-/// the delta, then the tombstones, then the run, and size() is
-/// run - tombstones + delta. Merge() drains the delta, merge-joins it
-/// with the run minus the tombstones, writes the result as the new run
-/// and takes a fresh delta; a failed merge returns false and keeps all.
-/// BulkLoad starts a new lifetime: once the loaded run is live it drops
-/// the delta and the tombstones. A BulkLoad whose run cannot be written
-/// throws std::runtime_error and leaves the previous lifetime in place.
+/// The rule (DESIGN.md §2, §14): one delta index, kept for the whole
+/// life of the overlay, takes every insert; erasing a run key sets a
+/// tombstone. Tombstones name only run keys, and a re-insert of a
+/// tombstoned key goes to the delta while the tombstone keeps the stale
+/// run copy dead. So a lookup checks the delta, then the tombstones,
+/// then the run, and size() is run - tombstones + delta. Merge() drains
+/// the delta, merge-joins it with the run minus the tombstones, writes
+/// the result as the new run, installs it, clears the tombstones and
+/// resets the delta in place with `BulkLoad({})`. BulkLoad starts a new
+/// lifetime the same way once the loaded run is live, so a Durable delta
+/// opens its WAL there. A BulkLoad whose run cannot be written throws
+/// std::runtime_error and leaves the previous lifetime in place; a merge
+/// whose run cannot be written keeps all. A delta reset that throws (to
+/// BulkLoad's caller; Merge prints it and returns false) leaves the new
+/// run live with no tombstones and an empty delta, as a DurableIndex
+/// whose WAL cannot reopen is left.
 /// Merges record the kMerge* phase spans and the tiered_merges /
 /// tiered_merge_entries counters, inserts tiered_delta_inserts (§11).
 class DeltaOverlayIndex : public KvIndex {
  public:
-  using DeltaFactory = std::function<std::unique_ptr<KvIndex>()>;
   /// An ascending piece of a run: a whole in-memory run or one page.
   using RunChunk = std::span<const KeyValue>;
   using ChunkSink = FunctionRef<void(RunChunk)>;
@@ -54,7 +57,8 @@ class DeltaOverlayIndex : public KvIndex {
   }
 
   /// Folds the delta and the tombstones into a new run (no-op when both
-  /// are empty). False when the run cannot be written.
+  /// are empty). False when the run cannot be written or the delta
+  /// cannot be reset; never throws.
   bool Merge();
 
   const KvIndex& delta() const { return *delta_; }
@@ -63,10 +67,9 @@ class DeltaOverlayIndex : public KvIndex {
   uint64_t merges() const { return merges_; }
 
  protected:
-  /// `delta` is the first (empty) delta; `factory` builds a fresh empty
-  /// one after every merge, and at a bulk load that finds it in use.
-  DeltaOverlayIndex(std::unique_ptr<KvIndex> delta, DeltaFactory factory)
-      : factory_(std::move(factory)), delta_(std::move(delta)) {}
+  /// `delta` is the empty delta the overlay keeps for its whole life.
+  explicit DeltaOverlayIndex(std::unique_ptr<KvIndex> delta)
+      : delta_(std::move(delta)) {}
 
   /// Bytes held by the delta and the tombstones.
   size_t OverlayBytes() const {
@@ -95,7 +98,6 @@ class DeltaOverlayIndex : public KvIndex {
   /// tombstone set, or a re-insert over one).
   virtual void RecordRunWrite(Key /*key*/) const {}
 
-  DeltaFactory factory_;
   std::unique_ptr<KvIndex> delta_;
   std::unordered_set<Key> tombstones_;
   uint64_t merges_ = 0;

@@ -79,15 +79,27 @@ std::string SpecNode::Canonical() const {
   return out;
 }
 
-std::unique_ptr<SpecNode> SpecNode::Clone() const {
-  auto copy = std::make_unique<SpecNode>();
-  copy->name = name;
-  copy->has_count = has_count;
-  copy->count = count;
-  copy->options = options;
-  copy->pos = pos;
-  if (inner != nullptr) copy->inner = inner->Clone();
-  return copy;
+bool ReadSpecDirectory(const SpecNode& node, std::string* dir,
+                       SpecError* error) {
+  const SpecOption* found = nullptr;
+  for (const SpecOption& option : node.options) {
+    if (!option.key.empty()) continue;
+    if (found != nullptr) {
+      error->pos = option.pos;
+      error->message =
+          node.name + " takes one positional argument (the directory)";
+      return false;
+    }
+    found = &option;
+  }
+  if (found == nullptr) {
+    error->pos = node.pos;
+    error->message = node.name + " needs a directory: " + node.name +
+                     "(<dir>):<spec>";
+    return false;
+  }
+  *dir = found->value;
+  return true;
 }
 
 void RegisterIndexDecorator(std::string name, DecoratorInfo info) {

@@ -70,8 +70,14 @@ struct SpecNode {
   /// Re-serializes the chain rooted here into canonical spec text
   /// (exactly the grammar above, no whitespace).
   std::string Canonical() const;
-  std::unique_ptr<SpecNode> Clone() const;
 };
+
+/// Reads the one positional argument of a directory-rooted adapter
+/// (Durable(<dir>), Disk(<dir>)) into `*dir`. Returns false and fills
+/// `*error` when `node` has a second positional argument (at its
+/// position) or none (at the node's).
+bool ReadSpecDirectory(const SpecNode& node, std::string* dir,
+                       SpecError* error);
 
 /// Context threaded through a recursive stack build. Partitioning
 /// adapters extend `dir_suffix` per child (ShardedIndex appends

@@ -32,8 +32,11 @@ struct IndexStats {
 /// implementations uniformly.
 ///
 /// Contract:
-///  * `BulkLoad` is called at most once, before any other operation, with
-///    keys sorted ascending and strictly unique.
+///  * `BulkLoad` takes keys sorted ascending and strictly unique, and
+///    replaces the whole contents: it is the one way an index starts a
+///    lifetime, and it may be called again at any time (with no other
+///    operation in flight). `BulkLoad({})` empties an index in place;
+///    the delta overlay resets its delta that way after every merge.
 ///  * Keys are unique: `Insert` of a present key returns false and leaves
 ///    the index unchanged.
 ///  * `RangeScan` returns pairs with keys in [lo, hi], sorted ascending.
@@ -49,7 +52,8 @@ class KvIndex {
  public:
   virtual ~KvIndex() = default;
 
-  /// Builds the index over sorted unique `data`.
+  /// Builds the index over sorted unique `data`, replacing whatever it
+  /// held before.
   virtual void BulkLoad(std::span<const KeyValue> data) = 0;
 
   /// Point lookup. On success stores the payload in `*value` (if non-null)

@@ -119,13 +119,7 @@ struct AlexIndex::InnerNode final : Node {
 
 AlexIndex::AlexIndex() : AlexIndex(Config{}) {}
 
-AlexIndex::AlexIndex(Config config) : config_(config) {
-  root_ = std::make_unique<DataNode>(kMinKey, kMaxKey);
-  auto* leaf = static_cast<DataNode*>(root_.get());
-  leaf->slots.assign(16, kMaxKey);
-  leaf->values.assign(16, 0);
-  leaf->occupied.assign(16, 0);
-}
+AlexIndex::AlexIndex(Config config) : config_(config) { BulkLoad({}); }
 
 AlexIndex::~AlexIndex() = default;
 
@@ -224,7 +218,15 @@ std::unique_ptr<AlexIndex::Node> AlexIndex::BuildSubtree(
 void AlexIndex::BulkLoad(std::span<const KeyValue> data) {
   size_ = data.size();
   total_shifts_ = 0;
-  if (data.empty()) return;
+  if (data.empty()) {
+    // One empty leaf over the whole key domain.
+    auto leaf = std::make_unique<DataNode>(kMinKey, kMaxKey);
+    leaf->slots.assign(16, kMaxKey);
+    leaf->values.assign(16, 0);
+    leaf->occupied.assign(16, 0);
+    root_ = std::move(leaf);
+    return;
+  }
   // Root model space spans the loaded keys, not the whole uint64 domain
   // (equi-width partitions of the full domain would put every key into
   // one child). Out-of-range keys clamp to the edge children.

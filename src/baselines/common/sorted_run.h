@@ -20,8 +20,7 @@ namespace chameleon {
 class SortedRunIndex : public DeltaOverlayIndex {
  protected:
   SortedRunIndex(size_t min_merge, size_t merge_divisor)
-      : DeltaOverlayIndex(std::make_unique<BPlusTree>(),
-                          [] { return std::make_unique<BPlusTree>(); }),
+      : DeltaOverlayIndex(std::make_unique<BPlusTree>()),
         min_merge_(min_merge),
         merge_divisor_(merge_divisor) {}
 

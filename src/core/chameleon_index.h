@@ -185,6 +185,7 @@ class ChameleonIndex final : public KvIndex {
 
   TsmdpAgent& tsmdp() { return *tsmdp_; }
   DareAgent& dare() { return *dare_; }
+  const DareAgent& dare() const { return *dare_; }
 
   /// Workload-aware construction (the paper's query-distribution reward
   /// extension): supplies a sample of query keys; the next BulkLoad /

@@ -234,6 +234,9 @@ DareParams DareAgent::ChooseParams(std::span<const Key> keys, int h) {
   {
     double time = 0.0, mem = 0.0;
     SimulateFrame(best, sample, full_n, h, &time, &mem);
+    if (experiences_.size() == kMaxExperiences) {
+      experiences_.erase(experiences_.begin());
+    }
     experiences_.push_back({CriticInput(state, best),
                             static_cast<float>(time),
                             static_cast<float>(mem)});

@@ -71,9 +71,16 @@ class DareAgent {
                          std::span<const Key> sample, size_t full_n, int h,
                          double w_time, double w_mem) const;
 
+  /// ChooseParams records are kept in a window of the newest this many,
+  /// so an index that reloads or rebuilds for its whole life (a reused
+  /// Disk delta) keeps a bounded log. ChameleonTrainer's default run
+  /// records 20.
+  static constexpr size_t kMaxExperiences = 64;
+
   /// Trains the critic Q_D on (state, action-summary) -> cost-component
-  /// pairs recorded during previous ChooseParams calls. Returns the mean
-  /// absolute error on the recorded set after training.
+  /// pairs recorded during previous ChooseParams calls (the newest
+  /// kMaxExperiences). Returns the mean absolute error on the recorded
+  /// set after training.
   float TrainCritic(int epochs);
 
   size_t recorded_experiences() const { return experiences_.size(); }

@@ -208,17 +208,11 @@ std::unique_ptr<KvIndex> BuildDurableFromSpec(const SpecNode& node,
                                               const SpecBuildContext& ctx,
                                               SpecError* error) {
   std::string dir;
+  if (!ReadSpecDirectory(node, &dir, error)) return nullptr;
   DurableOptions options;
   for (const SpecOption& option : node.options) {
-    if (option.key.empty()) {
-      if (!dir.empty()) {
-        error->pos = option.pos;
-        error->message =
-            "Durable takes one positional argument (the directory)";
-        return nullptr;
-      }
-      dir = option.value;
-    } else if (option.key == "fsync") {
+    if (option.key.empty()) continue;  // the directory
+    if (option.key == "fsync") {
       if (option.value == "always") {
         options.wal.fsync = FsyncPolicy::kAlways;
       } else if (option.value == "everyN") {
@@ -243,11 +237,6 @@ std::unique_ptr<KvIndex> BuildDurableFromSpec(const SpecNode& node,
       return nullptr;
     }
   }
-  if (dir.empty()) {
-    error->pos = node.pos;
-    error->message = "Durable needs a directory: Durable(<dir>):<spec>";
-    return nullptr;
-  }
   dir += ctx.dir_suffix;
   std::unique_ptr<KvIndex> inner = BuildIndexSpec(*node.inner, ctx, error);
   if (inner == nullptr) return nullptr;
@@ -261,12 +250,10 @@ std::vector<std::string> DurableDirsOf(const SpecNode& spec) {
   std::vector<std::string> dirs;
   for (const SpecNode* node = &spec; node != nullptr;
        node = node->inner.get()) {
-    if (node->name != "Durable") continue;
-    for (const SpecOption& option : node->options) {
-      if (option.key.empty()) {
-        dirs.push_back(option.value);
-        break;
-      }
+    std::string dir;
+    SpecError error;
+    if (node->name == "Durable" && ReadSpecDirectory(*node, &dir, &error)) {
+      dirs.push_back(std::move(dir));
     }
   }
   return dirs;

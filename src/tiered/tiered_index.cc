@@ -72,9 +72,8 @@ void TieredIndex::InstallRun() {
 }
 
 TieredIndex::TieredIndex(std::string dir, TieredOptions options,
-                         std::unique_ptr<KvIndex> delta,
-                         DeltaFactory delta_factory)
-    : DeltaOverlayIndex(std::move(delta), std::move(delta_factory)),
+                         std::unique_ptr<KvIndex> delta)
+    : DeltaOverlayIndex(std::move(delta)),
       dir_(std::move(dir)),
       name_("Disk:" + std::string(this->delta().Name())),
       options_(options) {
@@ -276,16 +275,11 @@ std::unique_ptr<KvIndex> BuildTieredFromSpec(const SpecNode& node,
                                              const SpecBuildContext& ctx,
                                              SpecError* error) {
   std::string dir;
+  if (!ReadSpecDirectory(node, &dir, error)) return nullptr;
   TieredOptions options;
   for (const SpecOption& option : node.options) {
-    if (option.key.empty()) {
-      if (!dir.empty()) {
-        error->pos = option.pos;
-        error->message = "Disk takes one positional argument (the directory)";
-        return nullptr;
-      }
-      dir = option.value;
-    } else if (option.key == "frames" || option.key == "merge") {
+    if (option.key.empty()) continue;  // the directory
+    if (option.key == "frames" || option.key == "merge") {
       size_t* field = option.key == "frames" ? &options.frames
                                              : &options.merge_threshold;
       if (!ReadSpecPositiveCount(option.value, option.pos, option.key, field,
@@ -299,25 +293,11 @@ std::unique_ptr<KvIndex> BuildTieredFromSpec(const SpecNode& node,
       return nullptr;
     }
   }
-  if (dir.empty()) {
-    error->pos = node.pos;
-    error->message = "Disk needs a directory: Disk(<dir>):<spec>";
-    return nullptr;
-  }
   dir += ctx.dir_suffix;
-  // The first build validates the wrapped spec and becomes the first
-  // delta; the factory rebuilds it after every merge, with the build
-  // context cloned so per-shard suffixes stay stable.
-  auto inner_node = node.inner->Clone();
-  auto delta = BuildIndexSpec(*inner_node, ctx, error);
+  std::unique_ptr<KvIndex> delta = BuildIndexSpec(*node.inner, ctx, error);
   if (delta == nullptr) return nullptr;
-  auto factory = [spec = std::shared_ptr<SpecNode>(std::move(inner_node)),
-                  ctx_copy = ctx] {
-    SpecError err;  // the same spec and context built once already
-    return BuildIndexSpec(*spec, ctx_copy, &err);
-  };
   return std::make_unique<TieredIndex>(std::move(dir), options,
-                                       std::move(delta), std::move(factory));
+                                       std::move(delta));
 }
 
 }  // namespace

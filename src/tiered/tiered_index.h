@@ -25,11 +25,11 @@ struct TieredOptions {
 /// Tiered disk-resident leaf storage (DESIGN.md §14): the hybrid
 /// memory/disk pattern of "Making In-Memory Learned Indexes Efficient
 /// on Disk" (SIGMOD 2024). Reads, writes, merges and reloads are the
-/// shared delta overlay's (api/delta_overlay.h), whose delta is a fresh
-/// instance of the wrapped spec, e.g. Chameleon. This class supplies the
-/// run: a page-aligned file (`<dir>/main.pages`) behind a fixed-budget,
-/// read-only buffer pool, probed through a binary search over in-memory
-/// page fence keys. A merge streams the old run page by page, past the
+/// shared delta overlay's (api/delta_overlay.h), whose delta is the
+/// wrapped spec, e.g. Chameleon, reset in place by BulkLoad after every
+/// merge and reload. This class supplies the run: a page-aligned file
+/// (`<dir>/main.pages`) behind a fixed-budget, read-only buffer pool,
+/// probed through a binary search over in-memory page fence keys. A merge streams the old run page by page, past the
 /// pool. A page that cannot be read stops the process (BufferPool::Pin)
 /// rather than read as a miss.
 ///
@@ -52,10 +52,10 @@ struct TieredOptions {
 /// into a recovered TieredIndex).
 class TieredIndex final : public DeltaOverlayIndex {
  public:
-  /// `delta` is the first (empty) delta; `delta_factory` builds fresh
-  /// empty instances of the same spec (DeltaOverlayIndex).
+  /// `delta` is the empty delta the overlay keeps for its whole life
+  /// and resets in place (DeltaOverlayIndex).
   TieredIndex(std::string dir, TieredOptions options,
-              std::unique_ptr<KvIndex> delta, DeltaFactory delta_factory);
+              std::unique_ptr<KvIndex> delta);
   ~TieredIndex() override;
 
   TieredIndex(const TieredIndex&) = delete;

@@ -50,35 +50,16 @@ bool ExecuteOp(KvIndex* index, const Operation& op,
   return true;
 }
 
-/// The per-key replay kernel — the loop every harness ran before the
-/// driver existed; kept op-for-op identical for the legacy op types so
-/// R = 1 numbers stay comparable across PRs.
+/// The replay kernel. At batch = 1 every op, lookups included, goes
+/// through ExecuteOp under its own clock pair: the per-op loop every
+/// harness ran before the driver existed, kept op-for-op identical so
+/// R = 1 numbers stay comparable across PRs. At batch > 1 maximal runs
+/// of consecutive lookups go through LookupBatch in groups of `batch`
+/// under one clock pair, and the histogram records batch time / batch
+/// size for each member; writes and scans still execute one at a time,
+/// in order.
 ChunkResult ReplayChunk(KvIndex* index, std::span<const Operation> ops,
-                        obs::LatencyHistogram* hist) {
-  ChunkResult result;
-  Timer timer;
-  std::vector<KeyValue> scan_buf;
-  for (const Operation& op : ops) {
-    if (hist != nullptr) timer.Reset();
-    result.misses += ExecuteOp(index, op, &scan_buf);
-    if (hist != nullptr) {
-      const int64_t ns = timer.ElapsedNanos();
-      hist->Record(ns);
-      result.busy_ns += ns;
-    }
-  }
-  if (hist == nullptr) result.busy_ns = timer.ElapsedNanos();
-  return result;
-}
-
-/// The batched replay kernel (the harnesses' original batched loop):
-/// maximal runs of consecutive lookups go through LookupBatch in groups
-/// of `batch`; writes execute one at a time, in order. Per-batch timing
-/// keeps batch = 1 symmetric with the per-op kernel (one clock pair per
-/// timed event either way), and the histogram records batch time /
-/// batch size for each member.
-ChunkResult ReplayChunkBatched(KvIndex* index, std::span<const Operation> ops,
-                               size_t batch, obs::LatencyHistogram* hist) {
+                        size_t batch, obs::LatencyHistogram* hist) {
   ChunkResult result;
   Timer timer;
   std::vector<Key> keys(batch);
@@ -87,45 +68,35 @@ ChunkResult ReplayChunkBatched(KvIndex* index, std::span<const Operation> ops,
   std::vector<KeyValue> scan_buf;
   size_t i = 0;
   while (i < ops.size()) {
-    if (ops[i].type != OpType::kLookup) {
-      if (hist != nullptr) timer.Reset();
-      result.misses += ExecuteOp(index, ops[i], &scan_buf);
-      if (hist != nullptr) {
-        const int64_t ns = timer.ElapsedNanos();
-        hist->Record(ns);
-        result.busy_ns += ns;
-      }
-      ++i;
-      continue;
-    }
-    size_t n = 0;
-    while (n < batch && i + n < ops.size() &&
+    size_t n = 0;  // lookups batched into this event
+    while (batch > 1 && n < batch && i + n < ops.size() &&
            ops[i + n].type == OpType::kLookup) {
       keys[n] = ops[i + n].key;
       ++n;
     }
+    const bool batched = n > 0;
     if (hist != nullptr) timer.Reset();
-    index->LookupBatch(std::span<const Key>(keys.data(), n), values.data(),
-                       found.get());
+    if (batched) {
+      index->LookupBatch(std::span<const Key>(keys.data(), n), values.data(),
+                         found.get());
+    } else {
+      result.misses += ExecuteOp(index, ops[i], &scan_buf);
+      n = 1;
+    }
     if (hist != nullptr) {
       const int64_t ns = timer.ElapsedNanos();
-      // One clock pair per batch; attribute the mean to each member.
       for (size_t k = 0; k < n; ++k) {
         hist->Record(ns / static_cast<int64_t>(n));
       }
       result.busy_ns += ns;
     }
-    for (size_t k = 0; k < n; ++k) result.misses += !found[k];
+    if (batched) {
+      for (size_t k = 0; k < n; ++k) result.misses += !found[k];
+    }
     i += n;
   }
   if (hist == nullptr) result.busy_ns = timer.ElapsedNanos();
   return result;
-}
-
-ChunkResult ReplayDispatch(KvIndex* index, std::span<const Operation> ops,
-                           size_t batch, obs::LatencyHistogram* hist) {
-  return batch <= 1 ? ReplayChunk(index, ops, hist)
-                    : ReplayChunkBatched(index, ops, batch, hist);
 }
 
 }  // namespace
@@ -147,7 +118,7 @@ ReplayResult Replay(KvIndex* index, std::span<const Operation> ops,
   if (warmup > 0) {
     // Applied but never measured: no histogram, no miss accounting.
     // Always single-threaded, so it needs no write capability.
-    ReplayDispatch(index, ops.subspan(0, warmup), batch, nullptr);
+    ReplayChunk(index, ops.subspan(0, warmup), batch, nullptr);
   }
   const std::span<const Operation> measured = ops.subspan(warmup);
 
@@ -179,7 +150,7 @@ ReplayResult Replay(KvIndex* index, std::span<const Operation> ops,
     // histogram; busy and wall time coincide in hist == nullptr mode
     // (exactly the historical single-threaded replay).
     Timer wall;
-    const ChunkResult chunk = ReplayDispatch(index, measured, batch, hist);
+    const ChunkResult chunk = ReplayChunk(index, measured, batch, hist);
     result.wall_ns = wall.ElapsedNanos();
     result.misses = chunk.misses;
     result.busy_ns = chunk.busy_ns;
@@ -212,7 +183,7 @@ ReplayResult Replay(KvIndex* index, std::span<const Operation> ops,
         const size_t end = (t + 1) * measured.size() / threads;
         mine = measured.subspan(begin, end - begin);
       }
-      chunks[t] = ReplayDispatch(index, mine, batch,
+      chunks[t] = ReplayChunk(index, mine, batch,
                                  hist != nullptr ? &hists[t] : nullptr);
     });
     result.wall_ns = wall.ElapsedNanos();

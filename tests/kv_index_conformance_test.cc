@@ -380,6 +380,39 @@ TEST_P(ConformanceTest, LookupBatchLargerThanIndex) {
   }
 }
 
+TEST_P(ConformanceTest, BulkLoadReplacesContents) {
+  // BulkLoad is the one way an index starts a lifetime, and it may come
+  // again: after writes, an empty reload and a reload with other keys,
+  // the index holds exactly the last load.
+  Rng rng(31);
+  for (int i = 0; i < 200; ++i) {
+    index_->Insert(data_[rng.NextBounded(data_.size())].key + 1, 3);
+    index_->Erase(data_[rng.NextBounded(data_.size())].key);
+  }
+  auto holds_exactly = [&](const std::vector<KeyValue>& expected) {
+    EXPECT_EQ(index_->size(), expected.size());
+    std::vector<KeyValue> all;
+    index_->RangeScan(kMinKey, kMaxKey - 1, &all);
+    EXPECT_TRUE(all == expected) << all.size() << " pairs scanned, "
+                                 << expected.size() << " loaded";
+    size_t stale = 0;
+    for (const KeyValue& kv : data_) {
+      stale += !std::binary_search(expected.begin(), expected.end(), kv) &&
+               index_->Lookup(kv.key, nullptr);
+    }
+    EXPECT_EQ(stale, 0u) << "keys of the first load still found";
+  };
+  index_->BulkLoad({});
+  holds_exactly({});
+  const std::vector<KeyValue> other = ToKeyValues(
+      GenerateDataset(std::get<1>(GetParam()), 3'000, /*seed=*/8));
+  index_->BulkLoad(other);
+  holds_exactly(other);
+  Value v = 0;
+  ASSERT_TRUE(index_->Lookup(other[1'500].key, &v));
+  EXPECT_EQ(v, other[1'500].value);
+}
+
 TEST_P(ConformanceTest, StatsAndSizeAreSane) {
   const IndexStats stats = index_->Stats();
   EXPECT_GE(stats.max_height, 1);

@@ -129,6 +129,27 @@ TEST(ShardedIndexTest, FewerKeysThanShardsLeavesTrailingShardsEmpty) {
   EXPECT_EQ(index.RangeScan(0, kMaxKey, &out), 2u);
 }
 
+TEST(ShardedIndexTest, ReloadWithFewerKeysThanShardsEmptiesTheRest) {
+  // The reload leaves shards 2 and 3 an empty slice: each must drop the
+  // first load rather than keep serving it.
+  std::unique_ptr<KvIndex> index = MakeIndex("Sharded4:ALEX");
+  ASSERT_NE(index, nullptr);
+  const std::vector<KeyValue> first = FaceData(1'999);
+  index->BulkLoad(first);
+  const std::vector<KeyValue> second = {{first[10].key, 1},
+                                        {first[20].key, 2}};
+  index->BulkLoad(second);
+  EXPECT_EQ(index->size(), 2u);
+  std::vector<KeyValue> out;
+  EXPECT_EQ(index->RangeScan(0, kMaxKey, &out), 2u);
+  EXPECT_TRUE(out == second);
+  size_t stale = 0;
+  for (size_t i = 21; i < first.size(); ++i) {
+    stale += index->Lookup(first[i].key, nullptr);
+  }
+  EXPECT_EQ(stale, 0u);
+}
+
 // The central acceptance criterion: a seeded mixed read/write stream
 // replayed against shards=2 and shards=4 leaves the same final key set
 // and returns the same lookup results as the unsharded index.

@@ -58,11 +58,9 @@ class SpecStackTest : public ::testing::Test {
       if (rng.NextDouble() < 0.7) {
         const Key k = base + 1 + rng.NextBounded(64);
         const Value v = k ^ 0x5EED;
-        if (index->Insert(k, v)) {
-          ASSERT_FALSE(reference_.contains(k));
-          reference_[k] = v;
-          ++acked;
-        }
+        // The index holds the reference's keys: an absent key goes in.
+        ASSERT_EQ(index->Insert(k, v), !reference_.contains(k)) << k;
+        if (reference_.emplace(k, v).second) ++acked;
       } else if (index->Erase(base)) {
         ASSERT_EQ(reference_.erase(base), 1u);
         ++acked;
@@ -228,6 +226,7 @@ TEST_F(SpecStackTest, StackWalkAnswersPerComposition) {
       {"Durable(@):Disk(#):Chameleon", false, true, false, 1, true},
       {"Sharded1:Durable(@):Chameleon", true, true, true, 0, true},
       {"Sharded2:Durable(@):Disk(#):Chameleon", false, true, false, 2, true},
+      {"Disk(@):Durable(#):Chameleon", false, true, false, 1, false},
   };
   for (size_t i = 0; i < cases.size(); ++i) {
     const Case& c = cases[i];

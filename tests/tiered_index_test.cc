@@ -21,7 +21,10 @@
 #include <gtest/gtest.h>
 
 #include "src/api/index_factory.h"
+#include "src/core/chameleon_index.h"
+#include "src/core/dare.h"
 #include "src/data/dataset.h"
+#include "src/obs/stats.h"
 #include "src/storage/durable_index.h"
 #include "src/tiered/tiered_index.h"
 #include "src/util/random.h"
@@ -303,6 +306,76 @@ TEST_F(TieredIndexTest, ExplicitMergeDrainsDeltaAndTombstones) {
   EXPECT_FALSE(index->Lookup(data[10].key, nullptr));
   ASSERT_TRUE(index->Lookup(data[1].key + 1, &v));
   EXPECT_EQ(v, 5u);
+}
+
+TEST_F(TieredIndexTest, MergeResetsTheDeltaInPlace) {
+  // One delta serves the whole life of the index: a merge resets it
+  // with BulkLoad({}) instead of building another, so no index is
+  // created and what the delta keeps across resets (its DARE agent's
+  // experience log) stays bounded.
+  std::unique_ptr<KvIndex> index = MakeTiered();  // explicit merges only
+  const std::vector<KeyValue> data = Load(4'000);
+  index->BulkLoad(data);
+  auto* tiered = dynamic_cast<TieredIndex*>(index.get());
+  ASSERT_NE(tiered, nullptr);
+  const KvIndex* delta = &tiered->delta();
+  const DareAgent& dare =
+      dynamic_cast<const ChameleonIndex&>(tiered->delta()).dare();
+  const uint64_t created =
+      obs::StatsRegistry::Get().Total(obs::Counter::kIndexesCreated);
+  Key next = data.back().key + 1;
+  size_t after_one = 0;
+  for (int merge = 1; merge <= 50; ++merge) {
+    for (int i = 0; i < 300; ++i) ASSERT_TRUE(index->Insert(next++, 5));
+    ASSERT_TRUE(tiered->Merge());
+    EXPECT_EQ(&tiered->delta(), delta);
+    EXPECT_EQ(tiered->delta_entries(), 0u);
+    if (merge == 1) after_one = dare.recorded_experiences();
+    if (merge == 5) {
+      EXPECT_EQ(obs::StatsRegistry::Get().Total(obs::Counter::kIndexesCreated),
+                created);
+    }
+  }
+  const size_t after_fifty = dare.recorded_experiences();
+  EXPECT_TRUE(after_fifty <= after_one ||
+              after_fifty == DareAgent::kMaxExperiences)
+      << after_one << " records after one merge, " << after_fifty
+      << " after fifty";
+  EXPECT_EQ(index->size(), data.size() + 50 * 300);
+  EXPECT_EQ(tiered->disk_entries(), index->size());
+}
+
+TEST_F(TieredIndexTest, MergeWhoseDeltaCannotResetKeepsTheNewRun) {
+  // A Durable delta whose WAL directory is gone cannot reopen its WAL
+  // when the merge resets it. The merge reports false and leaves the
+  // new run live with an empty delta and no tombstones; later writes
+  // are refused rather than lost.
+  const std::string wal = dir_ + "/wal";
+  std::string error;
+  std::unique_ptr<KvIndex> index =
+      MakeIndex("Disk(" + dir_ + "/pages):Durable(" + wal + "):Chameleon",
+                &error);
+  ASSERT_NE(index, nullptr) << error;
+  const std::vector<KeyValue> data = Load(2'000);
+  index->BulkLoad(data);
+  const Key fresh = data.back().key + 1;
+  ASSERT_TRUE(index->Insert(fresh, 9));
+  ASSERT_TRUE(index->Erase(data[5].key));
+  std::filesystem::remove_all(wal);
+  std::ofstream(wal) << "not a directory";
+  auto* tiered = dynamic_cast<TieredIndex*>(index.get());
+  ASSERT_NE(tiered, nullptr);
+  EXPECT_FALSE(tiered->Merge());
+  EXPECT_EQ(tiered->delta_entries(), 0u);
+  EXPECT_EQ(tiered->tombstone_count(), 0u);
+  EXPECT_EQ(tiered->disk_entries(), data.size());
+  EXPECT_EQ(index->size(), data.size());
+  Value v = 0;
+  ASSERT_TRUE(index->Lookup(fresh, &v));
+  EXPECT_EQ(v, 9u);
+  EXPECT_FALSE(index->Lookup(data[5].key, nullptr));
+  EXPECT_FALSE(index->Insert(fresh + 1, 1));
+  EXPECT_EQ(index->size(), data.size());
 }
 
 TEST_F(TieredIndexTest, InsertWithoutBulkLoadMergesIntoEmptyRun) {
