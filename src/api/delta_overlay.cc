@@ -1,7 +1,7 @@
 #include "src/api/delta_overlay.h"
 
 #include <cstdio>
-#include <exception>
+#include <stdexcept>
 
 #include "src/obs/phase_timer.h"
 #include "src/obs/stats.h"
@@ -134,7 +134,7 @@ bool DeltaOverlayIndex::Merge() {
     CHAMELEON_STAT_INC(kTieredMerges);
     CHAMELEON_STAT_ADD(kTieredMergeEntries, RunEntries());
     delta_->BulkLoad({});
-  } catch (const std::exception& e) {
+  } catch (const std::runtime_error& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return false;
   }

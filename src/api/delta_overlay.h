@@ -27,13 +27,12 @@ namespace chameleon {
 /// the delta, merge-joins it with the run minus the tombstones, writes
 /// the result as the new run, installs it, clears the tombstones and
 /// resets the delta in place with `BulkLoad({})`. BulkLoad starts a new
-/// lifetime the same way once the loaded run is live, so a Durable delta
-/// opens its WAL there. A BulkLoad whose run cannot be written throws
-/// std::runtime_error and leaves the previous lifetime in place; a merge
-/// whose run cannot be written keeps all. A delta reset that throws (to
-/// BulkLoad's caller; Merge prints it and returns false) leaves the new
-/// run live with no tombstones and an empty delta, as a DurableIndex
-/// whose WAL cannot reopen is left.
+/// lifetime the same way once the loaded run is live. A BulkLoad whose
+/// run cannot be written throws std::runtime_error and leaves the
+/// previous lifetime in place; a merge whose run cannot be written keeps
+/// all. A delta reset that throws std::runtime_error (to BulkLoad's
+/// caller; Merge prints it and returns false) leaves the new run live
+/// with no tombstones and whatever the failed reset left in the delta.
 /// Merges record the kMerge* phase spans and the tiered_merges /
 /// tiered_merge_entries counters, inserts tiered_delta_inserts (§11).
 class DeltaOverlayIndex : public KvIndex {
@@ -57,8 +56,8 @@ class DeltaOverlayIndex : public KvIndex {
   }
 
   /// Folds the delta and the tombstones into a new run (no-op when both
-  /// are empty). False when the run cannot be written or the delta
-  /// cannot be reset; never throws.
+  /// are empty). False, not a throw, when the run cannot be written or
+  /// the delta cannot be reset (std::runtime_error from either).
   bool Merge();
 
   const KvIndex& delta() const { return *delta_; }

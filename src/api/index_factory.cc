@@ -213,7 +213,7 @@ std::string IndexSpecGrammarHelp() {
   EnsureBuiltinIndexDecorators();
   std::string help;
   help += "index spec grammar: <adapter>:...:<index>, adapters nest in any "
-          "order\n";
+          "order but Durable below Disk\n";
   help += "  adapters:\n";
   for (const std::string& usage : IndexDecoratorUsage()) {
     help += "    " + usage + "\n";

@@ -30,7 +30,8 @@ std::vector<std::string> UpdatableIndexNames();
 ///                                                WAL stacks under
 ///                                                /tmp/d/shard-<i>
 ///
-/// Adapters nest in any order and register themselves in the decorator
+/// Adapters nest in any order, except that Disk refuses a Durable layer
+/// below it (tiered_index.h), and register themselves in the decorator
 /// registry (index_spec.h), so new adapters extend the grammar without
 /// touching this factory.
 std::unique_ptr<KvIndex> MakeIndex(std::string_view spec);

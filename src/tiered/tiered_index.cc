@@ -293,6 +293,18 @@ std::unique_ptr<KvIndex> BuildTieredFromSpec(const SpecNode& node,
       return nullptr;
     }
   }
+  // Recover() reopens the run alone: a WAL below Disk would acknowledge
+  // delta writes and tombstones that a crash then loses.
+  for (const SpecNode* inner = node.inner.get(); inner != nullptr;
+       inner = inner->inner.get()) {
+    if (inner->name == "Durable") {
+      error->pos = inner->pos;
+      error->message =
+          "Durable below Disk is not supported (Disk does not recover its "
+          "delta); put it outside: Durable(<dir>):Disk(<dir>):<spec>";
+      return nullptr;
+    }
+  }
   dir += ctx.dir_suffix;
   std::unique_ptr<KvIndex> delta = BuildIndexSpec(*node.inner, ctx, error);
   if (delta == nullptr) return nullptr;

@@ -29,9 +29,10 @@ struct TieredOptions {
 /// wrapped spec, e.g. Chameleon, reset in place by BulkLoad after every
 /// merge and reload. This class supplies the run: a page-aligned file
 /// (`<dir>/main.pages`) behind a fixed-budget, read-only buffer pool,
-/// probed through a binary search over in-memory page fence keys. A merge streams the old run page by page, past the
-/// pool. A page that cannot be read stops the process (BufferPool::Pin)
-/// rather than read as a miss.
+/// probed through a binary search over in-memory page fence keys. A
+/// merge streams the old run page by page, past the pool. A page that
+/// cannot be read stops the process (BufferPool::Pin) rather than read
+/// as a miss.
 ///
 /// Thread model: concurrent readers are safe, more of them than frames
 /// too (the pool serializes frame traffic and a reader waits for a
@@ -49,7 +50,9 @@ struct TieredOptions {
 /// into the page run, so a later TieredIndex on the same directory can
 /// Recover() the full key set from disk alone (no WAL — crash-safety
 /// composes via an outer Durable layer, which replays unmerged writes
-/// into a recovered TieredIndex).
+/// into a recovered TieredIndex). Recover() reopens the run alone, so
+/// the spec builder refuses a Durable layer below Disk: its WAL would
+/// hold acknowledged delta writes that no recovery replays.
 class TieredIndex final : public DeltaOverlayIndex {
  public:
   /// `delta` is the empty delta the overlay keeps for its whole life

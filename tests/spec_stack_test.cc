@@ -226,7 +226,6 @@ TEST_F(SpecStackTest, StackWalkAnswersPerComposition) {
       {"Durable(@):Disk(#):Chameleon", false, true, false, 1, true},
       {"Sharded1:Durable(@):Chameleon", true, true, true, 0, true},
       {"Sharded2:Durable(@):Disk(#):Chameleon", false, true, false, 2, true},
-      {"Disk(@):Durable(#):Chameleon", false, true, false, 1, false},
   };
   for (size_t i = 0; i < cases.size(); ++i) {
     const Case& c = cases[i];

@@ -345,37 +345,88 @@ TEST_F(TieredIndexTest, MergeResetsTheDeltaInPlace) {
   EXPECT_EQ(tiered->disk_entries(), index->size());
 }
 
+/// A B+Tree delta whose reset can be made to fail: once `fail_reset`
+/// is set, BulkLoad empties the tree, throws std::runtime_error and
+/// refuses every later write, as a delta that cannot start a new
+/// lifetime would.
+class FailingResetDelta final : public KvIndex {
+ public:
+  bool fail_reset = false;
+
+  void BulkLoad(std::span<const KeyValue> data) override {
+    tree_->BulkLoad(data);
+    if (!fail_reset) return;
+    broken_ = true;
+    throw std::runtime_error("delta: cannot start a new lifetime");
+  }
+  bool Lookup(Key key, Value* value) const override {
+    return tree_->Lookup(key, value);
+  }
+  bool Insert(Key key, Value value) override {
+    return !broken_ && tree_->Insert(key, value);
+  }
+  bool Erase(Key key) override { return !broken_ && tree_->Erase(key); }
+  size_t RangeScan(Key lo, Key hi, std::vector<KeyValue>* out) const override {
+    return tree_->RangeScan(lo, hi, out);
+  }
+  size_t size() const override { return tree_->size(); }
+  size_t SizeBytes() const override { return tree_->SizeBytes(); }
+  IndexStats Stats() const override { return tree_->Stats(); }
+  std::string_view Name() const override { return "FailingReset"; }
+
+ private:
+  std::unique_ptr<KvIndex> tree_ = MakeIndex("B+Tree");
+  bool broken_ = false;
+};
+
 TEST_F(TieredIndexTest, MergeWhoseDeltaCannotResetKeepsTheNewRun) {
-  // A Durable delta whose WAL directory is gone cannot reopen its WAL
-  // when the merge resets it. The merge reports false and leaves the
-  // new run live with an empty delta and no tombstones; later writes
-  // are refused rather than lost.
-  const std::string wal = dir_ + "/wal";
-  std::string error;
-  std::unique_ptr<KvIndex> index =
-      MakeIndex("Disk(" + dir_ + "/pages):Durable(" + wal + "):Chameleon",
-                &error);
-  ASSERT_NE(index, nullptr) << error;
+  // The merge resets the delta last: a reset that throws is reported as
+  // false and leaves the new run live with no tombstones; the delta,
+  // emptied by its failed reset, refuses later writes rather than
+  // losing them.
+  auto owned = std::make_unique<FailingResetDelta>();
+  FailingResetDelta* delta = owned.get();
+  TieredIndex index(dir_, TieredOptions{}, std::move(owned));
   const std::vector<KeyValue> data = Load(2'000);
-  index->BulkLoad(data);
+  index.BulkLoad(data);
   const Key fresh = data.back().key + 1;
-  ASSERT_TRUE(index->Insert(fresh, 9));
-  ASSERT_TRUE(index->Erase(data[5].key));
-  std::filesystem::remove_all(wal);
-  std::ofstream(wal) << "not a directory";
-  auto* tiered = dynamic_cast<TieredIndex*>(index.get());
-  ASSERT_NE(tiered, nullptr);
-  EXPECT_FALSE(tiered->Merge());
-  EXPECT_EQ(tiered->delta_entries(), 0u);
-  EXPECT_EQ(tiered->tombstone_count(), 0u);
-  EXPECT_EQ(tiered->disk_entries(), data.size());
-  EXPECT_EQ(index->size(), data.size());
+  ASSERT_TRUE(index.Insert(fresh, 9));
+  ASSERT_TRUE(index.Erase(data[5].key));
+  delta->fail_reset = true;
+  EXPECT_FALSE(index.Merge());
+  EXPECT_EQ(index.delta_entries(), 0u);
+  EXPECT_EQ(index.tombstone_count(), 0u);
+  EXPECT_EQ(index.disk_entries(), data.size());
+  EXPECT_EQ(index.size(), data.size());
   Value v = 0;
-  ASSERT_TRUE(index->Lookup(fresh, &v));
+  ASSERT_TRUE(index.Lookup(fresh, &v));
   EXPECT_EQ(v, 9u);
-  EXPECT_FALSE(index->Lookup(data[5].key, nullptr));
-  EXPECT_FALSE(index->Insert(fresh + 1, 1));
-  EXPECT_EQ(index->size(), data.size());
+  EXPECT_FALSE(index.Lookup(data[5].key, nullptr));
+  EXPECT_FALSE(index.Insert(fresh + 1, 1));
+  EXPECT_EQ(index.size(), data.size());
+}
+
+TEST_F(TieredIndexTest, DurableBelowDiskIsRefused) {
+  // Recover() reopens the page run alone, so a WAL below Disk would
+  // acknowledge delta writes that a crash loses: the builder refuses
+  // the stack and names the Durable element's position. Durable above
+  // Disk is the durable composition.
+  std::string error;
+  const std::string disk = "Disk(" + dir_ + "/pages):";
+  for (const std::string& inner :
+       {std::string("Durable(") + dir_ + "/wal):Chameleon",
+        std::string("Sharded2:Durable(") + dir_ + "/wal):Chameleon"}) {
+    EXPECT_EQ(MakeIndex(disk + inner, &error), nullptr) << inner;
+    EXPECT_NE(error.find("Durable below Disk is not supported"),
+              std::string::npos)
+        << error;
+    const std::string at =
+        "position " + std::to_string(disk.size() + inner.find("Durable"));
+    EXPECT_NE(error.find(at), std::string::npos) << error;
+  }
+  std::unique_ptr<KvIndex> index = MakeIndex(
+      "Durable(" + dir_ + "/wal):Disk(" + dir_ + "/pages):Chameleon", &error);
+  EXPECT_NE(index, nullptr) << error;
 }
 
 TEST_F(TieredIndexTest, InsertWithoutBulkLoadMergesIntoEmptyRun) {
