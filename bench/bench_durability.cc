@@ -240,6 +240,9 @@ int main(int argc, char** argv) {
     // config's breakdown covers exactly its own replay.
     obs::ResetPhaseHistograms();
     std::unique_ptr<KvIndex> index = MakeIndexOrDie(spec);
+    RequireConcurrentWritesOrDie(*index, opt, "bench_durability",
+                                 "its overhead section replays "
+                                 "mixed(w=0.5) on --rthreads writers");
     index->BulkLoad(data);
     const std::vector<Operation> ops =
         MaterializeWorkload(mixed, keys, opt.seed + 1, opt.ops);

@@ -57,10 +57,16 @@ double Median(std::vector<double> v) {
 
 int main(int argc, char** argv) {
   const Options opt = Options::Parse(argc, argv);
+  // The steady state below skips the first two windows; --scale >= 6
+  // leaves at least three, so it is never empty.
+  if (opt.scale < 6) {
+    std::fprintf(stderr, "ERROR: --scale=%zu is below 6: Fig. 1(b) needs "
+                 "at least three insert windows\n", opt.scale);
+    return 2;
+  }
   JsonReport report("fig01_motivation", opt);
   const size_t bulk = opt.scale / 4;
   const size_t inserts = opt.scale / 2;
-  // >= 4 windows: the steady state below skips the first two.
   const size_t window = std::max<size_t>(std::min<size_t>(500, inserts / 4),
                                          std::max<size_t>(inserts / 100, 1));
 

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <exception>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -115,34 +117,31 @@ ReplayResult Replay(KvIndex* index, std::span<const Operation> ops,
       [index] { return index->WriteContentionSnapshot(); });
   const size_t batch = std::max<size_t>(1, options.batch);
   const size_t warmup = std::min(options.warmup, ops.size());
-  if (warmup > 0) {
-    // Applied but never measured: no histogram, no miss accounting.
-    // Always single-threaded, so it needs no write capability.
-    ReplayChunk(index, ops.subspan(0, warmup), batch, nullptr);
-  }
   const std::span<const Operation> measured = ops.subspan(warmup);
 
   ReplayResult result;
   result.ops = measured.size();
 
-  size_t threads =
+  const size_t threads =
       std::max<size_t>(1, std::min(options.threads, std::max<size_t>(
                                                         1, measured.size())));
-  const bool has_writes =
+  // Mixed/write streams on R > 1 threads need multi-writer support from
+  // the stack. A stack that declines is refused before any op runs,
+  // warm-up included, so the index is left untouched.
+  const bool partition_by_key =
       threads > 1 &&
       std::any_of(measured.begin(), measured.end(), [](const Operation& op) {
         return IsWriteOp(op.type);  // kScan is a read: chunked like lookups
       });
-  // Mixed/write streams need multi-writer support from the stack. Fall
-  // back to a safe (and honestly labeled: the result says what actually
-  // ran) single-threaded replay when the index declines.
-  const bool partition_by_key = threads > 1 && has_writes;
   if (partition_by_key && !index->EnableConcurrentWrites()) {
-    std::fprintf(stderr,
-                 "WARNING: %.*s does not support concurrent writes; "
-                 "replaying the write-bearing stream on 1 thread\n",
-                 static_cast<int>(index->Name().size()), index->Name().data());
-    threads = 1;
+    throw std::invalid_argument(
+        std::string(index->Name()) +
+        " does not support concurrent writes; a write-bearing stream "
+        "cannot replay on " + std::to_string(threads) + " threads");
+  }
+  if (warmup > 0) {
+    // Applied but never measured: no histogram, no miss accounting.
+    ReplayChunk(index, ops.subspan(0, warmup), batch, nullptr);
   }
 
   if (threads == 1) {

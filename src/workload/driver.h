@@ -31,8 +31,8 @@ struct ReplayOptions {
   /// t) instead of contiguous chunks — per-key operation order is
   /// preserved, so the final index state is bit-identical to a serial
   /// replay regardless of interleaving (the oracle-checking invariant).
-  /// When the index declines, the driver warns and falls back to R = 1
-  /// rather than run an unsafe or mislabeled replay.
+  /// When the index declines, Replay throws std::invalid_argument naming
+  /// it, before any operation (warm-up included) has run.
   size_t threads = 1;
   /// Lookup batching: maximal runs of consecutive kLookup ops are fed
   /// through KvIndex::LookupBatch in groups of `batch` (1 = per-key

@@ -194,23 +194,24 @@ TEST_F(DriverTest, MixedMultiThreadReplayMatchesSerialOracle) {
   }
 }
 
-TEST_F(DriverTest, WriteBearingReplayFallsBackWhenUnsupported) {
-  // B+Tree declines EnableConcurrentWrites; the driver must warn and
-  // replay on one thread rather than corrupt the index or mislabel the
-  // run — every op still executes exactly once.
+TEST_F(DriverTest, WriteBearingReplayIsRefusedWhenUnsupported) {
+  // B+Tree declines EnableConcurrentWrites; the driver must refuse the
+  // 4-thread replay before any op runs, warm-up included, rather than
+  // corrupt the index or run a mislabeled single-threaded replay.
   std::unique_ptr<KvIndex> btree = MakeIndex("B+Tree");
   ASSERT_NE(btree, nullptr);
   ASSERT_FALSE(btree->SupportsConcurrentWrites());
   btree->BulkLoad(ToKeyValues(keys_));
   const std::vector<Operation> ops = MaterializeWorkload(
-      ParseWorkloadOrDie("mixed(w=0.5)"), keys_, 29, 4'000);
+      ParseWorkloadOrDie("insdel(u=1)"), keys_, 29, 4'000);
   obs::LatencyHistogram hist;
   ReplayOptions options;
   options.threads = 4;
-  const ReplayResult r = Replay(btree.get(), ops, options, &hist);
-  EXPECT_EQ(r.ops, ops.size());
-  EXPECT_EQ(r.misses, 0u);
-  EXPECT_EQ(hist.count(), ops.size());
+  options.warmup = 1'000;
+  EXPECT_THROW(Replay(btree.get(), ops, options, &hist),
+               std::invalid_argument);
+  EXPECT_EQ(btree->size(), keys_.size());
+  EXPECT_EQ(hist.count(), 0u);
 }
 
 /// Accepts concurrent writes and throws from every Insert: the error

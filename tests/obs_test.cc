@@ -486,20 +486,6 @@ TEST(JsonReportTest, DisabledWithoutJsonFlag) {
   EXPECT_TRUE(report.Write());  // no file side effects
 }
 
-TEST(OptionsTest, ParseStripRemovesHarnessFlagsOnly) {
-  const char* raw[] = {"bench", "--scale=5000", "--benchmark_filter=x",
-                       "--json=/tmp/x.json", "--ops=9"};
-  std::vector<char*> argv;
-  for (const char* a : raw) argv.push_back(const_cast<char*>(a));
-  int argc = static_cast<int>(argv.size());
-  const bench::Options opt = bench::Options::ParseStrip(&argc, argv.data());
-  EXPECT_EQ(opt.scale, 5000u);
-  EXPECT_EQ(opt.ops, 9u);
-  EXPECT_EQ(opt.json_path, "/tmp/x.json");
-  ASSERT_EQ(argc, 2);
-  EXPECT_STREQ(argv[1], "--benchmark_filter=x");
-}
-
 /// Options::Parse over `args` (argv[0] prepended) plus a binary's `own`
 /// flag entries.
 bench::Options ParseFlags(std::vector<const char*> args,
