@@ -4,11 +4,14 @@
 //
 // Sections:
 //  1. frames sweep — bulk-load a LOGN dataset into the disk tier, then
-//     replay a zipf read stream with the pool sized at ~10%, 50%, and
-//     100% of the data pages. Reports mean read latency, pool hit rate,
-//     evictions, and physical page reads per config. Expected shape:
-//     hit rate climbs toward 1.0 and evictions collapse to zero as the
-//     budget approaches the working set.
+//     replay a read stream with the pool sized at ~10%, 50%, and 100%
+//     of the data pages. Two streams: a fixed zipf(0.9), and a hotspot
+//     covering 20% of the keys that moves every ops/20 reads (the
+//     locally skewed, drifting access the paper targets). Reports mean
+//     read latency, pool hit rate, evictions, and physical page reads
+//     per stream and config. Expected shape: hit rate climbs toward 1.0
+//     and evictions collapse to zero as the budget approaches the
+//     working set.
 //  2. write leg — mixed read/write replay against a small pool and a
 //     deliberately low merge threshold, so the delta spills into page
 //     run rewrites several times. Reports merge count, residual
@@ -61,62 +64,66 @@ int main(int argc, char** argv) {
       (data.size() + tiered::kEntriesPerPage - 1) / tiered::kEntriesPerPage;
 
   // --- Section 1: pool hit rate vs frame budget -----------------------------
-  std::printf("=== tiered: frames sweep (LOGN, %zu keys = %zu pages, "
-              "zipf 0.9 reads) ===\n",
+  const std::string workloads[] = {
+      "read(zipf=0.9)",
+      "read(dist=hotspot(width=20%,period=" +
+          std::to_string(opt.ops / 20 > 0 ? opt.ops / 20 : 1) + "))"};
+  std::printf("=== tiered: frames sweep (LOGN, %zu keys = %zu pages) ===\n",
               data.size(), pages);
-  std::printf("%10s %8s %10s %10s %12s %12s\n", "frames", "pct", "mean_ns",
-              "hit_rate", "evictions", "page_reads");
-  PrintRule(68);
+  std::printf("%-42s %8s %6s %10s %10s %10s %10s\n", "workload", "frames",
+              "pct", "mean_ns", "hit_rate", "evictions", "page_reads");
+  PrintRule(102);
   const size_t sweep[] = {pages / 10 > 0 ? pages / 10 : 1,
                           pages / 2 > 0 ? pages / 2 : 1, pages};
-  for (size_t frames : sweep) {
-    const std::string dir =
-        flags.dir + "/sweep-f" + std::to_string(frames);
-    std::filesystem::remove_all(dir);
-    const std::string spec =
-        "Disk(" + dir + ",frames=" + std::to_string(frames) + "):Chameleon";
-    std::unique_ptr<KvIndex> index = MakeIndexOrDie(spec);
-    index->BulkLoad(data);
+  for (const std::string& workload : workloads) {
     const std::vector<Operation> ops = MaterializeWorkload(
-        ParseWorkloadOrDie("read(zipf=0.9)"), keys, opt.seed + 1, opt.ops);
-    // One untimed pass warms the pool to steady state, so the measured
-    // pass reports the budget's sustained hit rate, not the cold faults
-    // (which are identical across configs and would flatten the sweep).
-    Replay(index.get(), ops, ReplayOptions{}, nullptr);
-    TieredStatsBlock warm;
-    CollectTieredStats(index.get(), &warm);
-    const ReplayResult result =
-        Replay(index.get(), ops, ReplayOptionsFor(opt), report.lat());
-    TieredStatsBlock stats;
-    CollectTieredStats(index.get(), &stats);
-    const uint64_t hits = stats.pool.hits - warm.pool.hits;
-    const uint64_t misses = stats.pool.misses - warm.pool.misses;
-    const double hit_rate =
-        hits + misses == 0
-            ? 0.0
-            : static_cast<double>(hits) / static_cast<double>(hits + misses);
-    const double pct =
-        pages > 0 ? static_cast<double>(frames) / pages * 100.0 : 0.0;
-    std::printf("%10zu %7.0f%% %10.1f %10.4f %12llu %12llu\n", frames, pct,
-                result.MeanNs(), hit_rate,
-                static_cast<unsigned long long>(stats.pool.evictions -
-                                                warm.pool.evictions),
-                static_cast<unsigned long long>(stats.pool.page_reads -
-                                                warm.pool.page_reads));
-    report.AddRow()
-        .Str("section", "frames_sweep")
-        .Num("frames", static_cast<double>(frames))
-        .Num("frames_pct", pct)
-        .Num("pages", static_cast<double>(pages))
-        .Num("mean_ns", result.MeanNs())
-        .Num("hit_rate", hit_rate)
-        .Num("evictions",
-             static_cast<double>(stats.pool.evictions - warm.pool.evictions))
-        .Num("page_reads",
-             static_cast<double>(stats.pool.page_reads - warm.pool.page_reads));
-    index.reset();
-    std::filesystem::remove_all(dir);
-    std::fflush(stdout);
+        ParseWorkloadOrDie(workload), keys, opt.seed + 1, opt.ops);
+    for (size_t frames : sweep) {
+      const std::string dir =
+          flags.dir + "/sweep-f" + std::to_string(frames);
+      std::filesystem::remove_all(dir);
+      const std::string spec =
+          "Disk(" + dir + ",frames=" + std::to_string(frames) + "):Chameleon";
+      std::unique_ptr<KvIndex> index = MakeIndexOrDie(spec);
+      index->BulkLoad(data);
+      // One untimed pass warms the pool to steady state, so the measured
+      // pass reports the budget's sustained hit rate, not the cold faults
+      // (which are identical across configs and would flatten the sweep).
+      Replay(index.get(), ops, ReplayOptions{}, nullptr);
+      TieredStatsBlock warm;
+      CollectTieredStats(index.get(), &warm);
+      const ReplayResult result =
+          Replay(index.get(), ops, ReplayOptionsFor(opt), report.lat());
+      TieredStatsBlock stats;
+      CollectTieredStats(index.get(), &stats);
+      const uint64_t hits = stats.pool.hits - warm.pool.hits;
+      const uint64_t misses = stats.pool.misses - warm.pool.misses;
+      const double hit_rate =
+          hits + misses == 0
+              ? 0.0
+              : static_cast<double>(hits) / static_cast<double>(hits + misses);
+      const double pct =
+          pages > 0 ? static_cast<double>(frames) / pages * 100.0 : 0.0;
+      const uint64_t evictions = stats.pool.evictions - warm.pool.evictions;
+      const uint64_t page_reads = stats.pool.page_reads - warm.pool.page_reads;
+      std::printf("%-42s %8zu %5.0f%% %10.1f %10.4f %10llu %10llu\n",
+                  workload.c_str(), frames, pct, result.MeanNs(), hit_rate,
+                  static_cast<unsigned long long>(evictions),
+                  static_cast<unsigned long long>(page_reads));
+      report.AddRow()
+          .Str("section", "frames_sweep")
+          .Str("workload", workload)
+          .Num("frames", static_cast<double>(frames))
+          .Num("frames_pct", pct)
+          .Num("pages", static_cast<double>(pages))
+          .Num("mean_ns", result.MeanNs())
+          .Num("hit_rate", hit_rate)
+          .Num("evictions", static_cast<double>(evictions))
+          .Num("page_reads", static_cast<double>(page_reads));
+      index.reset();
+      std::filesystem::remove_all(dir);
+      std::fflush(stdout);
+    }
   }
 
   // --- Section 2: delta-merge write path ------------------------------------

@@ -31,7 +31,9 @@ void PageRef::Release() {
 
 BufferPool::BufferPool(PageFile* file, size_t frames)
     : arena_(std::make_unique<Page[]>(frames < 1 ? 1 : frames)),
-      frames_(frames < 1 ? 1 : frames) {
+      frames_(frames < 1 ? 1 : frames),
+      small_share_(frames_.size() / 10 < 1 ? 1 : frames_.size() / 10),
+      ghost_len_(frames_.size() - small_share_) {
   ClearLocked(file);
 }
 
@@ -54,7 +56,7 @@ PageRef BufferPool::Pin(uint64_t page_id) {
   uint8_t* data = arena_[frame].bytes;
   if (resident) {
     ++f.pin_count;
-    f.ref_bit = true;
+    if (f.count < kMaxCount) ++f.count;
     ++hits_;
     CHAMELEON_STAT_INC(kTieredPoolHits);
     return PageRef(this, frame, data);
@@ -68,39 +70,100 @@ PageRef BufferPool::Pin(uint64_t page_id) {
 
   f.page_id = page_id;
   f.pin_count = 1;
-  f.ref_bit = true;
-  f.valid = true;
+  f.count = 0;
+  // A page the small queue evicted recently was evicted too early: it
+  // goes to the main queue this time.
+  const bool ghost = InGhostLocked(page_id);
+  if (ghost) ghost_stamp_[page_id] = 0;
+  PushLocked(frame, /*main=*/ghost);
   page_table_[page_id] = frame;
   return PageRef(this, frame, data);
 }
 
 bool BufferPool::TakeFrameLocked(uint32_t* frame_out) {
-  // CLOCK sweep: clear reference bits until an unpinned, unreferenced
-  // victim turns up. Two full revolutions visit every unpinned frame at
-  // least twice, so failure means everything is pinned. After a Reset
-  // every frame is unfilled and unreferenced and the hand is at 0, so a
-  // cold pool hands out frames 0, 1, 2, ... one step each.
-  for (size_t step = 0; step < 2 * frames_.size(); ++step) {
-    const auto victim = static_cast<uint32_t>(clock_hand_);
-    Frame& f = frames_[victim];
-    if (++clock_hand_ == frames_.size()) clock_hand_ = 0;
-    if (f.pin_count > 0) continue;
-    if (f.ref_bit) {
-      f.ref_bit = false;
-      continue;
-    }
-    // A frame that never held a page has no table entry: page_id is
-    // stale or 0 there, and clearing it would orphan a resident page.
-    if (f.valid) {
-      page_table_[f.page_id] = kNoFrame;
-      f.valid = false;
-      ++evictions_;
-      CHAMELEON_STAT_INC(kTieredPageEvictions);
-    }
-    *frame_out = victim;
+  // After a Reset every frame is unfilled, and a cold pool hands them
+  // out in order before it evicts anything.
+  if (filled_ < frames_.size()) {
+    *frame_out = static_cast<uint32_t>(filled_++);
     return true;
   }
+  // A pinned head goes back to the tail of its queue unchanged; `seen`
+  // counts the pinned heads since the last unpinned one, so reaching
+  // the queue's size means every frame in it is pinned. Each unpinned
+  // main frame is lowered at most kMaxCount times and each small frame
+  // moves at most once, so the search is O(frames).
+  auto evict = [this, frame_out](uint32_t victim, bool from_small) {
+    const uint64_t page_id = frames_[victim].page_id;
+    if (from_small) ghost_stamp_[page_id] = ++ghost_seq_;
+    page_table_[page_id] = kNoFrame;
+    ++evictions_;
+    CHAMELEON_STAT_INC(kTieredPageEvictions);
+    *frame_out = victim;
+    return true;
+  };
+  // The small queue, while it holds its share: a head hit since its
+  // fault moves to the main queue, any other is the victim.
+  for (size_t seen = 0; small_.size >= small_share_ && seen < small_.size;) {
+    const uint32_t victim = PopLocked(/*main=*/false);
+    const Frame& f = frames_[victim];
+    if (f.pin_count > 0) {
+      PushLocked(victim, /*main=*/false);
+      ++seen;
+    } else if (f.count > 0) {
+      PushLocked(victim, /*main=*/true);
+    } else {
+      return evict(victim, /*from_small=*/true);
+    }
+  }
+  // The main queue: a head with hits left spends one and is reinserted.
+  for (size_t seen = 0; seen < main_.size;) {
+    const uint32_t victim = PopLocked(/*main=*/true);
+    Frame& f = frames_[victim];
+    if (f.pin_count > 0) {
+      ++seen;
+    } else if (f.count > 0) {
+      --f.count;
+      seen = 0;
+    } else {
+      return evict(victim, /*from_small=*/false);
+    }
+    PushLocked(victim, /*main=*/true);
+  }
+  // Every main frame is pinned and the small queue is below its share
+  // (or pinned throughout, found above): its first unpinned frame goes.
+  for (size_t seen = 0; seen < small_.size; ++seen) {
+    const uint32_t victim = PopLocked(/*main=*/false);
+    if (frames_[victim].pin_count == 0) return evict(victim, true);
+    PushLocked(victim, /*main=*/false);
+  }
   return false;
+}
+
+void BufferPool::PushLocked(uint32_t frame, bool main) {
+  Queue& q = main ? main_ : small_;
+  frames_[frame].next = kNoFrame;
+  if (q.tail == kNoFrame) {
+    q.head = frame;
+  } else {
+    frames_[q.tail].next = frame;
+  }
+  q.tail = frame;
+  ++q.size;
+}
+
+uint32_t BufferPool::PopLocked(bool main) {
+  Queue& q = main ? main_ : small_;
+  assert(q.size > 0);
+  const uint32_t frame = q.head;
+  q.head = frames_[frame].next;
+  if (q.head == kNoFrame) q.tail = kNoFrame;
+  --q.size;
+  return frame;
+}
+
+bool BufferPool::InGhostLocked(uint64_t page_id) const {
+  const uint64_t stamp = ghost_stamp_[page_id];
+  return stamp != 0 && ghost_seq_ - stamp < ghost_len_;
 }
 
 void BufferPool::Unpin(size_t frame) {
@@ -117,12 +180,14 @@ void BufferPool::Reset(PageFile* file) {
 void BufferPool::ClearLocked(PageFile* file) {
   for (Frame& f : frames_) {
     assert(f.pin_count == 0);
-    f.page_id = 0;
-    f.ref_bit = false;
-    f.valid = false;
+    f = Frame{};
   }
+  filled_ = 0;
+  small_ = Queue{};
+  main_ = Queue{};
   page_table_.assign(file->num_pages(), kNoFrame);
-  clock_hand_ = 0;
+  ghost_stamp_.assign(file->num_pages(), 0);
+  ghost_seq_ = 0;
   file_ = file;
 }
 

@@ -55,13 +55,28 @@ struct BufferPoolStats {
   }
 };
 
-/// A fixed-budget, read-only page cache over one PageFile: CLOCK
-/// (second-chance) eviction and pin/unpin via PageRef. Runs are written
+/// A fixed-budget, read-only page cache over one PageFile: S3-FIFO
+/// eviction (Yang et al., "FIFO queues are all you need for cache
+/// eviction", SOSP 2023) and pin/unpin via PageRef. Runs are written
 /// straight to their file and installed whole (TieredIndex's WriteRun),
-/// so no frame is ever dirty and eviction never writes back. CLOCK picks
-/// every frame, unfilled ones included, and a direct-mapped table (page
-/// id -> frame, sized from the file) finds a resident page, so a fault
-/// costs about one pread plus its CRC check.
+/// so no frame is ever dirty and eviction never writes back.
+///
+/// S3-FIFO keeps the frames in two FIFO queues: a small one holding 10%
+/// of them (at least 1), where a page faulted for the first time lands,
+/// and a main one holding the rest. A hit only raises the frame's 2-bit
+/// access count. The small queue's head, once the queue holds its
+/// share, moves to the main queue if it was hit since its fault and is
+/// evicted otherwise, its page id going into a ghost FIFO as long as
+/// the main queue; a miss on a ghost page enters the main queue
+/// directly. The main queue's head is reinserted at its tail with its
+/// count lowered by one until the count is 0, and then evicted. So a
+/// sweep over cold pages flushes the small queue only, a page that
+/// earns hits survives the sweep in the main queue, and a hotspot that
+/// moves reaches the main queue through the ghost FIFO within one more
+/// fault per page. A cold pool hands out its frames 0, 1, 2, ... before
+/// it evicts anything, and a direct-mapped table (page id -> frame,
+/// sized from the file) finds a resident page, so a fault costs about
+/// one pread plus its CRC check.
 ///
 /// Thread safety: every public operation takes the pool mutex, so
 /// concurrent read-only replay threads (`--rthreads`) can Pin/Release
@@ -77,9 +92,9 @@ class BufferPool {
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
 
-  /// Pins `page_id`, faulting it from disk on a miss into a CLOCK
-  /// victim (evicting its page, if it holds one); waits while every
-  /// frame is pinned. `page_id` must be below the file's page count.
+  /// Pins `page_id`, faulting it from disk on a miss into an unfilled
+  /// frame or an S3-FIFO victim; waits only while every frame is
+  /// pinned. `page_id` must be below the file's page count.
   /// A page that fails its read (I/O error, CRC or page_seq mismatch)
   /// aborts the process, naming the file and the page: a lookup has no
   /// error channel, and answering "absent" for a key that is on disk
@@ -96,16 +111,28 @@ class BufferPool {
 
  private:
   static constexpr uint32_t kNoFrame = UINT32_MAX;
+  static constexpr uint8_t kMaxCount = 3;
 
   struct Frame {
     uint64_t page_id = 0;
     uint32_t pin_count = 0;
-    bool ref_bit = false;
-    bool valid = false;
+    uint32_t next = kNoFrame;  // the frame behind this one in its queue
+    uint8_t count = 0;         // +1 per hit up to kMaxCount, -1 per
+                               // pass through the main queue's head
+  };
+
+  /// A FIFO of frames, linked through Frame::next.
+  struct Queue {
+    uint32_t head = kNoFrame;
+    uint32_t tail = kNoFrame;
+    size_t size = 0;
   };
 
   // Require mu_ held (or, for the constructor's ClearLocked, sole access).
   bool TakeFrameLocked(uint32_t* frame_out);
+  void PushLocked(uint32_t frame, bool main);
+  uint32_t PopLocked(bool main);
+  bool InGhostLocked(uint64_t page_id) const;
   void ClearLocked(PageFile* file);  // empties every frame, retargets
   void Unpin(size_t frame);          // called by PageRef
 
@@ -119,7 +146,17 @@ class BufferPool {
   std::unique_ptr<Page[]> arena_;
   std::vector<Frame> frames_;
   std::vector<uint32_t> page_table_;  // page id -> frame, or kNoFrame
-  size_t clock_hand_ = 0;
+  size_t filled_ = 0;                 // frames [0, filled_) hold a page
+  size_t small_share_;                // 10% of the frames, at least 1
+  Queue small_;
+  Queue main_;
+  /// The ghost FIFO, as stamps: a page's entry is the value of
+  /// ghost_seq_ just after the small queue last evicted it (0: not in
+  /// the ghost FIFO), and it stays in while fewer than ghost_len_ later
+  /// small-queue evictions have followed it.
+  std::vector<uint64_t> ghost_stamp_;
+  uint64_t ghost_seq_ = 0;
+  size_t ghost_len_;  // as long as the main queue: frames - small_share_
 
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;

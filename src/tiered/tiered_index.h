@@ -15,7 +15,7 @@ namespace chameleon {
 
 struct TieredOptions {
   /// Buffer-pool frame budget. frames * tiered::kPageSize bytes of page
-  /// cache; a budget smaller than the data forces CLOCK evictions.
+  /// cache; a budget smaller than the data forces S3-FIFO evictions.
   size_t frames = 256;
   /// Absorbed writes (delta entries + tombstones) that trigger an
   /// automatic Merge() into a rewritten page run.

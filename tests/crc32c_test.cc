@@ -116,6 +116,57 @@ TEST(Crc32cTest, HardwareMatchesPortableOnEveryLengthAndOffset) {
   }
 }
 
+// The hardware path splits inputs of 768 bytes and more into rounds of
+// three interleaved 256-byte streams and runs the rest serially, so the
+// lengths on either side of a whole number of rounds are where a wrong
+// merge or a wrong tail would show.
+TEST(Crc32cTest, HardwareMatchesPortableAroundThreeStreamRounds) {
+  if (!crc32c_internal::HardwareAvailable()) {
+    GTEST_SKIP() << "no crc32 instruction on this CPU";
+  }
+  static constexpr size_t kRound = 3 * 256;
+  static constexpr size_t kMax = 64 * 1024;
+  Rng rng(37);
+  std::vector<unsigned char> data(kMax + 8 + 8);
+  for (auto& b : data) b = static_cast<unsigned char>(rng.Next());
+  for (size_t rounds = 1; rounds * kRound <= kMax + 8; ++rounds) {
+    for (size_t len : {rounds * kRound - 8, rounds * kRound - 7,
+                       rounds * kRound - 1, rounds * kRound,
+                       rounds * kRound + 1, rounds * kRound + 7,
+                       rounds * kRound + 8}) {
+      if (len > kMax + 8) continue;
+      for (size_t off = 0; off < 8; ++off) {
+        const uint32_t seed = static_cast<uint32_t>(len * 2654435761u + off);
+        const unsigned char* p = data.data() + off;
+        ASSERT_EQ(crc32c_internal::ExtendHardware(seed, p, len),
+                  crc32c_internal::ExtendPortable(seed, p, len))
+            << "off " << off << " len " << len;
+      }
+    }
+  }
+}
+
+TEST(Crc32cTest, HardwareMatchesPortableUpToOneMiB) {
+  if (!crc32c_internal::HardwareAvailable()) {
+    GTEST_SKIP() << "no crc32 instruction on this CPU";
+  }
+  static constexpr size_t kMax = 1024 * 1024;
+  Rng rng(41);
+  std::vector<unsigned char> data(kMax + 8);
+  for (auto& b : data) b = static_cast<unsigned char>(rng.Next());
+  std::vector<size_t> lens = {kMax, kMax - 1, kMax - 768, 4088, 4096,
+                              65536 + 3};
+  for (int i = 0; i < 200; ++i) lens.push_back(rng.Next() % (kMax + 1));
+  for (size_t len : lens) {
+    const size_t off = len % 8;
+    const uint32_t seed = static_cast<uint32_t>(rng.Next());
+    const unsigned char* p = data.data() + off;
+    ASSERT_EQ(crc32c_internal::ExtendHardware(seed, p, len),
+              crc32c_internal::ExtendPortable(seed, p, len))
+        << "off " << off << " len " << len;
+  }
+}
+
 TEST(Crc32cTest, PathsContinueEachOther) {
   // A checksum begun on one path and finished on the other equals the
   // one-shot value: the running state means the same on both.
@@ -126,8 +177,13 @@ TEST(Crc32cTest, PathsContinueEachOther) {
   std::vector<unsigned char> data(4099);
   for (auto& b : data) b = static_cast<unsigned char>(rng.Next());
   const uint32_t whole = Crc32c(data.data(), data.size());
+  // 300, 1100, 1700 and 2900 fall inside the whole input's three-stream
+  // rounds (768 bytes each from offset 0, three 256-byte streams): in
+  // the second, second, first and third stream of rounds 0 to 3.
   for (size_t split : {size_t{0}, size_t{3}, size_t{8}, size_t{13},
-                       size_t{2048}, size_t{4091}, data.size()}) {
+                       size_t{300}, size_t{1100}, size_t{1700},
+                       size_t{2048}, size_t{2900}, size_t{4091},
+                       data.size()}) {
     const unsigned char* rest = data.data() + split;
     const size_t rest_n = data.size() - split;
     uint32_t crc = crc32c_internal::ExtendPortable(0, data.data(), split);

@@ -41,7 +41,7 @@ class ConformanceTest : public ::testing::TestWithParam<Param> {
   /// checks KvIndex behavior through the WAL write path, not crash
   /// durability (the fsync contract is WalTest / DurableIndexTest's).
   /// Disk runs with 16 frames (64 KB of pool vs a ~79-page load, so
-  /// CLOCK evictions fire constantly) and a 2000-op merge threshold
+  /// evictions fire constantly) and a 2000-op merge threshold
   /// (the CRUD tests cross it several times), making every test here
   /// double as an eviction/merge correctness check.
   std::unique_ptr<KvIndex> MakeParamIndex(const std::string& name,
