@@ -16,7 +16,7 @@ using namespace chameleon;
 using namespace chameleon::bench;
 
 int main(int argc, char** argv) {
-  const Options opt = Options::Parse(argc, argv);
+  const Options opt = Options::Parse(argc, argv, {}, {.spec = false});
   JsonReport report("abl_alpha", opt);
   std::printf("=== Ablation: fixed vs adaptive EBH hash factor ===\n");
   std::printf("%zu keys per dataset, %zu lookups\n\n", opt.scale, opt.ops);

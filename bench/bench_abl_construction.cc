@@ -47,7 +47,7 @@ void Report(const char* label, ChameleonIndex* index,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opt = Options::Parse(argc, argv);
+  const Options opt = Options::Parse(argc, argv, {}, {.spec = false});
   JsonReport report("abl_construction", opt);
   std::printf("=== Ablation: construction policy ===\n");
   std::printf("%zu FACE keys, %zu lookups\n\n", opt.scale, opt.ops);

@@ -16,7 +16,7 @@ using namespace chameleon;
 using namespace chameleon::bench;
 
 int main(int argc, char** argv) {
-  const Options opt = Options::Parse(argc, argv);
+  const Options opt = Options::Parse(argc, argv, {}, {.spec = false});
   JsonReport report("abl_tau", opt);
   std::printf("=== Ablation: EBH collision target tau ===\n");
   std::printf("%zu FACE keys, %zu ops per point\n\n", opt.scale, opt.ops);

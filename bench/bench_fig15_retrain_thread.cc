@@ -82,7 +82,7 @@ void RunTrace(ChameleonIndex* index, const std::vector<Key>& keys,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opt = Options::Parse(argc, argv);
+  const Options opt = Options::Parse(argc, argv, {}, {.spec = false});
   JsonReport report("fig15_retrain_thread", opt);
   obs::TraceJournal::Get().SetEnabled(true);
   const size_t init = opt.scale / 5;

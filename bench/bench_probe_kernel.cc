@@ -59,7 +59,7 @@ double TimeProbes(const simd::ProbeKernels& k, const std::vector<Key>& slots,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opt = Options::Parse(argc, argv);
+  const Options opt = Options::Parse(argc, argv, {}, {.spec = false});
   JsonReport report("probe_kernel", opt);
 
   // Slot array at ~0.8 load: unique even keys so odd keys always miss.

@@ -54,7 +54,8 @@ int main(int argc, char** argv) {
   TieredFlags flags;
   const Options opt = Options::Parse(
       argc, argv,
-      {StrFlag("--dir=", &flags.dir), NumFlag("--merge=", &flags.merge, 1)});
+      {StrFlag("--dir=", &flags.dir), NumFlag("--merge=", &flags.merge, 1)},
+      {.spec = false});
   JsonReport report("tiered", opt);
 
   const std::vector<Key> keys =

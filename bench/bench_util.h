@@ -170,6 +170,10 @@ inline Flag SwitchFlag(std::string_view name, bool* field) {
 ///                  and chameleon_inspect take it; other binaries replay
 ///                  streams their figure fixes and exit 2.
 ///
+/// A binary that would ignore --spec or --workload refuses it (exit 2;
+/// see Accepts): the ablations, fig15, probe_kernel and tiered build
+/// their own stacks, so they take no --spec.
+///
 /// Per-binary (each passes its own entries to Options::Parse):
 ///   bench_ycsb                --mixes=a,b,..  YCSB mixes to sweep
 ///                             (default a-f; ignored under --workload),
@@ -184,6 +188,12 @@ inline Flag SwitchFlag(std::string_view name, bool* field) {
 /// --index=NAME means the same everywhere: the one leaf to build,
 /// composed under --spec like every swept name (ComposeSpec).
 ///
+/// The shared inputs a binary uses; Options::Parse refuses the others.
+struct Accepts {
+  bool spec = true;       // builds its indexes through MakeBenchIndex
+  bool workload = false;  // replays a --workload stream
+};
+
 /// One parser serves all of them: an argument outside the shared table
 /// and the binary's own entries — a typo, a bare word, another binary's
 /// flag — exits 2 with the flag list, and a malformed or out-of-range
@@ -209,9 +219,9 @@ struct Options {
   std::string series_path;
 
   /// Parses the shared flags plus the binary's `own` entries; exits 2
-  /// on anything else, and on --workload unless `takes_workload`.
+  /// on anything else, and on --spec or --workload unless `accepts`.
   static Options Parse(int argc, char** argv, std::vector<Flag> own = {},
-                       bool takes_workload = false) {
+                       Accepts accepts = {}) {
     Options opt;
     std::vector<Flag> flags = {
         NumFlag("--scale=", &opt.scale),
@@ -263,6 +273,11 @@ struct Options {
          {&opt.batch, &opt.rthreads, &opt.sample_ms}) {
       *n = std::max<size_t>(*n, 1);
     }
+    if (!opt.spec.empty() && !accepts.spec) {
+      std::fprintf(stderr, "ERROR: %s builds its own index stacks; it "
+                   "takes no --spec\n", argv[0]);
+      std::exit(2);
+    }
     if (!opt.spec.empty()) {
       std::string error;
       const std::string canonical = CanonicalAdapterStack(opt.spec, &error);
@@ -282,7 +297,7 @@ struct Options {
       }
     }
     if (!opt.workload.empty()) {
-      if (!takes_workload) {
+      if (!accepts.workload) {
         std::fprintf(stderr, "ERROR: %s replays the streams its figure "
                      "fixes; it takes no --workload\n", argv[0]);
         std::exit(2);

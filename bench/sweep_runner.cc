@@ -1,11 +1,11 @@
 // The one runner behind the sweep benches: bench_fig08_readonly,
 // bench_fig09_skew_sweep, bench_fig11_readwrite, bench_fig12_insdel,
-// bench_fig13_batched, bench_tab03_complexity, bench_ext_range and
-// bench_ycsb are each this file compiled with CHAMELEON_SWEEP naming its
-// kSweeps entry (bench/CMakeLists.txt). An entry holds what differs
-// between figures — key source and initial size, index list, workload
-// specs, sweep points, stream seed offset, row columns — and one loop
-// does the rest:
+// bench_fig13_batched, bench_tab03_complexity, bench_tab05_structure,
+// bench_ext_range and bench_ycsb are each this file compiled with
+// CHAMELEON_SWEEP naming its kSweeps entry (bench/CMakeLists.txt). An
+// entry holds what differs between figures — key source and initial
+// size, index list, workload specs, sweep points, stream seed offset,
+// row columns — and one loop does the rest:
 //
 //   for each dataset: build every point's keys and op stream once
 //     for each index: build the stack (fresh per point, or one per row
@@ -38,6 +38,14 @@
 //    Chameleon's ~O(H_C + 1) lookups near the learned leaders, B+Tree to
 //    pay its log factors, and ALEX/PGM/LIPP inserts to pay their shift,
 //    merge and rebuild factors against Chameleon's O(m*tau).
+//  - tab05: Table V's structure measures (MaxHeight, MaxError,
+//    AvgHeight, AvgError, #Nodes; IndexStatsTally defines them) for
+//    DILI, ALEX and the Chameleon ablations ChaB, ChaDA and Chameleon
+//    (the paper's ChaDATS), read after the replay; the default read
+//    stream leaves the bulk-loaded structure as it is. DILI's MaxHeight
+//    grows on skewed data with zero model error; ALEX's MaxError grows
+//    on skewed data; the Cha* variants stay near height h with small
+//    errors, and DARE then TSMDP cut #Nodes and errors against ChaB.
 //  - ext_range (not a paper figure): range-scan cost per scan width; it
 //    shows what Chameleon's unordered EBH leaves cost against natively
 //    ordered structures.
@@ -101,6 +109,11 @@ enum class Field {
   kWallMops,     // ops over replay wall time (aggregate across threads)
   kSizeMib,      // index size after the replay
   kRefRatio,     // mean ns over the reference index's on the same stream
+  kMaxHeight,    // Table V structure measures, read after the replay
+  kMaxError,
+  kAvgHeight,
+  kAvgError,
+  kNumNodes,
 };
 
 bool IsText(Field f) { return f <= Field::kMode; }
@@ -119,7 +132,7 @@ struct Sweep {
   std::vector<const char*> workloads = {};     // specs; --workload replaces
   std::vector<double> xs = {};                 // swept values (not kWorkloads)
   std::vector<Column> columns = {};
-  bool updatable_only = false;      // else every index
+  std::vector<std::string> indexes = AllIndexNames();  // rows, in order
   size_t init_div = 1;              // initial keys = --scale / init_div
   uint64_t seed_offset = 1;         // stream seed = --seed + seed_offset
   bool seed_adds_x = false;         //   (+ the point's x)
@@ -167,7 +180,7 @@ const Sweep kSweeps[] = {
                  {"write_ratio", Field::kWriteRatio},
                  {"threads", Field::kThreads},
                  {"throughput_mops", Field::kMeanMops, 3}},
-     .updatable_only = true,
+     .indexes = UpdatableIndexNames(),
      .init_div = 5},
     {.name = "fig12_insdel",
      .title = "Fig. 12: throughput (Mops/s) vs insert-delete ratio",
@@ -180,7 +193,7 @@ const Sweep kSweeps[] = {
                  {"workload", Field::kWorkload},
                  {"insert_ratio", Field::kInsertRatio},
                  {"throughput_mops", Field::kMeanMops, 3}},
-     .updatable_only = true,
+     .indexes = UpdatableIndexNames(),
      .init_div = 5},
     {.name = "fig13_batched",
      .title = "Fig. 13: batched-workload latency (ns/op) per phase",
@@ -190,7 +203,7 @@ const Sweep kSweeps[] = {
      .columns = {{"index", Field::kIndex},
                  {"phase", Field::kPhase},
                  {"mean_ns", Field::kMeanNs, 0}},
-     .updatable_only = true,
+     .indexes = UpdatableIndexNames(),
      .init_div = 5,
      .seed_offset = 3},
     {.name = "tab03_complexity",
@@ -201,6 +214,19 @@ const Sweep kSweeps[] = {
      .columns = {{"index", Field::kIndex},
                  {"workload", Field::kWorkload},
                  {"mean_ns", Field::kMeanNs, 1}}},
+    {.name = "tab05_structure",
+     .title = "Table V: analysis of index structures",
+     .axis = Axis::kWorkloads,
+     .datasets = kAllDatasets,
+     .workloads = {"read"},
+     .columns = {{"dataset", Field::kDataset},
+                 {"index", Field::kIndex},
+                 {"max_height", Field::kMaxHeight, 0},
+                 {"max_error", Field::kMaxError, 0},
+                 {"avg_height", Field::kAvgHeight, 2},
+                 {"avg_error", Field::kAvgError, 2},
+                 {"num_nodes", Field::kNumNodes, 0}},
+     .indexes = {"DILI", "ALEX", "ChaB", "ChaDA", "Chameleon"}},
     {.name = "ext_range",
      .title = "Extension: range-scan latency (ns/scan) per scan width",
      .axis = Axis::kScanWidths,
@@ -224,7 +250,7 @@ const Sweep kSweeps[] = {
                  {"misses", Field::kMisses},
                  {"mean_ns", Field::kMeanNs, 1},
                  {"throughput_mops", Field::kWallMops, 3}},
-     .updatable_only = true,
+     .indexes = UpdatableIndexNames(),
      .table_per_point = true,
      .scenario_flags = true},
 };
@@ -291,6 +317,12 @@ double Value(Field field, const Cell& c) {
     case Field::kWallMops: return c.result.ThroughputMops();
     case Field::kSizeMib: return ToMiB(c.stack.SizeBytes());
     case Field::kRefRatio: return mean / c.point.ref_ns;
+    case Field::kMaxHeight: return c.stack.Stats().max_height;
+    case Field::kMaxError: return c.stack.Stats().max_error;
+    case Field::kAvgHeight: return c.stack.Stats().avg_height;
+    case Field::kAvgError: return c.stack.Stats().avg_error;
+    case Field::kNumNodes:
+      return static_cast<double>(c.stack.Stats().num_nodes);
     default: return NAN;
   }
 }
@@ -535,9 +567,8 @@ int Run(const Sweep& sweep, const Options& opt, const ScenarioFlags& flags) {
     if (desc.batched_pool == 0) desc.batched_pool = opt.scale / 2;
     if (desc.batched_queries == 0) desc.batched_queries = opt.ops / 8;
   }
-  const std::vector<std::string> indexes = SweptIndexes(
-      flags.index, sweep.updatable_only ? UpdatableIndexNames() : AllIndexNames(),
-      opt);
+  const std::vector<std::string> indexes =
+      SweptIndexes(flags.index, sweep.indexes, opt);
 
   JsonReport report(sweep.name, opt);
   if (descs.size() == 1) report.SetWorkload(descs[0].Canonical());
@@ -607,7 +638,8 @@ int main(int argc, char** argv) {
            NumFlag("--rate=", &flags.rate)};
   }
   // ext_range replays fixed-width range scans, not a workload stream.
-  const Options opt = Options::Parse(argc, argv, std::move(own),
-                                     sweep->axis != Axis::kScanWidths);
+  const Options opt = Options::Parse(
+      argc, argv, std::move(own),
+      {.workload = sweep->axis != Axis::kScanWidths});
   return Run(*sweep, opt, flags);
 }

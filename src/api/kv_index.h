@@ -1,6 +1,7 @@
 #ifndef CHAMELEON_API_KV_INDEX_H_
 #define CHAMELEON_API_KV_INDEX_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <memory>
 #include <span>
@@ -25,6 +26,62 @@ struct IndexStats {
   double avg_error = 0.0;
   /// Total node count (inner + leaf).
   size_t num_nodes = 0;
+};
+
+/// The one definition of the Table V measures. A tree index counts its
+/// nodes and adds its leaves; a composite adds its parts as whole
+/// sub-indexes. The root is level 1 and a leaf's height is its level;
+/// averages are weighted by key count, so a composite weights each
+/// part's averages by that part's keys. An index holding no keys
+/// reports its deepest leaf as its average height and zero average
+/// error.
+class IndexStatsTally {
+ public:
+  /// Counts `n` nodes (inner and leaf alike).
+  void AddNodes(size_t n = 1) { nodes_ += n; }
+
+  /// Adds the keys of one leaf at `depth`: `keys` keys whose prediction
+  /// errors sum to `err_sum` with maximum `err_max`. Counts no node.
+  void AddLeaf(int depth, size_t keys, double err_sum = 0.0,
+               double err_max = 0.0) {
+    max_height_ = std::max(max_height_, depth);
+    weighted_height_ += static_cast<double>(keys) * depth;
+    error_sum_ += err_sum;
+    max_error_ = std::max(max_error_, err_max);
+    keys_ += keys;
+  }
+
+  /// Adds a whole sub-index holding `keys` keys whose root sits
+  /// `levels_above` levels below this index's root, nodes included.
+  void AddSubIndex(const IndexStats& stats, size_t keys,
+                   int levels_above = 0) {
+    nodes_ += stats.num_nodes;
+    max_height_ = std::max(max_height_, stats.max_height + levels_above);
+    weighted_height_ +=
+        (stats.avg_height + levels_above) * static_cast<double>(keys);
+    error_sum_ += stats.avg_error * static_cast<double>(keys);
+    max_error_ = std::max(max_error_, stats.max_error);
+    keys_ += keys;
+  }
+
+  IndexStats Finish() const {
+    IndexStats stats;
+    stats.num_nodes = nodes_;
+    stats.max_height = max_height_;
+    stats.max_error = max_error_;
+    const double keys = static_cast<double>(keys_);
+    stats.avg_height = keys_ > 0 ? weighted_height_ / keys : max_height_;
+    stats.avg_error = keys_ > 0 ? error_sum_ / keys : 0.0;
+    return stats;
+  }
+
+ private:
+  size_t nodes_ = 0;
+  int max_height_ = 0;
+  double weighted_height_ = 0.0;
+  double error_sum_ = 0.0;
+  double max_error_ = 0.0;
+  size_t keys_ = 0;
 };
 
 /// Common interface implemented by Chameleon and all eight baseline

@@ -480,66 +480,50 @@ size_t AlexIndex::RangeScan(Key lo, Key hi, std::vector<KeyValue>* out) const {
   return walker.count;
 }
 
+template <typename Fn>
+void AlexIndex::VisitNodes(const Node* node, int depth, Fn&& fn) {
+  fn(node, depth);
+  if (node->is_leaf) return;
+  for (const auto& c : static_cast<const InnerNode*>(node)->children) {
+    VisitNodes(c.get(), depth + 1, fn);
+  }
+}
+
 size_t AlexIndex::SizeBytes() const {
-  struct Sizer {
-    size_t bytes = 0;
-    void Walk(const Node* node) {
-      if (node->is_leaf) {
-        const auto* leaf = static_cast<const DataNode*>(node);
-        bytes += sizeof(DataNode) +
-                 leaf->slots.capacity() * sizeof(Key) +
-                 leaf->values.capacity() * sizeof(Value) +
-                 leaf->occupied.capacity();
-        return;
-      }
+  size_t bytes = sizeof(AlexIndex);
+  VisitNodes(root_.get(), 1, [&bytes](const Node* node, int) {
+    if (node->is_leaf) {
+      const auto* leaf = static_cast<const DataNode*>(node);
+      bytes += sizeof(DataNode) + leaf->slots.capacity() * sizeof(Key) +
+               leaf->values.capacity() * sizeof(Value) +
+               leaf->occupied.capacity();
+    } else {
       const auto* inner = static_cast<const InnerNode*>(node);
       bytes += sizeof(InnerNode) + inner->children.capacity() * sizeof(void*);
-      for (const auto& c : inner->children) Walk(c.get());
     }
-  } sizer;
-  sizer.Walk(root_.get());
-  return sizer.bytes + sizeof(AlexIndex);
+  });
+  return bytes;
 }
 
 IndexStats AlexIndex::Stats() const {
-  struct Walker {
-    size_t nodes = 0;
-    int max_depth = 0;
-    double weighted_depth = 0.0;
-    double max_error = 0.0;
-    double error_sum = 0.0;
-    size_t keys = 0;
-    void Walk(const Node* node, int depth) {
-      ++nodes;
-      if (node->is_leaf) {
-        const auto* leaf = static_cast<const DataNode*>(node);
-        max_depth = std::max(max_depth, depth);
-        weighted_depth +=
-            static_cast<double>(leaf->num_keys) * static_cast<double>(depth);
-        keys += leaf->num_keys;
-        for (size_t i = 0; i < leaf->capacity(); ++i) {
-          if (!leaf->occupied[i]) continue;
-          const double err = std::abs(
-              static_cast<double>(leaf->Predict(leaf->slots[i])) -
-              static_cast<double>(i));
-          max_error = std::max(max_error, err);
-          error_sum += err;
-        }
-        return;
-      }
-      const auto* inner = static_cast<const InnerNode*>(node);
-      for (const auto& c : inner->children) Walk(c.get(), depth + 1);
+  IndexStatsTally tally;
+  VisitNodes(root_.get(), 1, [&tally](const Node* node, int depth) {
+    tally.AddNodes();
+    if (!node->is_leaf) return;
+    const auto* leaf = static_cast<const DataNode*>(node);
+    double err_sum = 0.0;
+    double err_max = 0.0;
+    for (size_t i = 0; i < leaf->capacity(); ++i) {
+      if (!leaf->occupied[i]) continue;
+      const double err =
+          std::abs(static_cast<double>(leaf->Predict(leaf->slots[i])) -
+                   static_cast<double>(i));
+      err_sum += err;
+      err_max = std::max(err_max, err);
     }
-  } walker;
-  walker.Walk(root_.get(), 1);
-  IndexStats stats;
-  stats.num_nodes = walker.nodes;
-  stats.max_height = walker.max_depth;
-  stats.avg_height =
-      walker.keys > 0 ? walker.weighted_depth / walker.keys : walker.max_depth;
-  stats.max_error = walker.max_error;
-  stats.avg_error = walker.keys > 0 ? walker.error_sum / walker.keys : 0.0;
-  return stats;
+    tally.AddLeaf(depth, leaf->num_keys, err_sum, err_max);
+  });
+  return tally.Finish();
 }
 
 }  // namespace chameleon

@@ -71,6 +71,10 @@ class AlexIndex final : public KvIndex {
   std::unique_ptr<DataNode> BuildDataNode(std::span<const KeyValue> data,
                                           Key lo, Key hi);
   static std::vector<KeyValue> CollectPairs(const DataNode& leaf);
+  /// Calls fn(node, depth) on every node in pre-order, the root at
+  /// depth 1: the one full-tree walk behind SizeBytes() and Stats().
+  template <typename Fn>
+  static void VisitNodes(const Node* node, int depth, Fn&& fn);
   DataNode* FindLeaf(Key key) const;
   /// Splits `leaf` (known child `child_idx` of `parent`, or root) into a
   /// 2-way inner node.

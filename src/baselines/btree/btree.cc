@@ -227,49 +227,30 @@ size_t BPlusTree::RangeScan(Key lo, Key hi, std::vector<KeyValue>* out) const {
   return walker.count;
 }
 
+template <typename Fn>
+void BPlusTree::VisitNodes(const Node* node, int depth, Fn&& fn) {
+  fn(node, depth);
+  for (const auto& c : node->children) VisitNodes(c.get(), depth + 1, fn);
+}
+
 size_t BPlusTree::SizeBytes() const {
   size_t bytes = sizeof(BPlusTree);
-  struct Sizer {
-    size_t bytes = 0;
-    void Walk(const Node* node) {
-      bytes += sizeof(Node);
-      bytes += node->keys.capacity() * sizeof(Key);
-      bytes += node->values.capacity() * sizeof(Value);
-      bytes += node->children.capacity() * sizeof(void*);
-      for (const auto& c : node->children) Walk(c.get());
-    }
-  } sizer;
-  sizer.Walk(root_.get());
-  return bytes + sizer.bytes;
+  VisitNodes(root_.get(), 1, [&bytes](const Node* node, int) {
+    bytes += sizeof(Node) + node->keys.capacity() * sizeof(Key) +
+             node->values.capacity() * sizeof(Value) +
+             node->children.capacity() * sizeof(void*);
+  });
+  return bytes;
 }
 
 IndexStats BPlusTree::Stats() const {
-  IndexStats stats;
-  struct Walker {
-    size_t nodes = 0;
-    int max_depth = 0;
-    double weighted_depth = 0.0;
-    size_t keys = 0;
-    void Walk(const Node* node, int depth) {
-      ++nodes;
-      if (node->is_leaf) {
-        max_depth = std::max(max_depth, depth);
-        weighted_depth += static_cast<double>(node->keys.size()) * depth;
-        keys += node->keys.size();
-        return;
-      }
-      for (const auto& c : node->children) Walk(c.get(), depth + 1);
-    }
-  } walker;
-  walker.Walk(root_.get(), 1);
-  stats.num_nodes = walker.nodes;
-  stats.max_height = walker.max_depth;
-  stats.avg_height =
-      walker.keys > 0 ? walker.weighted_depth / walker.keys : walker.max_depth;
   // Binary search inside nodes is exact: no model error.
-  stats.max_error = 0.0;
-  stats.avg_error = 0.0;
-  return stats;
+  IndexStatsTally tally;
+  VisitNodes(root_.get(), 1, [&tally](const Node* node, int depth) {
+    tally.AddNodes();
+    if (node->is_leaf) tally.AddLeaf(depth, node->keys.size());
+  });
+  return tally.Finish();
 }
 
 }  // namespace chameleon

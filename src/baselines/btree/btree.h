@@ -46,6 +46,10 @@ class BPlusTree final : public KvIndex {
 
   SplitResult InsertRec(Node* node, Key key, Value value, bool* inserted);
   bool EraseRec(Node* node, Key key, bool* now_empty);
+  /// Calls fn(node, depth) on every node in pre-order, the root at
+  /// depth 1: the one full-tree walk behind SizeBytes() and Stats().
+  template <typename Fn>
+  static void VisitNodes(const Node* node, int depth, Fn&& fn);
 
   std::unique_ptr<Node> root_;
   size_t leaf_capacity_;

@@ -231,47 +231,35 @@ const KeyValue* DicIndex::FindInRun(Key key) const {
   return nullptr;
 }
 
+template <typename Fn>
+void DicIndex::VisitNodes(const Node* node, int depth, Fn&& fn) {
+  fn(node, depth);
+  for (const auto& c : node->children) VisitNodes(c.get(), depth + 1, fn);
+}
+
 size_t DicIndex::SizeBytes() const {
-  struct Sizer {
-    size_t bytes = 0;
-    void Walk(const Node* node) {
-      bytes += sizeof(Node) + node->sorted.capacity() * sizeof(KeyValue) +
-               node->table.capacity() * sizeof(KeyValue) +
-               node->used.capacity() +
-               node->children.capacity() * sizeof(void*);
-      for (const auto& c : node->children) Walk(c.get());
-    }
-  } sizer;
-  if (root_ != nullptr) sizer.Walk(root_.get());
-  return sizer.bytes + sizeof(DicIndex) + RunBytes();
+  size_t bytes = sizeof(DicIndex) + RunBytes();
+  if (root_ == nullptr) return bytes;
+  VisitNodes(root_.get(), 1, [&bytes](const Node* node, int) {
+    bytes += sizeof(Node) + node->sorted.capacity() * sizeof(KeyValue) +
+             node->table.capacity() * sizeof(KeyValue) +
+             node->used.capacity() +
+             node->children.capacity() * sizeof(void*);
+  });
+  return bytes;
 }
 
 IndexStats DicIndex::Stats() const {
-  struct Walker {
-    size_t nodes = 0;
-    int max_depth = 0;
-    double weighted_depth = 0.0;
-    size_t keys = 0;
-    void Walk(const Node* node, int depth) {
-      ++nodes;
-      if (node->kind == Node::Kind::kInner) {
-        for (const auto& c : node->children) Walk(c.get(), depth + 1);
-        return;
-      }
-      max_depth = std::max(max_depth, depth);
-      weighted_depth += static_cast<double>(node->num_keys) * depth;
-      keys += node->num_keys;
+  // Exact search structures: no model error.
+  IndexStatsTally tally;
+  if (root_ == nullptr) return tally.Finish();
+  VisitNodes(root_.get(), 1, [&tally](const Node* node, int depth) {
+    tally.AddNodes();
+    if (node->kind != Node::Kind::kInner) {
+      tally.AddLeaf(depth, node->num_keys);
     }
-  } walker;
-  if (root_ != nullptr) walker.Walk(root_.get(), 1);
-  IndexStats stats;
-  stats.num_nodes = walker.nodes;
-  stats.max_height = walker.max_depth;
-  stats.avg_height =
-      walker.keys > 0 ? walker.weighted_depth / walker.keys : walker.max_depth;
-  stats.max_error = 0.0;  // exact search structures
-  stats.avg_error = 0.0;
-  return stats;
+  });
+  return tally.Finish();
 }
 
 }  // namespace chameleon

@@ -54,6 +54,10 @@ class DicIndex final : public SortedRunIndex {
                                   std::vector<float>* state_out);
   const KeyValue* FindInRun(Key key) const override;
   void BuildModel() override;
+  /// Calls fn(node, depth) on every node in pre-order, the root at
+  /// depth 1: the one full-tree walk behind SizeBytes() and Stats().
+  template <typename Fn>
+  static void VisitNodes(const Node* node, int depth, Fn&& fn);
 
   Config config_;
   std::unique_ptr<TreeDqn> agent_;

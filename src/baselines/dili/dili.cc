@@ -87,22 +87,11 @@ size_t DiliIndex::SizeBytes() const {
 }
 
 IndexStats DiliIndex::Stats() const {
-  IndexStats stats;
-  stats.num_nodes = 1;  // the TD root
-  double weighted_height = 0.0;
-  size_t keys = 0;
-  for (const auto& c : children_) {
-    const IndexStats s = c->Stats();
-    stats.num_nodes += s.num_nodes;
-    stats.max_height = std::max(stats.max_height, s.max_height + 1);
-    weighted_height +=
-        (s.avg_height + 1.0) * static_cast<double>(c->size());
-    keys += c->size();
-  }
-  stats.avg_height = keys > 0 ? weighted_height / keys : stats.max_height;
-  stats.max_error = 0.0;  // exact-position leaves
-  stats.avg_error = 0.0;
-  return stats;
+  // The TD root sits one level above its exact-position LIPP children.
+  IndexStatsTally tally;
+  tally.AddNodes();
+  for (const auto& c : children_) tally.AddSubIndex(c->Stats(), c->size(), 1);
+  return tally.Finish();
 }
 
 }  // namespace chameleon

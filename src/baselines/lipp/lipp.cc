@@ -246,50 +246,37 @@ size_t LippIndex::RangeScan(Key lo, Key hi, std::vector<KeyValue>* out) const {
   return walker.count;
 }
 
-size_t LippIndex::SizeBytes() const {
-  struct Sizer {
-    size_t bytes = 0;
-    void Walk(const LippIndex::Node* node) {
-      bytes += sizeof(LippIndex::Node) +
-               node->slots.capacity() * sizeof(LippIndex::Node::Slot);
-      for (const auto& s : node->slots) {
-        if (s.tag == LippIndex::Node::SlotTag::kChild) Walk(s.child.get());
-      }
+template <typename Fn>
+void LippIndex::VisitNodes(const Node* node, int depth, Fn&& fn) {
+  fn(node, depth);
+  for (const Node::Slot& s : node->slots) {
+    if (s.tag == Node::SlotTag::kChild) {
+      VisitNodes(s.child.get(), depth + 1, fn);
     }
-  } sizer;
-  sizer.Walk(root_.get());
-  return sizer.bytes + sizeof(LippIndex);
+  }
+}
+
+size_t LippIndex::SizeBytes() const {
+  size_t bytes = sizeof(LippIndex);
+  VisitNodes(root_.get(), 1, [&bytes](const Node* node, int) {
+    bytes += sizeof(Node) + node->slots.capacity() * sizeof(Node::Slot);
+  });
+  return bytes;
 }
 
 IndexStats LippIndex::Stats() const {
-  struct Walker {
-    size_t nodes = 0;
-    int max_depth = 0;
-    double weighted_depth = 0.0;
-    size_t keys = 0;
-    void Walk(const LippIndex::Node* node, int depth) {
-      ++nodes;
-      max_depth = std::max(max_depth, depth);
-      for (const auto& s : node->slots) {
-        if (s.tag == LippIndex::Node::SlotTag::kData) {
-          weighted_depth += depth;
-          ++keys;
-        } else if (s.tag == LippIndex::Node::SlotTag::kChild) {
-          Walk(s.child.get(), depth + 1);
-        }
-      }
-    }
-  } walker;
-  walker.Walk(root_.get(), 1);
-  IndexStats stats;
-  stats.num_nodes = walker.nodes;
-  stats.max_height = walker.max_depth;
-  stats.avg_height =
-      walker.keys > 0 ? walker.weighted_depth / walker.keys : walker.max_depth;
-  // Precise positions: zero model error by construction.
-  stats.max_error = 0.0;
-  stats.avg_error = 0.0;
-  return stats;
+  // Every node holds keys in its data slots, at precise positions: zero
+  // model error by construction.
+  IndexStatsTally tally;
+  VisitNodes(root_.get(), 1, [&tally](const Node* node, int depth) {
+    tally.AddNodes();
+    tally.AddLeaf(depth, static_cast<size_t>(std::count_if(
+                             node->slots.begin(), node->slots.end(),
+                             [](const Node::Slot& s) {
+                               return s.tag == Node::SlotTag::kData;
+                             })));
+  });
+  return tally.Finish();
 }
 
 }  // namespace chameleon

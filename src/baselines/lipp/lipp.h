@@ -53,6 +53,10 @@ class LippIndex final : public KvIndex {
 
   std::unique_ptr<Node> BuildNode(std::span<const KeyValue> data, int depth);
   void Collect(const Node* node, std::vector<KeyValue>* out) const;
+  /// Calls fn(node, depth) on every node in pre-order, the root at
+  /// depth 1: the one full-tree walk behind SizeBytes() and Stats().
+  template <typename Fn>
+  static void VisitNodes(const Node* node, int depth, Fn&& fn);
 
   Config config_;
   std::unique_ptr<Node> root_;

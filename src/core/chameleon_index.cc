@@ -672,35 +672,23 @@ size_t ChameleonIndex::SizeBytes() const {
 
 IndexStats ChameleonIndex::Stats() const {
   PeriodicWorker::PauseGuard pause(retrainer_);
-  size_t nodes = 0;
-  VisitPreOrder(frame_root_, 0, [&nodes](const FrameNode&, int) { ++nodes; });
-
-  int max_depth = 0;  // depth of deepest leaf, counting unit root depth
-  double weighted_depth = 0.0;
-  double err_sum = 0.0;
-  double err_max = 0.0;
-  size_t keys = 0;
+  IndexStatsTally tally;
+  VisitPreOrder(frame_root_, 0,
+                [&tally](const FrameNode&, int) { tally.AddNodes(); });
   // Unit roots sit at level h; their subtrees extend below.
   for (const auto& unit : units_) {
     VisitPreOrder(std::as_const(unit->root), h_,
-                  [&](const SubNode& node, int depth) {
-                    ++nodes;
+                  [&tally](const SubNode& node, int depth) {
+                    tally.AddNodes();
                     if (!node.is_leaf()) return;
-                    max_depth = std::max(max_depth, depth);
-                    weighted_depth +=
-                        static_cast<double>(node.leaf->num_keys()) * depth;
-                    keys += node.leaf->num_keys();
+                    double err_sum = 0.0;
+                    double err_max = 0.0;
                     node.leaf->AccumulateError(&err_sum, &err_max);
+                    tally.AddLeaf(depth, node.leaf->num_keys(), err_sum,
+                                  err_max);
                   });
   }
-
-  IndexStats stats;
-  stats.num_nodes = nodes;
-  stats.max_height = max_depth;
-  stats.avg_height = keys > 0 ? weighted_depth / keys : max_depth;
-  stats.max_error = err_max;
-  stats.avg_error = keys > 0 ? err_sum / keys : 0.0;
-  return stats;
+  return tally.Finish();
 }
 
 }  // namespace chameleon

@@ -228,26 +228,11 @@ size_t ShardedIndex::SizeBytes() const {
 }
 
 IndexStats ShardedIndex::Stats() const {
-  IndexStats merged;
-  double weighted_height = 0.0;
-  double weighted_error = 0.0;
-  size_t keys = 0;
+  IndexStatsTally tally;
   for (const auto& shard : shards_) {
-    const IndexStats s = shard->Stats();
-    const size_t k = shard->size();
-    merged.max_height = std::max(merged.max_height, s.max_height);
-    merged.max_error = std::max(merged.max_error, s.max_error);
-    merged.num_nodes += s.num_nodes;
-    weighted_height += s.avg_height * static_cast<double>(k);
-    weighted_error += s.avg_error * static_cast<double>(k);
-    keys += k;
+    tally.AddSubIndex(shard->Stats(), shard->size());
   }
-  merged.avg_height =
-      keys > 0 ? weighted_height / static_cast<double>(keys)
-               : static_cast<double>(merged.max_height);
-  merged.avg_error = keys > 0 ? weighted_error / static_cast<double>(keys)
-                              : 0.0;
-  return merged;
+  return tally.Finish();
 }
 
 std::string_view ShardedIndex::Name() const { return name_; }

@@ -74,9 +74,8 @@ class ShardedIndex final : public KvIndex {
   size_t RangeScan(Key lo, Key hi, std::vector<KeyValue>* out) const override;
   size_t size() const override;
   size_t SizeBytes() const override;
-  /// Merged statistics: num_nodes sums, max_height/max_error take the
-  /// worst shard, avg_height/avg_error are key-count-weighted means —
-  /// the same weighting each index applies across its own leaves.
+  /// Merged statistics: each shard added as a whole sub-index at the
+  /// same level (IndexStatsTally), so averages weight shards by keys.
   IndexStats Stats() const override;
   std::string_view Name() const override;
   std::span<const std::unique_ptr<KvIndex>> Children() const override {

@@ -27,55 +27,28 @@ TraceJournal& TraceJournal::Get() noexcept {
 void TraceJournal::Append(TraceEventType type, uint64_t a,
                           uint64_t b) noexcept {
   if (!enabled()) return;
-  const uint64_t idx = head_.fetch_add(1, std::memory_order_relaxed);
-  Slot& slot = slots_[idx & kMask];
-  // Per-slot writer exclusion: claim the slot by moving its sequence
-  // from an older event's (or empty) to kWriting. An appender a full
-  // lap away that finds the slot busy (kWriting compares above every
-  // index) or already holding a newer event drops its event instead of
-  // interleaving payload halves with the other writer. The event still
-  // counts in total_appended(), as an overwritten one does.
-  uint64_t seen = slot.seq.load(std::memory_order_relaxed);
-  if (seen > idx || !slot.seq.compare_exchange_strong(
-                        seen, kWriting, std::memory_order_relaxed)) {
-    return;
-  }
-  // Orders the kWriting store before the payload stores, pairing with
-  // Snapshot's acquire fence: a reader that sees any new payload field
-  // then sees kWriting (or later) on its re-check.
-  std::atomic_thread_fence(std::memory_order_release);
-  slot.ts_ns.store(NowNanos(), std::memory_order_relaxed);
-  slot.type.store(static_cast<uint32_t>(type), std::memory_order_relaxed);
-  slot.a.store(a, std::memory_order_relaxed);
-  slot.b.store(b, std::memory_order_relaxed);
-  slot.seq.store(idx + 1, std::memory_order_release);
+  const TraceEvent event{NowNanos(), type, a, b};
+  std::lock_guard<std::mutex> lock(mu_);
+  ring_[head_ % kCapacity] = event;
+  ++head_;
 }
 
 size_t TraceJournal::size() const noexcept {
-  const uint64_t appended = head_.load(std::memory_order_relaxed);
+  const uint64_t appended = total_appended();
   return appended < kCapacity ? static_cast<size_t>(appended) : kCapacity;
 }
 
+uint64_t TraceJournal::total_appended() const noexcept {
+  std::lock_guard<std::mutex> lock(mu_);
+  return head_;
+}
+
 std::vector<TraceEvent> TraceJournal::Snapshot() const {
-  const uint64_t end = head_.load(std::memory_order_acquire);
-  const uint64_t begin = end > kCapacity ? end - kCapacity : 0;
+  std::lock_guard<std::mutex> lock(mu_);
+  const uint64_t begin = head_ > kCapacity ? head_ - kCapacity : 0;
   std::vector<TraceEvent> out;
-  out.reserve(static_cast<size_t>(end - begin));
-  for (uint64_t i = begin; i < end; ++i) {
-    // Seqlock read: the sequence before and after the payload must both
-    // name event i, or a writer may have torn it and the slot is skipped.
-    const Slot& slot = slots_[i & kMask];
-    if (slot.seq.load(std::memory_order_acquire) != i + 1) continue;
-    TraceEvent ev;
-    ev.ts_ns = slot.ts_ns.load(std::memory_order_relaxed);
-    ev.type = static_cast<TraceEventType>(
-        slot.type.load(std::memory_order_relaxed));
-    ev.a = slot.a.load(std::memory_order_relaxed);
-    ev.b = slot.b.load(std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (slot.seq.load(std::memory_order_relaxed) != i + 1) continue;
-    out.push_back(ev);
-  }
+  out.reserve(static_cast<size_t>(head_ - begin));
+  for (uint64_t i = begin; i < head_; ++i) out.push_back(ring_[i % kCapacity]);
   return out;
 }
 
@@ -97,10 +70,8 @@ bool TraceJournal::DumpJsonl(const std::string& path) const {
 }
 
 void TraceJournal::Clear() noexcept {
-  head_.store(0, std::memory_order_relaxed);
-  for (Slot& slot : slots_) {
-    slot.seq.store(0, std::memory_order_relaxed);
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  head_ = 0;
 }
 
 }  // namespace chameleon::obs

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -44,29 +45,24 @@ struct TraceEvent {
   uint64_t b = 0;
 };
 
-/// Bounded, lock-free ring buffer of timestamped structural events —
-/// the raw material for post-hoc analysis of Fig. 14/15-style runs
-/// (when did retrains fire, which units churned, where did lock
-/// conflicts cluster) without attaching a profiler.
+/// Bounded ring buffer of timestamped structural events — the raw
+/// material for post-hoc analysis of Fig. 14/15-style runs (when did
+/// retrains fire, which units churned, where did lock conflicts
+/// cluster) without attaching a profiler.
 ///
-/// Each slot is a seqlock. Writers claim an event index with one
-/// fetch_add, then take the slot by CAS-ing its sequence to kWriting,
-/// write the payload and publish it by storing the event's sequence
-/// number last (release). A writer that finds its slot busy (another
-/// appender a full lap away) or already holding a newer event drops its
-/// event rather than interleave with the other writer. Snapshot() reads
-/// the sequence before and after the payload and keeps the entry only
-/// if both name the event it expects, so a torn entry is skipped, never
-/// misread. All fields are relaxed atomics: no locks, no allocation on
-/// the write path, TSan-clean under concurrent append. The buffer keeps
-/// the most recent kCapacity events and silently overwrites older ones
-/// (total_appended() - size() counts the overwritten and dropped ones).
+/// One mutex guards the ring: an enabled Append takes it to write one
+/// slot, Snapshot takes it to copy the retained events, so an entry is
+/// never seen half-written. The events are rare (retraining passes,
+/// unit rebuilds, checkpoints), so the lock is never on a per-operation
+/// path. The buffer keeps the most recent kCapacity events and
+/// silently overwrites older ones (total_appended() - size() counts the
+/// overwritten ones).
 ///
 /// Disabled by default; benches opt in with SetEnabled(true). Appends
 /// while disabled are discarded after one relaxed load.
 class TraceJournal {
  public:
-  static constexpr size_t kCapacity = 4096;  // power of two
+  static constexpr size_t kCapacity = 4096;
 
   static TraceJournal& Get() noexcept;
 
@@ -82,15 +78,12 @@ class TraceJournal {
 
   void Append(TraceEventType type, uint64_t a = 0, uint64_t b = 0) noexcept;
 
-  /// Events appended, capped at kCapacity: what Snapshot() returns
-  /// when no slot is mid-write or lost to a writer a lap away.
+  /// Events retained: total_appended() capped at kCapacity.
   size_t size() const noexcept;
   /// Events ever appended (including overwritten ones).
-  uint64_t total_appended() const noexcept {
-    return head_.load(std::memory_order_relaxed);
-  }
+  uint64_t total_appended() const noexcept;
 
-  /// Retained events, oldest first. In-flight slots are skipped.
+  /// Retained events, oldest first.
   std::vector<TraceEvent> Snapshot() const;
 
   /// Writes the retained events as JSONL (one {"ts_ns", "type", "a",
@@ -102,20 +95,9 @@ class TraceJournal {
  private:
   TraceJournal() = default;
 
-  struct Slot {
-    std::atomic<uint64_t> seq{0};  // 0 = empty, kWriting, else index + 1
-    std::atomic<int64_t> ts_ns{0};
-    std::atomic<uint32_t> type{0};
-    std::atomic<uint64_t> a{0};
-    std::atomic<uint64_t> b{0};
-  };
-  static constexpr uint64_t kMask = kCapacity - 1;
-  /// Slot sequence while one writer owns the slot.
-  static constexpr uint64_t kWriting = ~uint64_t{0};
-  static_assert((kCapacity & kMask) == 0, "capacity must be a power of two");
-
-  Slot slots_[kCapacity];
-  std::atomic<uint64_t> head_{0};
+  mutable std::mutex mu_;
+  TraceEvent ring_[kCapacity];  // event i lives at ring_[i % kCapacity]
+  uint64_t head_ = 0;           // events ever appended
   std::atomic<bool> enabled_{false};
 };
 

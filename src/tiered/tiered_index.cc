@@ -163,27 +163,22 @@ size_t TieredIndex::SizeBytes() const {
 
 IndexStats TieredIndex::Stats() const {
   // The disk tier is a two-level structure (fence array over leaf
-  // pages) with exact search inside a page: height 2, error 0. Heights
-  // and errors are key-count-weighted with the delta's own stats, the
-  // same averaging Table V uses across leaves.
-  const IndexStats delta_stats = delta().Stats();
-  const double n_disk = static_cast<double>(run_.entries - tombstone_count());
-  const double n_delta = static_cast<double>(delta_entries());
-  const double total = n_disk + n_delta;
-  IndexStats s;
-  s.num_nodes = disk_pages() + 1 + delta_stats.num_nodes;
-  if (total == 0) {
-    s.max_height = 1;
-    s.avg_height = 1.0;
-    return s;
+  // pages) with exact search inside a page: height 2, error 0. The
+  // delta joins it as a sub-index at the same level, with an average
+  // height of at least 1. An empty stack reports height 1.
+  IndexStats delta_stats = delta().Stats();
+  const size_t n_disk = run_.entries - tombstone_count();
+  const size_t n_delta = delta_entries();
+  if (n_disk + n_delta == 0) {
+    delta_stats = IndexStats{.num_nodes = delta_stats.num_nodes};
   }
-  s.max_height = std::max(n_disk > 0 ? 2 : 1, delta_stats.max_height);
-  const double delta_avg_h =
+  delta_stats.avg_height =
       n_delta > 0 ? std::max(delta_stats.avg_height, 1.0) : 0.0;
-  s.avg_height = (n_disk * 2.0 + n_delta * delta_avg_h) / total;
-  s.max_error = delta_stats.max_error;
-  s.avg_error = (n_delta * delta_stats.avg_error) / total;
-  return s;
+  IndexStatsTally tally;
+  tally.AddNodes(disk_pages() + 1);
+  tally.AddLeaf(n_disk > 0 ? 2 : 1, n_disk);
+  tally.AddSubIndex(delta_stats, n_delta);
+  return tally.Finish();
 }
 
 obs::Heatmap TieredIndex::HeatmapSnapshot() const {

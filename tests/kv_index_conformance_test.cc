@@ -424,6 +424,22 @@ TEST_P(ConformanceTest, StatsAndSizeAreSane) {
   EXPECT_GE(index_->SizeBytes(), data_.size() * sizeof(Value) / 2);
 }
 
+TEST_P(ConformanceTest, StatsAndSizeAfterEmptyReload) {
+  // An index emptied in place reports the empty conventions of
+  // IndexStatsTally: its deepest level as its average height. The
+  // bound-based indexes (PGM, RS) keep reporting their error bound.
+  index_->BulkLoad({});
+  const IndexStats stats = index_->Stats();
+  EXPECT_GE(stats.max_height, 1);
+  EXPECT_EQ(stats.avg_height, static_cast<double>(stats.max_height));
+  EXPECT_GE(stats.max_error, stats.avg_error);
+  const std::string& name = std::get<0>(GetParam());
+  if (name != "PGM" && name != "RS") {
+    EXPECT_EQ(stats.avg_error, 0.0);
+  }
+  EXPECT_GT(index_->SizeBytes(), 0u);
+}
+
 // Parallel construction must be deterministic: building the same data
 // with a 1-thread and a 4-thread pool yields an identical structure
 // (same stats, same footprint, and the same answers).

@@ -142,7 +142,7 @@ int main(int argc, char** argv) {
        SwitchFlag("--prom", &flags.prom),
        SwitchFlag("--kernels", &flags.kernels),
        SwitchFlag("--tiered", &flags.tiered)},
-      /*takes_workload=*/true);
+      {.workload = true});
   if (flags.kernels) {
     PrintKernels();
     return 0;
