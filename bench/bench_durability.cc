@@ -5,8 +5,9 @@
 // Sections:
 //  1. overhead  — bare Chameleon vs Durable:Chameleon across the three
 //     fsync policies (none / every64 / always) on a 50% write mix;
-//  2. recovery  — crash + recover with growing un-checkpointed WAL
-//     tails; reports replayed record counts and recovery wall time;
+//  2. recovery  — crash + recover after growing write counts; reports
+//     replayed record counts and recovery wall time, the replayed tail
+//     bounded by the checkpoints the writes trigger;
 //  3. --crash-after=N — applies exactly N acknowledged writes under
 //     fsync=always, simulates a crash, recovers, and verifies every
 //     acknowledged write survived. Exits non-zero on any loss (the CI
@@ -335,9 +336,12 @@ int main(int argc, char** argv) {
   }
 
   // --- Section 2: recovery time vs WAL length -------------------------------
-  // Growing un-checkpointed tails: the snapshot absorbs the bulk load,
-  // then `wal_records` writes accumulate before the crash. Recovery =
-  // native snapshot load + linear WAL replay.
+  // The snapshot absorbs the bulk load, then `wal_records` writes go to
+  // the log before the crash. Writes checkpoint on their own once the
+  // WAL grew by `checkpoint_wal_bytes` (1 MiB: ~42k inserts of 25 B),
+  // so `replayed` is the tail since the last checkpoint: all of
+  // `wal_records` below that cadence, less than one cadence beyond it.
+  // Recovery = native snapshot load + linear replay of that tail.
   std::printf("\n=== durability: recovery time vs WAL length ===\n");
   if (!opt.spec.empty()) {
     std::printf("(skipped: --spec stacks expose no wal().Sync() hook; the\n"
@@ -391,8 +395,10 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\nExpected shape: fsync=none ~free, fsync=always dominated by "
-              "device sync latency; recovery_ms linear in replayed records "
-              "on top of a constant native-snapshot load\n");
+              "device sync latency; replayed == wal_records up to one "
+              "checkpoint cadence (1 MiB of WAL) and below it beyond; "
+              "recovery_ms linear in replayed records on top of a "
+              "native-snapshot load\n");
   report.Write();
   return 0;
 }

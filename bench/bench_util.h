@@ -9,12 +9,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <functional>
 #include <iterator>
 #include <memory>
 #include <span>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -462,6 +464,29 @@ inline void WriteBuildJson(FILE* f, uint64_t seed) {
                crc32c_internal::HardwareAvailable() ? "sse4.2" : "table");
 }
 
+/// The CPU's model name as /proc/cpuinfo gives it, "unknown" where it
+/// has none.
+inline std::string CpuModelName() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    const size_t colon = line.find(':');
+    if (line.starts_with("model name") && colon != std::string::npos) {
+      const size_t start = line.find_first_not_of(' ', colon + 1);
+      if (start != std::string::npos) return line.substr(start);
+    }
+  }
+  return "unknown";
+}
+
+/// Writes a document's one-line "host" member (trailing comma), shared
+/// like the "build" block: the CPU model and the hardware threads the
+/// process can see.
+inline void WriteHostJson(FILE* f) {
+  std::fprintf(f, "  \"host\": {\"cpu\": \"%s\", \"vcpus\": %u},\n",
+               JsonEscape(CpuModelName()).c_str(),
+               std::thread::hardware_concurrency());
+}
+
 /// Writes a document's closing "counters" member: every StatsRegistry
 /// counter's total, one per line. The caller closes the object.
 inline void WriteCountersJson(FILE* f) {
@@ -488,6 +513,7 @@ inline void WriteCountersJson(FILE* f) {
 ///     "workload": "<canonical spec>",    // only when one was driven
 ///     "build": {"git_sha","compiler","build_type","seed","no_stats",
 ///               "simd_kernel","crc32c"}, // WriteBuildJson
+///     "host": {"cpu","vcpus"},           // WriteHostJson
 ///     "throughput_mops": X,              // from the latency histogram
 ///     "latency_ns": {"count","mean","p50","p90","p99","p999","max"},
 ///     "rows": [ {bench-specific fields}, ... ],
@@ -529,9 +555,6 @@ class JsonReport {
       obs::SamplerOptions so;
       so.interval = std::chrono::milliseconds(opt_.sample_ms);
       sampler_ = std::make_unique<obs::MetricsSampler>(so);
-      // Calibrate the cycle clock up front so the first phase span of
-      // the measured run never pays the ~2ms calibration spin.
-      obs::CycleClock::ToNanos(0);
       sampler_->Start();
     }
   }
@@ -590,6 +613,7 @@ class JsonReport {
                    JsonEscape(workload_).c_str());
     }
     WriteBuildJson(f, opt_.seed);
+    WriteHostJson(f);
     std::fprintf(f, "  \"throughput_mops\": %.6g,\n",
                  mean > 0.0 ? 1e3 / mean : 0.0);
     std::fprintf(f,

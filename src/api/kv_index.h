@@ -13,6 +13,8 @@
 
 namespace chameleon {
 
+struct SnapshotMeta;  // src/storage/snapshot.h
+
 /// Structural statistics reported by every index, used to reproduce the
 /// paper's Table V (MaxHeight / MaxError / AvgHeight / AvgError / #Nodes).
 struct IndexStats {
@@ -177,6 +179,13 @@ class KvIndex {
   /// parallel, when its shards are durable). The default — a purely
   /// volatile index has nothing to recover from — returns false.
   virtual bool Recover() { return false; }
+
+  /// Persistence hook of Durable checkpoints (storage/snapshot.h):
+  /// Persist saves the contents to `path` stamped with the WAL boundary
+  /// `wal_seq`; Restore loads that image and returns its header in
+  /// `*meta`. The defaults save sorted pairs; Chameleon its structure.
+  virtual bool Persist(const std::string& path, uint64_t wal_seq) const;
+  virtual bool Restore(const std::string& path, SnapshotMeta* meta);
 
   /// Capability query: can this stack accept Insert/Erase from multiple
   /// threads concurrently (after EnableConcurrentWrites())? Harnesses

@@ -50,7 +50,7 @@ const KeyValue* FinedexIndex::Group::FindInRun(Key key) const {
 }
 
 void FinedexIndex::BulkLoad(std::span<const KeyValue> data) {
-  groups_.clear();
+  groups_ = std::vector<Group>();  // clear() would keep the buffer
   size_ = data.size();
   total_retrains_ = 0;
   if (data.empty()) {

@@ -277,8 +277,10 @@ IndexStats PgmIndex::Stats() const {
     height = std::max(height, c.levels.size());
     for (const auto& level : c.levels) segments += level.size();
   }
-  stats.num_nodes = segments + (buffer_.empty() ? 0 : 1);
-  stats.max_height = static_cast<int>(height) + 1;  // +1 for the data level
+  // The data level (the components' entries and the insert buffer)
+  // is one level of the height and one node, empty or not.
+  stats.num_nodes = segments + 1;
+  stats.max_height = static_cast<int>(height) + 1;
   stats.avg_height = stats.max_height;
   stats.max_error = static_cast<double>(epsilon_);
   stats.avg_error = static_cast<double>(epsilon_) / 2.0;

@@ -19,7 +19,7 @@ void RadixSpline::BuildModel() {
 
 void RadixSpline::BuildSpline() {
   const std::vector<KeyValue>& data = run();
-  spline_.clear();
+  spline_ = std::vector<SplinePoint>();  // clear() would keep the buffer
   const size_t n = data.size();
   if (n == 0) return;
   spline_.push_back({data.front().key, 0.0});
@@ -82,7 +82,7 @@ void RadixSpline::BuildSpline() {
 
 void RadixSpline::BuildRadixTable() {
   const std::vector<KeyValue>& data = run();
-  radix_table_.clear();
+  radix_table_ = std::vector<uint32_t>();
   if (data.empty()) return;
   min_key_ = data.front().key;
   const Key range = data.back().key - min_key_;

@@ -206,6 +206,10 @@ class ChameleonIndex final : public KvIndex {
   /// retraining). Returns false on I/O error, bad magic, or version
   /// mismatch.
   bool LoadFrom(std::FILE* f);
+  /// Persistence hook: native snapshots (SaveTo/LoadFrom); Restore
+  /// takes sorted-pair ones too.
+  bool Persist(const std::string& path, uint64_t wal_seq) const override;
+  bool Restore(const std::string& path, SnapshotMeta* meta) override;
 
   /// Number of frame levels h = ceil(log_{2^10} |D|), clamped to >= 2
   /// (Sec. III-B); the level whose nodes carry interval locks.

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "src/obs/stats.h"
+#include "src/storage/snapshot.h"
 
 namespace chameleon {
 namespace {
@@ -216,6 +217,17 @@ bool ChameleonIndex::LoadFrom(std::FILE* fp) {
   total_full_rebuilds_ = 0;
   total_retrains_.store(0);
   return true;
+}
+
+bool ChameleonIndex::Persist(const std::string& path, uint64_t wal_seq) const {
+  return WriteStreamSnapshot(
+      path, {SnapshotKind::kChameleonNative, size(), wal_seq},
+      [this](std::FILE* out) { return SaveTo(out); });
+}
+
+bool ChameleonIndex::Restore(const std::string& path, SnapshotMeta* meta) {
+  return RestoreSnapshot(this, path, meta,
+                         [this](std::FILE* in) { return LoadFrom(in); });
 }
 
 }  // namespace chameleon

@@ -10,7 +10,7 @@ void LatencyHistogram::Clear() noexcept {
   count_.store(0, std::memory_order_relaxed);
   sum_.store(0, std::memory_order_relaxed);
   max_.store(0, std::memory_order_relaxed);
-  min_.store(UINT64_MAX, std::memory_order_relaxed);
+  min_complement_.store(0, std::memory_order_relaxed);
 }
 
 void LatencyHistogram::CopyFrom(const LatencyHistogram& other) noexcept {
@@ -24,8 +24,9 @@ void LatencyHistogram::CopyFrom(const LatencyHistogram& other) noexcept {
              std::memory_order_relaxed);
   max_.store(other.max_.load(std::memory_order_relaxed),
              std::memory_order_relaxed);
-  min_.store(other.min_.load(std::memory_order_relaxed),
-             std::memory_order_relaxed);
+  min_complement_.store(
+      other.min_complement_.load(std::memory_order_relaxed),
+      std::memory_order_relaxed);
 }
 
 void LatencyHistogram::Merge(const LatencyHistogram& other) noexcept {
@@ -42,10 +43,10 @@ void LatencyHistogram::Merge(const LatencyHistogram& other) noexcept {
   while (v > m && !max_.compare_exchange_weak(m, v,
                                               std::memory_order_relaxed)) {
   }
-  v = other.min_.load(std::memory_order_relaxed);
-  m = min_.load(std::memory_order_relaxed);
-  while (v < m && !min_.compare_exchange_weak(m, v,
-                                              std::memory_order_relaxed)) {
+  v = other.min_complement_.load(std::memory_order_relaxed);
+  m = min_complement_.load(std::memory_order_relaxed);
+  while (v > m && !min_complement_.compare_exchange_weak(
+                      m, v, std::memory_order_relaxed)) {
   }
 }
 
@@ -65,7 +66,8 @@ double LatencyHistogram::MaxNanos() const noexcept {
 double LatencyHistogram::MinNanos() const noexcept {
   return count() == 0
              ? 0.0
-             : static_cast<double>(min_.load(std::memory_order_relaxed));
+             : static_cast<double>(
+                   ~min_complement_.load(std::memory_order_relaxed));
 }
 
 double LatencyHistogram::ValueAtRank(uint64_t r) const noexcept {

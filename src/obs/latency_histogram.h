@@ -35,7 +35,11 @@ class LatencyHistogram {
   static constexpr size_t kNumBuckets =
       (64 - kSubBucketBits + 1) * kSubBuckets;
 
-  LatencyHistogram() { Clear(); }
+  /// The empty histogram is all zero bits, so one at namespace scope is
+  /// constant-initialized: nothing runs when the program loads, and no
+  /// first use waits on its construction (the phase histograms rely on
+  /// this).
+  constexpr LatencyHistogram() noexcept = default;
   LatencyHistogram(const LatencyHistogram& other) { CopyFrom(other); }
   LatencyHistogram& operator=(const LatencyHistogram& other) {
     if (this != &other) CopyFrom(other);
@@ -52,9 +56,9 @@ class LatencyHistogram {
     while (v > m && !max_.compare_exchange_weak(m, v,
                                                 std::memory_order_relaxed)) {
     }
-    m = min_.load(std::memory_order_relaxed);
-    while (v < m && !min_.compare_exchange_weak(m, v,
-                                                std::memory_order_relaxed)) {
+    m = min_complement_.load(std::memory_order_relaxed);
+    while (~v > m && !min_complement_.compare_exchange_weak(
+                         m, ~v, std::memory_order_relaxed)) {
     }
   }
 
@@ -116,11 +120,13 @@ class LatencyHistogram {
   /// Value at 0-based rank `r` (as if samples were sorted ascending).
   double ValueAtRank(uint64_t r) const noexcept;
 
-  std::array<std::atomic<uint64_t>, kNumBuckets> buckets_;
+  std::array<std::atomic<uint64_t>, kNumBuckets> buckets_{};
   std::atomic<uint64_t> count_{0};
   std::atomic<uint64_t> sum_{0};
   std::atomic<uint64_t> max_{0};
-  std::atomic<uint64_t> min_{UINT64_MAX};
+  /// ~min, the largest complement of a sample: 0 when empty, like the
+  /// rest of the state.
+  std::atomic<uint64_t> min_complement_{0};
 };
 
 }  // namespace chameleon::obs

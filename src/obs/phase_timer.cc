@@ -4,6 +4,8 @@
 #include <x86intrin.h>
 #endif
 
+#include <atomic>
+
 #include "src/util/timer.h"
 
 namespace chameleon::obs {
@@ -26,32 +28,43 @@ std::string_view WritePhaseName(WritePhase p) {
 
 namespace {
 
-/// All phase histograms, indexed by WritePhase.
-LatencyHistogram* Storage() {
-  static LatencyHistogram hist[kNumWritePhases];
-  return hist;
-}
+/// All phase histograms, indexed by WritePhase. Constant-initialized,
+/// so no span waits on their construction.
+constinit LatencyHistogram phase_histograms[kNumWritePhases];
 
 #if defined(__x86_64__) || defined(_M_X64)
 
 uint64_t RawTicks() noexcept { return __rdtsc(); }
 
-/// Nanoseconds per TSC tick, measured once against the steady clock.
-/// Modern x86-64 TSCs are invariant (constant rate across cores and
-/// power states), so one global ratio is valid process-wide.
+/// The TSC and the steady clock, read together when the library loads.
+struct Anchor {
+  uint64_t ticks;
+  int64_t nanos;
+};
+const Anchor kAnchor{RawTicks(), NowNanos()};
+
+/// The ratio once the anchor is old enough that clock-read latency is
+/// noise (0 until then).
+std::atomic<double> settled_ratio{0.0};
+
+/// Nanoseconds per TSC tick, measured against the load-time anchor, so
+/// no call spins or waits. Until the ratio settles, each call reads
+/// both clocks once more and divides by the anchor's age; a span it
+/// converts is no older than the anchor, so the span's error stays
+/// within one clock-read latency. Modern x86-64 TSCs are invariant
+/// (constant rate across cores and power states), so one global ratio
+/// is valid process-wide.
 double NanosPerTick() noexcept {
-  static const double ratio = [] {
-    const uint64_t t0 = RawTicks();
-    const int64_t n0 = NowNanos();
-    // Spin ~2ms: long enough that clock-read latency is noise.
-    while (NowNanos() - n0 < 2'000'000) {
-    }
-    const uint64_t t1 = RawTicks();
-    const int64_t n1 = NowNanos();
-    return t1 > t0 ? static_cast<double>(n1 - n0) /
-                         static_cast<double>(t1 - t0)
-                   : 1.0;
-  }();
+  const double settled = settled_ratio.load(std::memory_order_relaxed);
+  if (settled > 0.0) return settled;
+  const uint64_t ticks = RawTicks();
+  const int64_t nanos = NowNanos();
+  if (ticks <= kAnchor.ticks) return 1.0;
+  const double ratio = static_cast<double>(nanos - kAnchor.nanos) /
+                       static_cast<double>(ticks - kAnchor.ticks);
+  if (nanos - kAnchor.nanos >= 10'000'000) {
+    settled_ratio.store(ratio, std::memory_order_relaxed);
+  }
   return ratio;
 }
 
@@ -71,12 +84,12 @@ int64_t CycleClock::ToNanos(uint64_t ticks) noexcept {
 }
 
 LatencyHistogram& PhaseHistogram(WritePhase p) {
-  return Storage()[static_cast<size_t>(p)];
+  return phase_histograms[static_cast<size_t>(p)];
 }
 
 void ResetPhaseHistograms() {
   for (size_t i = 0; i < kNumWritePhases; ++i) {
-    Storage()[i].Clear();
+    phase_histograms[i].Clear();
   }
 }
 

@@ -78,15 +78,16 @@ LatencyHistogram& PhaseHistogram(WritePhase p);
 void ResetPhaseHistograms();
 
 /// Cheap time source for phase spans: the TSC on x86-64 (one `rdtsc`,
-/// ~20 cycles, vs ~25ns for a clock_gettime syscall-path read), lazily
-/// calibrated against the steady clock; NowNanos() elsewhere. Raw
-/// ticks are only meaningful through ToNanos().
+/// ~20 cycles, vs ~25ns for a clock_gettime syscall-path read),
+/// calibrated against the steady clock from a pair of reads taken when
+/// the library loads; NowNanos() elsewhere. Raw ticks are only
+/// meaningful through ToNanos().
 class CycleClock {
  public:
   static uint64_t Now() noexcept;
-  /// Converts an elapsed tick count to nanoseconds. The first call
-  /// calibrates (spins ~2ms against the steady clock) — harness setup
-  /// paths call it once up front so spans never pay that.
+  /// Converts an elapsed tick count to nanoseconds. Never blocks: in
+  /// the first 10 ms after load a call reads the steady clock once to
+  /// refine the ratio, and later calls use the settled ratio.
   static int64_t ToNanos(uint64_t ticks) noexcept;
 };
 

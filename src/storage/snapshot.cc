@@ -9,7 +9,6 @@
 #include <memory>
 #include <vector>
 
-#include "src/core/chameleon_index.h"
 #include "src/util/crc32c.h"
 #include "src/util/io.h"
 
@@ -112,51 +111,49 @@ bool ReadPairsSnapshot(const std::string& path,
          DecodePairs(payload, meta, pairs);
 }
 
-bool WriteSnapshot(const KvIndex& index, const std::string& path,
-                   uint64_t wal_seq) {
-  const auto* chameleon = dynamic_cast<const ChameleonIndex*>(&index);
-  if (chameleon == nullptr) {
-    std::vector<KeyValue> all;
-    all.reserve(index.size());
-    index.RangeScan(kMinKey, kMaxKey - 1, &all);
-    return all.size() == index.size() && WritePairsSnapshot(all, path, wal_seq);
-  }
-  // The native structure stream is assembled in memory, like the sorted
-  // dump, so its checksum needs no second pass over the file.
+bool WriteStreamSnapshot(const std::string& path, const SnapshotMeta& meta,
+                         FunctionRef<bool(std::FILE*)> save) {
+  // The payload is assembled in memory, like the sorted dump, so its
+  // checksum needs no second pass over the file.
   char* image = nullptr;
   size_t len = 0;
   bool saved = false;
   if (std::FILE* stream = ::open_memstream(&image, &len)) {
-    saved = chameleon->SaveTo(stream);
+    saved = save(stream);
     saved = std::fclose(stream) == 0 && saved;  // sets image and len
   }
-  const bool ok =
-      saved && CommitSnapshot(path, {SnapshotKind::kChameleonNative,
-                                     index.size(), wal_seq},
-                              image, len);
+  const bool ok = saved && CommitSnapshot(path, meta, image, len);
   std::free(image);
   return ok;
 }
 
-bool ReadSnapshot(KvIndex* index, const std::string& path,
-                  SnapshotMeta* meta_out) {
+bool RestoreSnapshot(KvIndex* index, const std::string& path,
+                     SnapshotMeta* meta, FunctionRef<bool(std::FILE*)> load) {
   std::vector<uint8_t> bytes;
-  SnapshotMeta meta;
   std::span<uint8_t> payload;
-  if (!ReadVerified(path, &bytes, &meta, &payload)) return false;
-  if (meta.kind == SnapshotKind::kChameleonNative) {
-    auto* chameleon = dynamic_cast<ChameleonIndex*>(index);
-    if (chameleon == nullptr || payload.empty()) return false;
-    FilePtr stream(::fmemopen(payload.data(), payload.size(), "r"));
-    if (stream == nullptr || !chameleon->LoadFrom(stream.get())) return false;
-  } else {
+  if (!ReadVerified(path, &bytes, meta, &payload)) return false;
+  if (meta->kind == SnapshotKind::kSortedPairs) {
     std::vector<KeyValue> all;
-    if (!DecodePairs(payload, meta, &all)) return false;
+    if (!DecodePairs(payload, *meta, &all)) return false;
     index->BulkLoad(all);
+  } else {
+    FilePtr stream(::fmemopen(payload.data(), payload.size(), "r"));
+    if (stream == nullptr || !load(stream.get())) return false;
   }
-  if (index->size() != meta.count) return false;
-  if (meta_out != nullptr) *meta_out = meta;
-  return true;
+  return index->size() == meta->count;
+}
+
+bool KvIndex::Persist(const std::string& path, uint64_t wal_seq) const {
+  std::vector<KeyValue> all;
+  all.reserve(size());
+  RangeScan(kMinKey, kMaxKey - 1, &all);
+  return all.size() == size() && WritePairsSnapshot(all, path, wal_seq);
+}
+
+bool KvIndex::Restore(const std::string& path, SnapshotMeta* meta) {
+  // Sorted pairs only: no load for a native payload.
+  return RestoreSnapshot(this, path, meta,
+                         [](std::FILE*) { return false; });
 }
 
 }  // namespace chameleon

@@ -124,7 +124,8 @@ class Wal {
   uint64_t current_seq() const {
     return current_seq_.load(std::memory_order_acquire);
   }
-  /// Bytes appended to the log since Open() (record bytes, all segments).
+  /// Record bytes appended over this object's life (all segments; Open
+  /// and Close do not reset it).
   uint64_t appended_bytes() const {
     return appended_bytes_.load(std::memory_order_acquire);
   }

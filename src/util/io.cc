@@ -113,13 +113,17 @@ std::string NumberedPath(const std::string& dir, const char* prefix,
 
 std::vector<uint64_t> ListNumbered(const std::string& dir, const char* prefix,
                                    const char* suffix) {
-  const std::string pattern = std::string(prefix) + "%llu" + suffix;
+  // %n records how far the match got, so a name with text after the
+  // suffix (a commit's "<name>.tmp") is not taken for a numbered file.
+  const std::string pattern = std::string(prefix) + "%llu" + suffix + "%n";
   std::vector<uint64_t> seqs;
   std::error_code ec;
   for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    const std::string name = entry.path().filename().string();
     unsigned long long seq = 0;
-    if (std::sscanf(entry.path().filename().c_str(), pattern.c_str(),
-                    &seq) == 1) {
+    int matched = -1;
+    if (std::sscanf(name.c_str(), pattern.c_str(), &seq, &matched) == 1 &&
+        matched == static_cast<int>(name.size())) {
       seqs.push_back(seq);
     }
   }

@@ -11,8 +11,8 @@
 namespace chameleon {
 
 /// One background thread that runs a body once per interval: the one
-/// lifecycle behind the Chameleon retrainer, the Durable checkpointer
-/// and the metrics sampler (DESIGN.md §7). The thread sleeps a full
+/// lifecycle behind the Chameleon retrainer and the metrics sampler
+/// (DESIGN.md §7). The thread sleeps a full
 /// interval before each run, so the first run comes one interval after
 /// Start.
 ///

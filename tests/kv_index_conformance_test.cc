@@ -440,6 +440,26 @@ TEST_P(ConformanceTest, StatsAndSizeAfterEmptyReload) {
   EXPECT_GT(index_->SizeBytes(), 0u);
 }
 
+// Emptying an index in place releases what its last load built: its
+// footprint is then that of a fresh empty index (within 2x), and its
+// Stats() agree with themselves (a level implies a node).
+TEST(EmptiedIndexTest, FootprintAndStatsMatchAFreshEmptyIndex) {
+  const std::vector<KeyValue> data =
+      ToKeyValues(GenerateDataset(DatasetKind::kOsmc, 20'000, /*seed=*/3));
+  for (const std::string& name : AllIndexNames()) {
+    std::unique_ptr<KvIndex> emptied = MakeIndex(name);
+    emptied->BulkLoad(data);
+    emptied->BulkLoad({});
+    std::unique_ptr<KvIndex> fresh = MakeIndex(name);
+    fresh->BulkLoad({});
+    EXPECT_LE(emptied->SizeBytes(), 2 * fresh->SizeBytes()) << name;
+    const IndexStats stats = emptied->Stats();
+    if (stats.max_height >= 1) {
+      EXPECT_GE(stats.num_nodes, 1u) << name;
+    }
+  }
+}
+
 // Parallel construction must be deterministic: building the same data
 // with a 1-thread and a 4-thread pool yields an identical structure
 // (same stats, same footprint, and the same answers).

@@ -220,6 +220,21 @@ TEST(IoTest, FailedCommitKeepsThePreviousFileAndNoTemp) {
   std::remove(path.c_str());
 }
 
+TEST(IoTest, ListNumberedTakesOnlyWholeNames) {
+  const std::string dir = ::testing::TempDir() + "/list_numbered";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  for (const uint64_t seq : {3, 12}) {
+    ASSERT_TRUE(WriteText(NumberedPath(dir, "snap-", seq, ".snap"), "x"));
+  }
+  // A commit's temp and a foreign suffix are not numbered files.
+  ASSERT_TRUE(WriteText(NumberedPath(dir, "snap-", 7, ".snap") + ".tmp", "x"));
+  ASSERT_TRUE(WriteText(NumberedPath(dir, "snap-", 8, ".wal"), "x"));
+  EXPECT_EQ(ListNumbered(dir, "snap-", ".snap"),
+            (std::vector<uint64_t>{3, 12}));
+  std::filesystem::remove_all(dir);
+}
+
 TEST(IoTest, ReadWholeFileFailsOnMissingFile) {
   std::vector<uint8_t> bytes = {1, 2, 3};
   EXPECT_FALSE(ReadWholeFile("/nonexistent/nope.bin", &bytes));

@@ -34,9 +34,10 @@
 //
 // The document's members, in order: spec, workload, dataset, sigma,
 // lsn, scale, ops, seed, mean_ns, size, size_bytes, structure, build
-// (the --json blobs' block, WriteBuildJson), num_units, hottest_unit,
-// top_units, heatmap, write_contention, tiered (only when the stack has
-// a Disk layer), counters (WriteCountersJson).
+// (the --json blobs' block, WriteBuildJson), host (WriteHostJson: CPU
+// model and vCPU count), num_units, hottest_unit, top_units, heatmap,
+// write_contention, tiered (only when the stack has a Disk layer),
+// counters (WriteCountersJson).
 //
 // Shared harness flags (--scale, --ops, --seed, --spec, --series, ...)
 // all apply; --scale sizes the dataset and --ops the replay. The
@@ -226,6 +227,7 @@ int main(int argc, char** argv) {
                stats.avg_height, stats.max_error, stats.avg_error,
                stats.num_nodes);
   WriteBuildJson(out, opt.seed);
+  WriteHostJson(out);
 
   std::fprintf(out, "  \"num_units\": %zu,\n", heat.size());
   std::fprintf(out, "  \"hottest_unit\": ");
