@@ -28,10 +28,6 @@ TrainerReport ChameleonTrainer::Train(
       if (dataset.size() < 2) continue;
       ++report.episodes;
 
-      // Line 7: random DRF weights (w_t + w_m = 1).
-      const double w_time = rng.NextDouble();
-      const double w_mem = 1.0 - w_time;
-
       // h for this dataset (Sec. III-B).
       const int h = std::max(
           2, static_cast<int>(std::ceil(
@@ -40,46 +36,22 @@ TrainerReport ChameleonTrainer::Train(
       // Line 8: a_best via Algorithm 1 (GA over the critic/analytic
       // fitness) — ChooseParams runs the GA and records the experience
       // (state, action, simulated costs) for critic training.
-      //
-      // Lines 9-10: exploration mixing is performed *inside the GA
-      // bounds* by perturbing the returned parameters toward a random
-      // genome with weight er: a_D = (1 - er)*a_best + er*a_random.
       const DareParams best = dare_->ChooseParams(dataset, h);
-      DareParams mixed = best;
-      {
-        const double random_log2_root = rng.NextDouble(0.0, 20.0);
-        const double best_log2_root =
-            std::log2(static_cast<double>(std::max<size_t>(1,
-                best.root_fanout)));
-        const double mixed_log2 =
-            (1.0 - er) * best_log2_root + er * random_log2_root;
-        mixed.root_fanout = static_cast<size_t>(
-            std::lround(std::exp2(mixed_log2)));
-        mixed.root_fanout = std::max<size_t>(1, mixed.root_fanout);
-        for (auto& row : mixed.matrix) {
-          for (float& p : row) {
-            const float random_p = static_cast<float>(
-                rng.NextDouble(1.0, 1024.0));
-            p = static_cast<float>((1.0 - er) * p + er * random_p);
-          }
-        }
-      }
-      // Lines 11-12: instantiate the index the mixed parameters induce
-      // and refine with Q_T — realized here by evaluating the mixed
-      // genome against the analytic environment (recording the reward
-      // signal DARE's critic learns from) and training TSMDP on the
-      // dataset's tree decisions.
-      std::vector<float> genome;
-      genome.push_back(static_cast<float>(
-          std::log2(static_cast<double>(mixed.root_fanout))));
-      for (const auto& row : mixed.matrix) {
-        genome.insert(genome.end(), row.begin(), row.end());
-      }
-      (void)dare_->AnalyticFitness(genome, dataset, dataset.size(), h,
-                                   w_time, w_mem);
+
+      // Lines 7 and 9-12 (random DRF weights; the mixed action
+      // a_D = (1 - er)*a_best + er*a_random, its index and its Q_T
+      // refinement) are not carried out, so nothing of the mixed action
+      // is recorded. Their random draws are still taken, one for the
+      // weights, one for the root and one per matrix parameter, so the
+      // dataset picks follow the same RNG stream.
+      size_t mixed_draws = 2;
+      for (const auto& row : best.matrix) mixed_draws += row.size();
+      for (size_t d = 0; d < mixed_draws; ++d) (void)rng.NextDouble();
+
+      // Line 13: train TSMDP on the dataset's tree decisions.
       report.final_tsmdp_loss = tsmdp_->Train(
           dataset, dataset.front(), dataset.back() + 1,
-          config_.tsmdp_episodes);  // line 13
+          config_.tsmdp_episodes);
     }
     // Line 14: train Q_D on everything recorded so far.
     report.final_critic_mae = dare_->TrainCritic(config_.critic_epochs);

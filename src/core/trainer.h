@@ -38,13 +38,13 @@ struct TrainerReport {
   double final_er = 1.0;
 };
 
-/// Implements Algorithm 2: repeatedly samples a training dataset and a
-/// random Dynamic-Reward-Function weight vector, mixes the GA-optimal
-/// action with a random action according to the exploration probability
-/// er (a_D = (1 - er) * a_best + er * a_random), instantiates the frame
-/// those parameters induce (via the DARE cost simulation), records the
-/// experience for the Q_D critic, trains TSMDP on the dataset's node
-/// decisions, and decays er until it reaches epsilon.
+/// Implements Algorithm 2 in part: repeatedly samples a training
+/// dataset, runs DARE's GA on it (which records the GA-optimal action's
+/// simulated costs for the Q_D critic), trains TSMDP on the dataset's
+/// node decisions, trains the critic, and decays the exploration
+/// probability er until it reaches epsilon. The random Dynamic Reward
+/// Function weights and the mixed action a_D = (1 - er) * a_best +
+/// er * a_random (lines 7 and 9-12) are not carried out.
 ///
 /// `datasets` is the training corpus (the paper uses "a large collection
 /// of both real and synthetic datasets"); each entry is a sorted key

@@ -2,7 +2,9 @@
 // actor over the frame-parameter genome, and the Q_D critic with the
 // Dynamic Reward Function.
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -66,6 +68,102 @@ TEST(DareAgentTest, ChooseParamsReturnsValidShapes) {
   for (float v : p3.matrix[0]) {
     EXPECT_GE(v, 1.0f);
     EXPECT_LE(v, 1024.0f);
+  }
+}
+
+// What DARE computes for one (dataset, h, refinement mode) case: the
+// chosen root fanout, an FNV-1a digest of the chosen matrix's float bit
+// patterns, and the bit patterns of AnalyticFitness for three fixed
+// genomes.
+struct DareGolden {
+  DatasetKind kind;
+  int h;
+  bool assume_refinement;
+  size_t root_fanout;
+  uint64_t matrix_digest;
+  uint64_t fitness_bits[3];
+};
+
+uint64_t MatrixDigest(const DareParams& params) {
+  uint64_t digest = 0xcbf29ce484222325ull;
+  for (const std::vector<float>& row : params.matrix) {
+    for (float v : row) {
+      digest ^= std::bit_cast<uint32_t>(v);
+      digest *= 0x100000001b3ull;
+    }
+  }
+  return digest;
+}
+
+DareGolden ComputeGolden(DatasetKind kind, int h, bool assume_refinement) {
+  DareConfig config = SmallConfig();
+  config.assume_refinement = assume_refinement;
+  const std::vector<Key> keys = GenerateDataset(kind, 50'000, 5);
+  DareGolden got{kind, h, assume_refinement, 0, 0, {}};
+  {
+    DareAgent agent(config);
+    const DareParams params = agent.ChooseParams(keys, h);
+    got.root_fanout = params.root_fanout;
+    got.matrix_digest = MatrixDigest(params);
+  }
+  // A stride sample scored against the full count, as ChooseParams does.
+  std::vector<Key> sample;
+  for (size_t i = 0; i < keys.size(); i += 25) sample.push_back(keys[i]);
+  const DareAgent agent(config);
+  const size_t genes = 1 + static_cast<size_t>(h - 2) * config.matrix_width;
+  for (int g = 0; g < 3; ++g) {
+    std::vector<float> genome(genes);
+    genome[0] = 3.0f + 4.5f * static_cast<float>(g);  // log2 root fanout
+    for (size_t j = 1; j < genes; ++j) {
+      genome[j] = 1.0f + static_cast<float>((g + 1) * 37 * j % 1024);
+    }
+    got.fitness_bits[g] = std::bit_cast<uint64_t>(agent.AnalyticFitness(
+        genome, sample, keys.size(), h, 0.5, 0.5));
+  }
+  return got;
+}
+
+// Pins DARE's output bit for bit: any change to the GA, the frame
+// simulation or the unit costs that moves a chosen frame or a fitness
+// value fails here, not only in the structures built downstream.
+TEST(DareAgentTest, GoldenChooseParamsAndFitness) {
+  constexpr DareGolden kWant[] = {
+      {DatasetKind::kOsmc, 2, false, 106, 0xcbf29ce484222325ull,
+       {0xc011ca8637c381a4ull, 0xc00fae3a98d86405ull,
+        0xc0226316ce4db1b4ull}},
+      {DatasetKind::kOsmc, 2, true, 52, 0xcbf29ce484222325ull,
+       {0xc0043de67c4987a9ull, 0xc003118851636b1eull,
+        0xc020c59932b3e38eull}},
+      {DatasetKind::kOsmc, 3, false, 1, 0x42005b47c0c91090ull,
+       {0xc0206a2cf0433e03ull, 0xc03c6a3e3bfadb15ull,
+        0xc06f342ef7bf911aull}},
+      {DatasetKind::kOsmc, 3, true, 1, 0x8d7d3e8cb98014edull,
+       {0xc01d42b7f5ab569dull, 0xc03b9b7f6e2df3fdull,
+        0xc06f1a571e05f437ull}},
+      {DatasetKind::kLogn, 2, false, 106, 0xcbf29ce484222325ull,
+       {0xc011cafde9d3d420ull, 0xc00fbcd0cfa5b86eull,
+        0xc022240fe31adfc1ull}},
+      {DatasetKind::kLogn, 2, true, 64, 0xcbf29ce484222325ull,
+       {0xc004297ba86165d5ull, 0xc0030bd514ce35d0ull,
+        0xc02081325bb56440ull}},
+      {DatasetKind::kLogn, 3, false, 1, 0x78eb775dfdab22e8ull,
+       {0xc01f71062c7bdea1ull, 0xc03c6932d8f049c1ull,
+        0xc06e317f7ec0a1b5ull}},
+      {DatasetKind::kLogn, 3, true, 1, 0x8d7d3e8cb98014edull,
+       {0xc01bb968a173fa7eull, 0xc03b9a740b2362aaull,
+        0xc06e17a7a50704d2ull}},
+  };
+  for (const DareGolden& want : kWant) {
+    SCOPED_TRACE(testing::Message()
+                 << DatasetName(want.kind) << " h=" << want.h
+                 << " refine=" << want.assume_refinement);
+    const DareGolden got =
+        ComputeGolden(want.kind, want.h, want.assume_refinement);
+    EXPECT_EQ(got.root_fanout, want.root_fanout);
+    EXPECT_EQ(got.matrix_digest, want.matrix_digest);
+    for (int g = 0; g < 3; ++g) {
+      EXPECT_EQ(got.fitness_bits[g], want.fitness_bits[g]) << "genome " << g;
+    }
   }
 }
 
