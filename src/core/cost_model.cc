@@ -14,13 +14,25 @@ double EbhLeafTimeCost(size_t n, double tau) {
   return 1.0 + tau * std::log2(static_cast<double>(n) + 1.0);
 }
 
+namespace {
+
+// -ln(1 - tau) for tau clamped into (0, 1): Theorem 1's capacity divisor.
+double CapacityDivisor(double tau) {
+  return -std::log(1.0 - std::clamp(tau, 1e-6, 1.0 - 1e-6));
+}
+
+// EbhLeafMemCost for n >= 1 given CapacityDivisor(tau).
+double LeafMemCost(size_t n, double divisor) {
+  const double cap = std::max(static_cast<double>(n - 1) / divisor,
+                              static_cast<double>(n) * 1.125);
+  return (cap + kLeafFixedOverheadSlots) / static_cast<double>(n);
+}
+
+}  // namespace
+
 double EbhLeafMemCost(size_t n, double tau) {
   if (n == 0) return 1.0;
-  tau = std::clamp(tau, 1e-6, 1.0 - 1e-6);
-  const double cap = std::max(
-      static_cast<double>(n - 1) / (-std::log(1.0 - tau)),
-      static_cast<double>(n) * 1.125);
-  return (cap + kLeafFixedOverheadSlots) / static_cast<double>(n);
+  return LeafMemCost(n, CapacityDivisor(tau));
 }
 
 double LeafCost(size_t total, double tau, double w_time, double w_mem) {
@@ -28,19 +40,20 @@ double LeafCost(size_t total, double tau, double w_time, double w_mem) {
          w_mem * EbhLeafMemCost(std::max<size_t>(total, 1), tau);
 }
 
-double RefinedNodeCost(size_t total, double tau, double w_time,
-                       double w_mem) {
-  double best = LeafCost(total, tau, w_time, w_mem);
+TimeMemCost RefinedNodeCost(size_t total, double tau) {
+  const double divisor = CapacityDivisor(tau);
+  TimeMemCost best = {EbhLeafTimeCost(total, tau),
+                      LeafMemCost(std::max<size_t>(total, 1), divisor)};
   if (total == 0) return best;
   for (int a = 1; a <= 10; ++a) {
     const size_t fanout = size_t{1} << a;
     const size_t child = (total + fanout - 1) / fanout;
-    const double cost =
-        w_time * (kInnerHopTimeCost + EbhLeafTimeCost(child, tau)) +
-        w_mem * (kInnerChildMemCost * static_cast<double>(fanout) /
-                     static_cast<double>(total) +
-                 EbhLeafMemCost(child, tau));
-    best = std::min(best, cost);
+    best.time =
+        std::min(best.time, kInnerHopTimeCost + EbhLeafTimeCost(child, tau));
+    best.mem = std::min(best.mem, kInnerChildMemCost *
+                                          static_cast<double>(fanout) /
+                                          static_cast<double>(total) +
+                                      LeafMemCost(child, divisor));
   }
   return best;
 }

@@ -71,13 +71,20 @@ double PartitionCostWeighted(std::span<const size_t> child_counts,
                              size_t total, size_t total_access, double tau,
                              double w_time, double w_mem);
 
+/// A cost kept as its two components.
+struct TimeMemCost {
+  double time = 0.0;
+  double mem = 0.0;
+};
+
 /// Cost of an h-level node under the assumption that TSMDP will refine
 /// it optimally (used by DARE in full-Chameleon mode, Sec. IV-C: DARE
 /// builds the upper levels coarsely, TSMDP fine-tunes below): the min
 /// over "stay a leaf" and one uniform split at every power-of-two
-/// fanout up to 2^10.
-double RefinedNodeCost(size_t total, double tau, double w_time,
-                       double w_mem);
+/// fanout up to 2^10, taken for time and for memory separately (the
+/// weights that combine them are applied downstream). One pass over the
+/// fanouts yields both.
+TimeMemCost RefinedNodeCost(size_t total, double tau);
 
 }  // namespace chameleon
 

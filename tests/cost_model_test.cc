@@ -25,6 +25,18 @@ TEST(CostModelTest, LeafMemShrinksWithTau) {
   EXPECT_GE(EbhLeafMemCost(1'000, 0.99), 1.0);
 }
 
+TEST(CostModelTest, RefinedNodeTakesTheBestOfLeafAndSplits) {
+  // Staying a leaf is one candidate, so refinement never costs more.
+  for (size_t n : {1, 64, 1'000, 1'000'000}) {
+    const TimeMemCost refined = RefinedNodeCost(n, 0.45);
+    EXPECT_LE(refined.time, EbhLeafTimeCost(n, 0.45));
+    EXPECT_LE(refined.mem, EbhLeafMemCost(n, 0.45));
+  }
+  // A million-key node is faster split 1024 ways than as one leaf.
+  const TimeMemCost big = RefinedNodeCost(1'000'000, 0.45);
+  EXPECT_DOUBLE_EQ(big.time, kInnerHopTimeCost + EbhLeafTimeCost(977, 0.45));
+}
+
 TEST(CostModelTest, SplittingHelpsBigNodes) {
   // A 64k-key node split 256 ways into 256-key children should beat one
   // giant leaf on the default weights.
