@@ -40,15 +40,19 @@ void DeltaOverlayIndex::BulkLoad(std::span<const KeyValue> data) {
 
 bool DeltaOverlayIndex::Lookup(Key key, Value* value) const {
   if (delta_->Lookup(key, value)) return true;
-  if (tombstones_.contains(key)) return false;
+  // An empty unordered_set still hashes the key: skip it.
+  if (!tombstones_.empty() && tombstones_.contains(key)) return false;
   return RunLookup(key, value);
 }
 
 void DeltaOverlayIndex::LookupBatch(std::span<const Key> keys, Value* values,
                                     bool* found) const {
   delta_->LookupBatch(keys, values, found);
+  const bool any_tombstones = !tombstones_.empty();
   for (size_t i = 0; i < keys.size(); ++i) {
-    if (found[i] || tombstones_.contains(keys[i])) continue;
+    if (found[i] || (any_tombstones && tombstones_.contains(keys[i]))) {
+      continue;
+    }
     found[i] = RunLookup(keys[i], values + i);
   }
 }

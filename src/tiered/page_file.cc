@@ -149,6 +149,20 @@ bool PageFile::ReadPage(uint64_t page_id, void* buf) {
                  stored_crc, actual, static_cast<unsigned long long>(page_seq));
     return false;
   }
+  // The count word is outside the crc. The run writer zero-fills every
+  // tail and keys ascend (only a page's first key can be 0), so a count
+  // is right exactly when it is in range, entry count-1 is a real pair
+  // and entry count is not.
+  const uint32_t count = PageCount(p);
+  const KeyValue* entries = PageEntries(p);
+  if (count == 0 || count > kEntriesPerPage ||
+      (count > 1 && entries[count - 1].key == 0) ||
+      (count < kEntriesPerPage && entries[count] != KeyValue{})) {
+    std::fprintf(stderr, "tiered: page %llu of %s is corrupt (count %u)\n",
+                 static_cast<unsigned long long>(page_id), name_.c_str(),
+                 count);
+    return false;
+  }
   return true;
 }
 

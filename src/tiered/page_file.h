@@ -1,6 +1,7 @@
 #ifndef CHAMELEON_TIERED_PAGE_FILE_H_
 #define CHAMELEON_TIERED_PAGE_FILE_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -21,7 +22,10 @@ namespace chameleon::tiered {
 ///     offset 0      uint32 crc32c over bytes [8, kPageSize) — the
 ///                   whole page after the checksum+count words, so a
 ///                   torn or bit-rotted page is detected on read
-///     offset 4      uint32 count — live entries in this page
+///     offset 4      uint32 count — live entries in this page, 1 to
+///                   kEntriesPerPage. Outside the crc: ReadPage checks
+///                   it against the entries instead (entry count-1 is
+///                   a real pair, entry count is zero)
 ///     offset 8      uint64 page_seq — the page's own 1-based index,
 ///                   guarding against misdirected reads/writes
 ///     offset 16     KeyValue[count], keys ascending; the remainder of
@@ -38,6 +42,54 @@ inline constexpr size_t kPageHeaderBytes = 16;
 /// KeyValue entries that fit one data page (255).
 inline constexpr size_t kEntriesPerPage =
     (kPageSize - kPageHeaderBytes) / sizeof(KeyValue);
+
+/// Slot of `key` in a data page: the index of the first of
+/// `entries[0, count)` (count >= 1, as ReadPage guarantees) whose key is
+/// not below `key`, or `count` when there is none (std::lower_bound's
+/// answer). `first` and `last` are the page's key anchors: its fence,
+/// and the next page's fence (or, for a run's last page, the run's
+/// largest key). The search interpolates a guess between the anchors,
+/// gallops outward from it (steps 1, 2, 4, ...) until the slot is
+/// bracketed, and binary-searches the bracket. A key below `first`
+/// guesses slot 0; the anchors only steer the guess, so any pair gives
+/// the exact slot.
+inline size_t PageLowerBound(const KeyValue* entries, size_t count, Key key,
+                             Key first, Key last) {
+  size_t guess = 0;
+  if (key > first && last > first) {
+    // In [0, 1] (rounding can reach 1 for a key at or past `last`), so
+    // the product stays a valid index after the clamp.
+    const double frac = std::min(
+        static_cast<double>(key - first) / static_cast<double>(last - first),
+        1.0);
+    guess = std::min(static_cast<size_t>(frac * static_cast<double>(count)),
+                     count - 1);
+  }
+  // The slot lies in [lo, hi]; entries[hi] (when hi < count) is >= key.
+  size_t lo;
+  size_t hi;
+  if (entries[guess].key < key) {
+    lo = guess + 1;
+    size_t step = 1;
+    while (guess + step < count && entries[guess + step].key < key) {
+      lo = guess + step + 1;
+      step <<= 1;
+    }
+    hi = std::min(guess + step, count);
+  } else {
+    hi = guess;
+    size_t step = 1;
+    while (step <= guess && entries[guess - step].key >= key) {
+      hi = guess - step;
+      step <<= 1;
+    }
+    lo = step <= guess ? guess - step + 1 : 0;
+  }
+  return static_cast<size_t>(
+      std::lower_bound(entries + lo, entries + hi, key,
+                       [](const KeyValue& kv, Key k) { return kv.key < k; }) -
+      entries);
+}
 
 /// One page-sized buffer; `std::make_unique<Page>()` (or `Page[]`) gives
 /// a zeroed, page-aligned one.

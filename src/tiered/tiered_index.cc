@@ -90,9 +90,18 @@ TieredIndex::~TieredIndex() {
 size_t TieredIndex::CandidatePage(Key key) const {
   const std::vector<Key>& fences = run_.fences;
   if (fences.empty() || key < fences.front()) return kNoPage;
-  // Last fence <= key.
-  auto it = std::upper_bound(fences.begin(), fences.end(), key);
-  return static_cast<size_t>(it - fences.begin()) - 1;
+  // Last fence <= key, by halving [base, base + n): base[0] <= key
+  // throughout, and each step is one conditional move, not a branch.
+  const Key* base = fences.data();
+  for (size_t n = fences.size(); n > 1; n -= n / 2) {
+    base = base[n / 2] <= key ? base + n / 2 : base;
+  }
+  return static_cast<size_t>(base - fences.data());
+}
+
+Key TieredIndex::PageLimit(size_t page) const {
+  return page + 1 < run_.fences.size() ? run_.fences[page + 1]
+                                       : run_.max_key;
 }
 
 // Probes take no lock: only writers (BulkLoad/Merge/Recover) swap the
@@ -114,11 +123,10 @@ bool TieredIndex::RunLookup(Key key, Value* value) const {
   RecordPageRead(page);
   const KeyValue* entries = tiered::PageFile::PageEntries(ref.data());
   const uint32_t count = tiered::PageFile::PageCount(ref.data());
-  auto it = std::lower_bound(
-      entries, entries + count, key,
-      [](const KeyValue& kv, Key k) { return kv.key < k; });
-  if (it == entries + count || it->key != key) return false;
-  if (value != nullptr) *value = it->value;
+  const size_t slot = tiered::PageLowerBound(
+      entries, count, key, run_.fences[page], PageLimit(page));
+  if (slot == count || entries[slot].key != key) return false;
+  if (value != nullptr) *value = entries[slot].value;
   return true;
 }
 
@@ -127,7 +135,7 @@ bool TieredIndex::ScanRun(Key lo, Key hi, bool merging,
   // Every page whose key interval intersects [lo, hi], one at a time: a
   // read scan pins each through the pool, a merge reads each straight
   // from the file (sequential I/O, no pool pollution).
-  if (run_.fences.empty() || lo > run_.max_key) return true;
+  if (run_.fences.empty() || lo > hi || lo > run_.max_key) return true;
   size_t page = CandidatePage(lo);
   if (page == kNoPage) page = 0;  // lo precedes the first fence
   std::unique_ptr<tiered::Page> buffer;
@@ -143,13 +151,21 @@ bool TieredIndex::ScanRun(Key lo, Key hi, bool merging,
       RecordPageRead(page);
       data = ref.data();
     }
+    // Only the first page can start past entry 0, and a page whose
+    // limit is at most hi is taken whole (otherwise hi < limit, so
+    // hi + 1 cannot wrap).
     const KeyValue* entries = tiered::PageFile::PageEntries(data);
-    const KeyValue* end = entries + tiered::PageFile::PageCount(data);
-    const KeyValue* first = std::lower_bound(
-        entries, end, lo, [](const KeyValue& kv, Key k) { return kv.key < k; });
-    const KeyValue* last = std::upper_bound(
-        first, end, hi, [](Key k, const KeyValue& kv) { return k < kv.key; });
-    visit(RunChunk(first, last));
+    const size_t count = tiered::PageFile::PageCount(data);
+    const Key first = run_.fences[page];
+    const Key limit = PageLimit(page);
+    const size_t begin =
+        lo <= first ? 0
+                    : tiered::PageLowerBound(entries, count, lo, first, limit);
+    const size_t end =
+        limit <= hi
+            ? count
+            : tiered::PageLowerBound(entries, count, hi + 1, first, limit);
+    visit(RunChunk(entries + begin, entries + end));
   }
   return true;
 }
@@ -214,7 +230,6 @@ bool TieredIndex::Recover() {
     if (!run.file->ReadPage(page, buf.get())) return false;
     const uint32_t count = tiered::PageFile::PageCount(buf.get());
     const KeyValue* entries = tiered::PageFile::PageEntries(buf.get());
-    if (count == 0) continue;
     run.fences.push_back(entries[0].key);
     run.entries += count;
     run.max_key = entries[count - 1].key;

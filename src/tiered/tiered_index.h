@@ -28,8 +28,11 @@ struct TieredOptions {
 /// shared delta overlay's (api/delta_overlay.h), whose delta is the
 /// wrapped spec, e.g. Chameleon, reset in place by BulkLoad after every
 /// merge and reload. This class supplies the run: a page-aligned file
-/// (`<dir>/main.pages`) behind a fixed-budget, read-only buffer pool,
-/// probed through a binary search over in-memory page fence keys. A
+/// (`<dir>/main.pages`) behind a fixed-budget, read-only buffer pool.
+/// A probe picks the page by a halving search over the in-memory page
+/// fence keys, then finds the key inside the page by interpolating
+/// between the page's fence and the next one and galloping from that
+/// guess (tiered::PageLowerBound). A
 /// merge streams the old run page by page, past the pool. A page that
 /// cannot be read stops the process (BufferPool::Pin) rather than read
 /// as a miss.
@@ -108,9 +111,12 @@ class TieredIndex final : public DeltaOverlayIndex {
   bool MergeDue() const override;
   void RecordRunWrite(Key key) const override;
 
-  /// Fence binary search: index of the one page that could hold `key`,
-  /// or npos when the run is empty or key precedes every fence.
+  /// Fence search: index of the one page that could hold `key`, or
+  /// npos when the run is empty or key precedes every fence.
   size_t CandidatePage(Key key) const;
+  /// The upper key anchor of `page`: the next page's fence (exclusive),
+  /// or the run's largest key (inclusive) for the last page.
+  Key PageLimit(size_t page) const;
   void RecordPageRead(size_t page) const;
 
   std::string dir_;

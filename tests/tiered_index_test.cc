@@ -593,6 +593,113 @@ TEST_F(TieredIndexTest, CorruptPageStopsTheProcessInsteadOfMissing) {
                "page 1 of .*main\\.pages is corrupt");
 }
 
+TEST_F(TieredIndexTest, CorruptCountWordStopsTheProcessInsteadOfMissing) {
+  // The count word is outside the page crc. A lowered count would hide
+  // the page's tail (lookups answering "absent", scans dropping keys),
+  // a raised one would search zero slots past the pairs. Either way the
+  // page is corrupt: lookups and scans stop the process, naming it, and
+  // a reopened index refuses the run.
+  const std::vector<KeyValue> data = Load(5'000);
+  // 5000 keys fill pages 0..18 and 155 pairs of page 19.
+  ASSERT_EQ(data.size() % tiered::kEntriesPerPage, 155u);
+  struct Case {
+    uint64_t page;
+    uint32_t count;
+  };
+  for (const Case c : {Case{1, 10}, Case{19, 200}}) {
+    SCOPED_TRACE(::testing::Message() << "page " << c.page << " count "
+                                      << c.count);
+    std::unique_ptr<KvIndex> index = MakeTiered(",frames=4");
+    index->BulkLoad(data);
+    {
+      std::FILE* raw = std::fopen((dir_ + "/main.pages").c_str(), "r+b");
+      ASSERT_NE(raw, nullptr);
+      std::fseek(raw, static_cast<long>((c.page + 1) * 4096 + 4), SEEK_SET);
+      ASSERT_EQ(std::fwrite(&c.count, 1, sizeof(c.count), raw),
+                sizeof(c.count));
+      std::fclose(raw);
+    }
+    // The page's 101st pair: past a lowered count, inside a raised one.
+    const Key on_page = data[c.page * tiered::kEntriesPerPage + 100].key;
+    const std::string corrupt =
+        "page " + std::to_string(c.page) + " of .*main\\.pages is corrupt";
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_DEATH(index->Lookup(on_page, nullptr), corrupt);
+    std::vector<KeyValue> out;
+    EXPECT_DEATH(index->RangeScan(data.front().key, data.back().key, &out),
+                 corrupt);
+    EXPECT_FALSE(MakeTiered()->Recover());
+  }
+}
+
+TEST_F(TieredIndexTest, LookupsAndScansMatchTheOracleOnEveryDataset) {
+  // The in-page search guesses a slot from the page's fences and
+  // gallops to it; on skewed data the guess is far off. Through eight
+  // frames the pages are evicted and faulted back constantly. Every
+  // answer must equal a std::map's.
+  for (DatasetKind kind : kAllDatasets) {
+    SCOPED_TRACE(DatasetName(kind));
+    std::filesystem::remove_all(dir_);
+    std::unique_ptr<KvIndex> index = MakeTiered(",frames=8");
+    const std::vector<KeyValue> data =
+        ToKeyValues(GenerateDataset(kind, 50'000, 5));
+    index->BulkLoad(data);
+    std::map<Key, Value> oracle;
+    for (const KeyValue& kv : data) oracle[kv.key] = kv.value;
+
+    Rng rng(71);
+    auto check_lookup = [&](Key k) {
+      Value v = 0;
+      const bool got = index->Lookup(k, &v);
+      const auto it = oracle.find(k);
+      ASSERT_EQ(got, it != oracle.end()) << k;
+      if (got) {
+        ASSERT_EQ(v, it->second) << k;
+      }
+    };
+    auto check_scan = [&](Key lo, Key hi) {
+      std::vector<KeyValue> scanned;
+      index->RangeScan(lo, hi, &scanned);
+      auto it = oracle.lower_bound(lo);
+      for (const KeyValue& kv : scanned) {
+        ASSERT_TRUE(it != oracle.end() && kv.key == it->first &&
+                    kv.value == it->second)
+            << "[" << lo << ", " << hi << "] at " << kv.key;
+        ++it;
+      }
+      ASSERT_TRUE(it == oracle.upper_bound(hi))
+          << "[" << lo << ", " << hi << "] ends early";
+    };
+    for (int i = 0; i < 20'000; ++i) {
+      const Key k = data[rng.NextBounded(data.size())].key;
+      check_lookup(k);
+      check_lookup(k + 1);
+      check_lookup(k - 1);
+    }
+    check_lookup(0);
+    check_lookup(data.back().key + 1);
+    for (int i = 0; i < 300; ++i) {
+      const size_t a = rng.NextBounded(data.size());
+      const size_t b = std::min(a + rng.NextBounded(800), data.size() - 1);
+      check_scan(data[a].key + (i & 1), data[b].key - (i & 2 ? 1 : 0));
+    }
+    // Bounds on the fences: a page's first key, the key before the next
+    // page's, and past either end of the run.
+    for (size_t f = 0; f < data.size(); f += tiered::kEntriesPerPage) {
+      const size_t next = std::min(f + tiered::kEntriesPerPage,
+                                   data.size() - 1);
+      check_scan(data[f].key, data[next].key - 1);
+      check_scan(data[f].key, data[next].key);
+    }
+    check_scan(0, data[300].key);
+    check_scan(data[data.size() - 300].key, ~Key{0});
+    check_scan(0, ~Key{0});
+    // An inverted range inside one page is empty, not a negative span.
+    std::vector<KeyValue> none;
+    EXPECT_EQ(index->RangeScan(data[310].key, data[305].key, &none), 0u);
+  }
+}
+
 TEST_F(TieredIndexTest, SpecOptionsAndErrors) {
   std::string error;
   // Unknown option, bad values, missing dir: position-accurate errors.

@@ -3,12 +3,15 @@
 // read-only S3-FIFO buffer pool (pin/unpin, eviction under a tiny frame
 // budget, a hot set surviving a cold sweep, ghost hits and access counts,
 // hit counts on a zipf trace, waiting for a frame only when all are
-// pinned, aborting on a page that fails its read).
+// pinned, aborting on a page that fails its read), and the in-page
+// search (PageLowerBound) against std::lower_bound.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -100,6 +103,44 @@ TEST_F(TieredPoolTest, CorruptPageFailsChecksum) {
   EXPECT_TRUE(f->ReadPage(0, buf.get()));
   EXPECT_FALSE(f->ReadPage(1, buf.get()));
   EXPECT_TRUE(f->ReadPage(2, buf.get()));
+}
+
+TEST_F(TieredPoolTest, CorruptCountWordFailsRead) {
+  // The count word (offset 4) is outside the crc, so ReadPage checks it
+  // against the entries: a count that drops real pairs or claims zero
+  // tail slots is corruption, whichever way it moved.
+  for (uint32_t bad : {0u, 1u, 3u, 5u, 255u, 256u, 1000u}) {
+    { MakeFile(3); }
+    {
+      std::FILE* raw = std::fopen(Path().c_str(), "r+b");
+      ASSERT_NE(raw, nullptr);
+      std::fseek(raw, 2 * 4096 + 4, SEEK_SET);  // page 1's count word
+      ASSERT_EQ(std::fwrite(&bad, 1, sizeof(bad), raw), sizeof(bad));
+      std::fclose(raw);
+    }
+    std::unique_ptr<PageFile> f = PageFile::Open(Path());
+    ASSERT_NE(f, nullptr);
+    auto buf = std::make_unique<Page>();
+    EXPECT_TRUE(f->ReadPage(0, buf.get())) << bad;
+    EXPECT_FALSE(f->ReadPage(1, buf.get())) << bad;
+    EXPECT_TRUE(f->ReadPage(2, buf.get())) << bad;
+  }
+  // The right counts of the edge shapes pass: a single pair whose key is
+  // 0, and a full page (no zero slot after it).
+  std::unique_ptr<PageFile> f = PageFile::Create(Path("edges.pages"));
+  ASSERT_NE(f, nullptr);
+  auto buf = std::make_unique<Page>();
+  PageFile::SetPageCount(buf.get(), 1);
+  PageFile::PageEntries(buf.get())[0] = {0, 0};
+  ASSERT_TRUE(f->WritePage(0, buf.get()));
+  PageFile::SetPageCount(buf.get(), kEntriesPerPage);
+  for (size_t i = 0; i < kEntriesPerPage; ++i) {
+    PageFile::PageEntries(buf.get())[i] = {1000 + i, i};
+  }
+  ASSERT_TRUE(f->WritePage(1, buf.get()));
+  ASSERT_TRUE(f->SyncHeader(1 + kEntriesPerPage));
+  EXPECT_TRUE(f->ReadPage(0, buf.get()));
+  EXPECT_TRUE(f->ReadPage(1, buf.get()));
 }
 
 TEST_F(TieredPoolTest, CorruptHeaderFailsOpen) {
@@ -425,6 +466,99 @@ TEST_F(TieredPoolTest, RejectsBadPageSizes) {
   std::unique_ptr<PageFile> f = PageFile::Open(Path());
   ASSERT_NE(f, nullptr);
   EXPECT_EQ(f->num_pages(), 2u);
+}
+
+/// Checks PageLowerBound on a page holding `keys` (ascending) with
+/// anchors [first, last] against std::lower_bound, for every key, its
+/// neighbours, the midpoints between keys, the anchors and their
+/// neighbours, and both ends of the key domain.
+void ExpectSlotsMatchLowerBound(const std::vector<Key>& keys, Key first,
+                                Key last) {
+  ASSERT_LE(keys.size(), kEntriesPerPage);
+  auto page = std::make_unique<Page>();
+  KeyValue* entries = PageFile::PageEntries(page.get());
+  for (size_t i = 0; i < keys.size(); ++i) entries[i] = {keys[i], i};
+  constexpr Key kMax = std::numeric_limits<Key>::max();
+  std::vector<Key> probes = {0, kMax, first, last};
+  for (Key k : {first, last}) {
+    if (k > 0) probes.push_back(k - 1);
+    if (k < kMax) probes.push_back(k + 1);
+  }
+  for (size_t i = 0; i < keys.size(); ++i) {
+    probes.push_back(keys[i]);
+    if (keys[i] > 0) probes.push_back(keys[i] - 1);
+    if (keys[i] < kMax) probes.push_back(keys[i] + 1);
+    if (i + 1 < keys.size()) {
+      probes.push_back(keys[i] + (keys[i + 1] - keys[i]) / 2);
+    }
+  }
+  KeyValue* end = entries + keys.size();
+  for (Key probe : probes) {
+    const size_t want = static_cast<size_t>(
+        std::lower_bound(entries, end, probe,
+                         [](const KeyValue& kv, Key k) { return kv.key < k; }) -
+        entries);
+    ASSERT_EQ(PageLowerBound(entries, keys.size(), probe, first, last), want)
+        << "probe " << probe << " on " << keys.size() << " keys in ["
+        << first << ", " << last << "]";
+  }
+}
+
+TEST(PageLowerBoundTest, OneEntryPages) {
+  // A page with a next fence, and a run's last page, whose anchors are
+  // its one key twice.
+  ExpectSlotsMatchLowerBound({500}, 500, 900);
+  ExpectSlotsMatchLowerBound({500}, 500, 500);
+  ExpectSlotsMatchLowerBound({0}, 0, 1);
+}
+
+TEST(PageLowerBoundTest, FullEvenlySpreadPage) {
+  std::vector<Key> keys;
+  for (Key i = 0; i < kEntriesPerPage; ++i) keys.push_back(1000 + 7 * i);
+  ExpectSlotsMatchLowerBound(keys, 1000, 1000 + 7 * kEntriesPerPage);
+}
+
+TEST(PageLowerBoundTest, LastPageIsAnchoredAtItsLargestKey) {
+  std::vector<Key> keys;
+  for (Key i = 0; i < 100; ++i) keys.push_back(10 * i + 3);
+  ExpectSlotsMatchLowerBound(keys, keys.front(), keys.back());
+  // A last page ending at the largest key: max_key + 1 would wrap.
+  keys.back() = std::numeric_limits<Key>::max();
+  ExpectSlotsMatchLowerBound(keys, keys.front(), keys.back());
+}
+
+TEST(PageLowerBoundTest, KeysClusteredAtEitherEndOfTheFenceRange) {
+  // Every guess lands far from the slot: the gallop must cover the page.
+  std::vector<Key> low;
+  for (Key i = 0; i < kEntriesPerPage; ++i) low.push_back(1000 + i);
+  ExpectSlotsMatchLowerBound(low, 1000, 1'000'000);
+  std::vector<Key> high = {1000};
+  for (Key i = 1; i < kEntriesPerPage; ++i) high.push_back(999'745 + i);
+  ExpectSlotsMatchLowerBound(high, 1000, 1'000'000);
+  // Anchors spanning the whole key domain, keys doubling.
+  std::vector<Key> doubling;
+  for (int i = 0; i < 64; ++i) doubling.push_back(Key{1} << i);
+  ExpectSlotsMatchLowerBound(doubling, 1, std::numeric_limits<Key>::max());
+}
+
+TEST(PageLowerBoundTest, RandomPagesMatchLowerBound) {
+  Rng rng(33);
+  for (int round = 0; round < 300; ++round) {
+    const size_t count = 1 + rng.NextBounded(kEntriesPerPage);
+    const Key span = Key{1} << (8 + rng.NextBounded(48));
+    const Key first = rng.NextBounded(Key{1} << 62);
+    std::vector<Key> keys = {first};
+    while (keys.size() < count) {
+      // Squared draws skew the gaps, like the skewed datasets do.
+      const double u = rng.NextDouble();
+      keys.push_back(first + 1 + static_cast<Key>(u * u * (span - 1)));
+    }
+    std::sort(keys.begin(), keys.end());
+    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+    const bool last_page = rng.NextBounded(2) == 0;
+    ExpectSlotsMatchLowerBound(keys, first,
+                               last_page ? keys.back() : first + span);
+  }
 }
 
 }  // namespace
